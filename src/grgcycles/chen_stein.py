@@ -32,7 +32,6 @@ from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, candidate_count,
                      canonicalize, _iter_candidates)
 from .graphs import edge_probability
@@ -199,6 +198,35 @@ def _candidate_arrays(weights: WeightVector, k: int, cap: int):
     return rows, p_cand, cand_indptr.astype(np.int64), cand_indices, p_edge
 
 
+def _bound_terms(edge_rows, p_cand, cand_indptr, cand_indices,
+                 p_edge) -> Tuple[float, float]:
+    """b1 and b2 over the candidate set, vectorized over each candidate's
+    dependency neighborhood.
+
+    Inputs are ``_candidate_arrays``: sorted edge ids per candidate, the
+    candidate probabilities, the edge -> candidates CSR index and the edge
+    probabilities.  b1 sums p_a * p_b over pairs sharing an edge (self pair
+    included); b2 sums p_ab = p_a * p_b / prod(shared edge probabilities)
+    over distinct such pairs.
+    """
+    nc, k = edge_rows.shape
+    b1 = 0.0
+    b2 = 0.0
+    for a in range(nc):
+        segs = [cand_indices[cand_indptr[e]:cand_indptr[e + 1]]
+                for e in edge_rows[a]]
+        nbr = np.unique(np.concatenate(segs))
+        pa = p_cand[a]
+        b1 += pa * float(p_cand[nbr].sum())
+        others = nbr[nbr != a]
+        if others.size:
+            rows = edge_rows[others]
+            mask = (rows[:, :, None] == edge_rows[a][None, None, :]).any(axis=2)
+            shared = np.where(mask, p_edge[rows], 1.0).prod(axis=1)
+            b2 += float((pa * p_cand[others] / shared).sum())
+    return float(b1), float(b2)
+
+
 def exact_bound_terms(weights: WeightVector, k: int,
                       cap: int = DEFAULT_CANDIDATE_CAP,
                       method: str = "auto") -> BoundTerms:
@@ -216,7 +244,7 @@ def exact_bound_terms(weights: WeightVector, k: int,
         b1, b2, _ = _dense_triangle_terms(weights)
         return BoundTerms(b1=b1, b2=b2)
     rows, p_cand, indptr, indices, p_edge = _candidate_arrays(weights, k, cap)
-    b1, b2 = _kernels.bound_terms(rows, p_cand, indptr, indices, p_edge)
+    b1, b2 = _bound_terms(rows, p_cand, indptr, indices, p_edge)
     return BoundTerms(b1=b1, b2=b2)
 
 
@@ -272,7 +300,7 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
             rate = dense_rate if use_exact else conditional_rate_plugin(weights, k)
         else:
             arrays = _candidate_arrays(weights, k, cap)
-            b1, b2 = _kernels.bound_terms(*arrays)
+            b1, b2 = _bound_terms(*arrays)
             rate = (float(arrays[1].sum()) if use_exact
                     else conditional_rate_plugin(weights, k))
         b1s[rep] = b1

@@ -3,10 +3,14 @@
 A length-k cycle has 2k equivalent vertex sequences (k rotations times two
 orientations).  The canonical representative starts at the smallest vertex
 and runs toward the smaller of its two cycle-neighbors, i.e.
-``v0 = min(vertices)`` and ``v1 < v[k-1]``.  Counting walks the canonical
-representatives directly with a DFS, so no deduplication state is needed
-and the total over the complete graph matches the falling-factorial count
-``(n)_k / (2k)`` exactly.
+``v0 = min(vertices)`` and ``v1 < v[k-1]``.  Enumeration walks the
+canonical representatives directly with a DFS, so no deduplication state
+is needed and the total over the complete graph matches the
+falling-factorial count ``(n)_k / (2k)`` exactly.
+
+Triangles and 4-cycles have closed forms over wedges (paths ``y - x - z``):
+a triangle is a wedge whose endpoints are adjacent, and a 4-cycle is a pair
+of wedges with the same endpoints.  Longer cycles are counted by the DFS.
 
 ``brute_force_count`` is the test oracle: it enumerates every ordered tuple
 of distinct vertices, checks all k edges, and divides by 2k.  It is guarded
@@ -22,7 +26,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .graphs import GrgGraph
 
 __all__ = [
@@ -93,23 +96,87 @@ def candidate_count(n: int, k: int) -> int:
     return quotient
 
 
+def _row_pair_keys(indptr: np.ndarray, indices: np.ndarray,
+                   n: int) -> np.ndarray:
+    """Keys ``y * n + z`` of every pair ``y < z`` sharing a CSR row.
+
+    Rows must be sorted.  Pairs are emitted by their distance within the
+    row, so every step works only on the positions that still have a
+    partner that far ahead and no per-pair index arrays are built.
+    """
+    ahead = (np.repeat(indptr[1:], np.diff(indptr))
+             - np.arange(indices.size) - 1)
+    by_ahead = np.argsort(-ahead, kind="stable")
+    at_least = np.cumsum(np.bincount(ahead)[::-1])[::-1]
+    keys = np.empty(int(ahead.sum()), dtype=np.int64)
+    filled = 0
+    for gap in range(1, at_least.size):
+        pos = by_ahead[:at_least[gap]]
+        keys[filled:filled + pos.size] = indices[pos] * n + indices[pos + gap]
+        filled += pos.size
+    return keys
+
+
+def _count_triangles(graph: GrgGraph) -> int:
+    """Forward algorithm (Chiba & Nishizeki 1985; Schank & Wagner 2005).
+
+    Each edge points from its lower to its higher (degree, id) rank, so a
+    triangle is exactly one wedge of out-edges at its lowest vertex whose
+    endpoints are joined.  Ranking by degree keeps a hub's wedges few.
+    """
+    n = graph.n
+    degree = np.diff(graph.indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
+    tails = rank[np.repeat(np.arange(n), degree)]
+    heads = rank[graph.indices]
+    forward = tails < heads
+    tails, heads = tails[forward], heads[forward]
+    order = np.lexsort((heads, tails))
+    tails, heads = tails[order], heads[order]
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=out_ptr[1:])
+    wedges = _row_pair_keys(out_ptr, heads, n)
+    if not wedges.size:
+        return 0
+    edges = tails * n + heads
+    hit = np.minimum(np.searchsorted(edges, wedges), edges.size - 1)
+    return int(np.count_nonzero(edges[hit] == wedges))
+
+
+def _count_squares(graph: GrgGraph) -> int:
+    """``sum over y < z of C(c_yz, 2) / 2``, with ``c_yz`` the common
+    neighbors of y and z: each 4-cycle is two wedges on each diagonal."""
+    keys = _row_pair_keys(graph.indptr, graph.indices, graph.n)
+    keys.sort()
+    # a run of c equal keys holds c - 1 adjacent repeats and C(c, 2) pairs
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    if not repeats.size:
+        return 0
+    breaks = np.flatnonzero(np.diff(repeats) != 1) + 1
+    runs = np.diff(np.concatenate(([0], breaks, [repeats.size])))
+    return int((runs * (runs + 1) // 2).sum()) // 2
+
+
 def count_k_cycles(graph: GrgGraph, k: int) -> CycleCensus:
-    """Exact census of length-k cycles via canonical DFS."""
+    """Exact census of length-k cycles.
+
+    k = 3 and k = 4 use the wedge closed forms; longer cycles are counted
+    by walking the canonical DFS.
+    """
     _validate_k(graph.n, k)
-    count = _kernels.count_cycles(graph.indptr, graph.indices, k)
+    if k == 3:
+        count = _count_triangles(graph)
+    elif k == 4:
+        count = _count_squares(graph)
+    else:
+        count = sum(1 for _ in _iter_present(graph, k))
     return CycleCensus(k=k, count=count)
 
 
 def count_triangles(graph: GrgGraph) -> CycleCensus:
-    """Triangle census by sorted-neighbor-list intersection.
-
-    Independent of the DFS census; the two must agree (cross-checked in the
-    test suite).
-    """
-    if graph.n < 3:
-        raise ValueError("need at least 3 vertices")
-    count = _kernels.count_triangles(graph.indptr, graph.indices)
-    return CycleCensus(k=3, count=count)
+    """Triangle census; the k = 3 path of ``count_k_cycles``."""
+    return count_k_cycles(graph, 3)
 
 
 @lru_cache(maxsize=32)

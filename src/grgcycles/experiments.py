@@ -63,7 +63,11 @@ def resolve_workers(requested: int = 0) -> int:
         return requested
     env = os.environ.get(WORKERS_ENV, "").strip()
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV}={env!r} is not an integer") from None
         if value > 0:
             return value
     return 1
@@ -104,6 +108,12 @@ class ExperimentConfig:
 
 _SPEC_KEYS = ("family", "value", "shape", "scale", "loc", "x1", "x2", "p1",
               "values", "probs")
+_TYPED_KEYS = (("n", int), ("k", int), ("p", int), ("replications", int),
+               ("seed", int), ("workers", int), ("candidate_cap", int),
+               ("er_lambda", float))
+_STRING_KEYS = ("output_dir", "statistic", "regime", "rate_mode", "edge_list")
+_KNOWN_KEYS = frozenset(_SPEC_KEYS + tuple(key for key, _ in _TYPED_KEYS)
+                        + _STRING_KEYS + ("n_grid",))
 
 
 def _parse_grid(text: str) -> tuple:
@@ -123,6 +133,10 @@ def load_config(path, section: str,
             raise FileNotFoundError(f"cannot read config file {path}")
         if parser.has_section(section):
             merged.update({k: v for k, v in parser.items(section)})
+        unknown = sorted(set(merged) - _KNOWN_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in section "
+                             f"[{section}] of {path}")
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
@@ -131,16 +145,14 @@ def load_config(path, section: str,
     if spec is None:
         raise ValueError(f"section [{section}] does not define a weight family")
     kwargs = dict(spec=spec)
-    for key, conv in (("n", int), ("k", int), ("p", int),
-                      ("replications", int), ("seed", int), ("workers", int),
-                      ("candidate_cap", int), ("er_lambda", float)):
+    for key, conv in _TYPED_KEYS:
         if key in merged:
             kwargs[key] = conv(merged[key])
     if "n_grid" in merged:
         kwargs["n_grid"] = (_parse_grid(merged["n_grid"])
                             if isinstance(merged["n_grid"], str)
                             else tuple(merged["n_grid"]))
-    for key in ("output_dir", "statistic", "regime", "rate_mode", "edge_list"):
+    for key in _STRING_KEYS:
         if key in merged:
             kwargs[key] = merged[key]
     return ExperimentConfig(**kwargs)

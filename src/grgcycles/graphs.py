@@ -64,30 +64,8 @@ class GrgGraph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
                    weights: Optional[WeightVector] = None) -> "GrgGraph":
-        pairs = set()
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-            pairs.add((min(u, v), max(u, v)))
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in pairs:
-            deg[u] += 1
-            deg[v] += 1
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        fill = indptr[:-1].copy()
-        for u, v in pairs:
-            indices[fill[u]] = v
-            fill[u] += 1
-            indices[fill[v]] = u
-            fill[v] += 1
-        for i in range(n):
-            indices[indptr[i]:indptr[i + 1]].sort()
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
         return cls(n=n, indptr=indptr, indices=indices, weights=weights)
 
     @classmethod
@@ -108,17 +86,15 @@ class GrgGraph:
         if not rows or len(rows[0]) != 2:
             raise ValueError("edge list must start with an 'n m' header")
         n, m = (int(x) for x in rows[0])
-        edges = []
         for ln in rows[1:]:
             if len(ln) != 2:
                 raise ValueError(f"malformed edge line: {' '.join(ln)}")
-            u, v = (int(x) for x in ln)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            edges.append((u - 1, v - 1))
-        if len(edges) != m:
-            raise ValueError(f"header declares {m} edges, found {len(edges)}")
-        return cls.from_edges(n, edges)
+        if len(rows) - 1 != m:
+            raise ValueError(f"header declares {m} edges, found {len(rows) - 1}")
+        pairs = np.array(rows[1:], dtype=np.int64).reshape(-1, 2)
+        indptr, indices = _csr_from_pairs(n, pairs[:, 0] - 1, pairs[:, 1] - 1,
+                                          base=1)
+        return cls(n=n, indptr=indptr, indices=indices)
 
 
 def edge_probability(w_i: float, w_j: float, total: float) -> float:
@@ -131,23 +107,33 @@ def edge_probability(w_i: float, w_j: float, total: float) -> float:
     return prod / (total + prod)
 
 
-def _csr_from_rows(n: int, row_targets: list) -> tuple:
-    deg = np.zeros(n, dtype=np.int64)
-    for i, js in enumerate(row_targets):
-        deg[i] += js.size
-        deg[js] += 1
+def _csr_from_pairs(n: int, us: np.ndarray, vs: np.ndarray,
+                    base: int = 0) -> tuple:
+    """CSR arrays of the simple graph with edges ``(us[t], vs[t])``.
+
+    Rejects self-loops, endpoints outside ``0..n-1`` and repeated edges,
+    naming the first offender with vertex ids shifted by ``base``.
+    """
+    loops = np.flatnonzero(us == vs)
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {us[loops[0]] + base}")
+    outside = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n))
+    if outside.size:
+        t = outside[0]
+        raise ValueError(f"edge ({us[t] + base},{vs[t] + base}) outside "
+                         f"{base}..{n - 1 + base}")
+    rows = np.concatenate([us, vs])
+    cols = np.concatenate([vs, us])
+    order = np.lexsort((cols, rows))
+    rows = rows[order]
+    cols = cols[order]
+    repeated = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    if repeated.size:
+        u, v = sorted((rows[repeated[0]], cols[repeated[0]]))
+        raise ValueError(f"repeated edge ({u + base},{v + base})")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    fill = indptr[:-1].copy()
-    for i, js in enumerate(row_targets):
-        for j in js:
-            indices[fill[i]] = j
-            fill[i] += 1
-            indices[fill[j]] = i
-            fill[j] += 1
-    # rows built in ascending order on both sides, so they are already sorted
-    return indptr, indices
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
 
 
 def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
@@ -162,9 +148,9 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
         u = rng.random(n - 1 - i)
         prod = w[i] * w[i + 1:]
         p = prod / total if chung_lu else prod / (total + prod)
-        rows.append(np.nonzero(u < p)[0].astype(np.int64) + i + 1)
-    rows.append(np.empty(0, dtype=np.int64))
-    indptr, indices = _csr_from_rows(n, rows)
+        rows.append(np.nonzero(u < p)[0] + i + 1)
+    heads = np.repeat(np.arange(n - 1), [row.size for row in rows])
+    indptr, indices = _csr_from_pairs(n, heads, np.concatenate(rows))
     return GrgGraph(n=n, indptr=indptr, indices=indices, weights=weights)
 
 

@@ -188,7 +188,10 @@ class MomentSummary:
 
     def __post_init__(self):
         # Jensen: EW^2 >= (EW)^2, hence ratio >= mean
-        assert self.second_moment >= self.mean ** 2 * (1 - 1e-12)
+        if self.second_moment < self.mean ** 2 * (1 - 1e-12):
+            raise ValueError(
+                f"second moment {self.second_moment} is below the squared "
+                f"mean {self.mean ** 2}, which violates Jensen's inequality")
 
 
 def draw(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:

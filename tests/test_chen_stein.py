@@ -10,7 +10,6 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from grgcycles import _kernels
 from grgcycles.chen_stein import (bound_report, conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
                                   neighborhood, pair_probability,
@@ -130,14 +129,6 @@ class TestExactBoundTerms:
             p = lam / n
             assert terms.b1 == pytest.approx(i3 * (3 * n - 8) * p ** 6, rel=1e-10)
             assert terms.b2 == pytest.approx(i3 * 3 * (n - 3) * p ** 5, rel=1e-10)
-
-    def test_kernel_backends_agree(self):
-        wv = sample_weights(WeightSpec.two_point(1, 3, 0.5), 9, seed=8)
-        arrays = _candidate_arrays(wv, 4, 10**6)
-        jit = _kernels._bound_terms_loop(*arrays)
-        vec = _kernels._bound_terms_numpy(*arrays)
-        assert jit[0] == pytest.approx(vec[0], rel=1e-12)
-        assert jit[1] == pytest.approx(vec[1], rel=1e-12)
 
     def test_monotone_in_weights(self):
         small = WeightVector.from_values([0.5] * 6)

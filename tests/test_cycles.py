@@ -7,7 +7,6 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grgcycles import _kernels
 from grgcycles.cycles import (CandidateCapError, brute_force_count,
                               candidate_count, canonicalize, count_k_cycles,
                               count_triangles, enumerate_cycles, is_canonical)
@@ -121,24 +120,35 @@ class TestOracleAgreement:
     def test_triangle_cross_implementation(self):
         for trial in range(40):
             graph = random_graph(9, 400 + trial)
-            assert count_triangles(graph).count == count_k_cycles(graph, 3).count
+            assert count_triangles(graph).count == \
+                len(list(enumerate_cycles(graph, 3)))
 
 
-class TestBackendParity:
-    def test_census_kernels_agree(self):
-        for trial in range(20):
-            graph = random_graph(8, 600 + trial)
-            for k in range(3, 9):
-                jit = _kernels._count_cycles_loop(graph.indptr, graph.indices, k)
-                py = _kernels._count_cycles_python(graph.indptr, graph.indices, k)
-                assert jit == py
+class TestClosedForms:
+    """The k = 3 and k = 4 wedge counts against the DFS walker, on graphs
+    whose degree order differs from their vertex order."""
 
-    def test_triangle_kernels_agree(self):
-        for trial in range(20):
-            graph = random_graph(30, 700 + trial)
-            jit = _kernels._count_triangles_loop(graph.indptr, graph.indices)
-            vec = _kernels._count_triangles_numpy(graph.indptr, graph.indices)
-            assert jit == vec
+    @staticmethod
+    def assert_walker_agrees(graph):
+        for k in (3, 4):
+            assert count_k_cycles(graph, k).count == \
+                len(list(enumerate_cycles(graph, k)))
+
+    @pytest.mark.parametrize("shape", [2.0, 3.0])
+    def test_heavy_tailed_weights(self, shape):
+        wv = sample_weights(WeightSpec.pareto_shifted(shape, 3, 1), 150, seed=5)
+        graph = sample_grg(wv, seed=6)
+        assert np.diff(graph.indptr).max() >= 15
+        self.assert_walker_agrees(graph)
+
+    def test_hub_joined_to_clique(self):
+        # vertex 0 has the smallest id but the largest degree; with the
+        # clique 1..8 it forms K9, the leaves 9..39 close no cycle
+        clique = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]
+        graph = GrgGraph.from_edges(40, clique + [(0, v) for v in range(1, 40)])
+        assert count_k_cycles(graph, 3).count == candidate_count(9, 3)
+        assert count_k_cycles(graph, 4).count == candidate_count(9, 4)
+        self.assert_walker_agrees(graph)
 
 
 class TestMonotonicity:

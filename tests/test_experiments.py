@@ -83,6 +83,13 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "nope.ini", "census")
 
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text(CONFIG_TEXT.replace("replications = 25",
+                                            "replication = 400"))
+        with pytest.raises(ValueError, match="'replication'"):
+            load_config(path, "census")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(spec=PARETO, n=2, k=4).validated()
@@ -107,6 +114,11 @@ class TestSeeding:
         monkeypatch.setenv("GRGCYCLES_WORKERS", "7")
         assert resolve_workers(0) == 7
         assert resolve_workers(2) == 2
+
+    def test_bad_worker_env_named(self, monkeypatch):
+        monkeypatch.setenv("GRGCYCLES_WORKERS", "four")
+        with pytest.raises(ValueError, match="GRGCYCLES_WORKERS='four'"):
+            resolve_workers(0)
 
 
 class TestCensusRunner:

@@ -80,6 +80,7 @@ class TestGraphRepresentation:
 
     @pytest.mark.parametrize("text", [
         "", "3\n", "2 1\n1 3\n", "2 2\n1 2\n", "2 1\n1 2 3\n",
+        "2 2\n1 2\n2 1\n",
     ])
     def test_malformed_edge_text(self, text):
         with pytest.raises(ValueError):
@@ -88,6 +89,21 @@ class TestGraphRepresentation:
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError):
             GrgGraph.from_edges(3, [(1, 1)])
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (2, 2), (1, 1)], r"self-loop at vertex 2$"),
+        ([(0, 1), (0, 5), (3, 1)], r"edge \(0,5\) outside 0\.\.2$"),
+        ([(0, 1), (2, 1), (1, 2), (1, 0)], r"repeated edge \(0,1\)$"),
+    ])
+    def test_from_edges_names_first_offender(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            GrgGraph.from_edges(3, edges)
+
+    def test_edge_text_names_one_based_edge(self):
+        with pytest.raises(ValueError, match=r"repeated edge \(1,2\)"):
+            GrgGraph.from_edge_text("2 2\n1 2\n2 1\n")
+        with pytest.raises(ValueError, match=r"edge \(1,3\) outside 1\.\.2"):
+            GrgGraph.from_edge_text("2 1\n1 3\n")
 
 
 class TestSampling:

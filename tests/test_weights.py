@@ -7,8 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grgcycles.weights import (InfiniteMomentError, WeightSpec,
-                               WeightSpecError, WeightVector,
+from grgcycles.weights import (InfiniteMomentError, MomentSummary,
+                               WeightSpec, WeightSpecError, WeightVector,
                                analytic_moments, moment, sample_weights,
                                tail_condition_holds)
 
@@ -187,6 +187,11 @@ class TestMoments:
                      WeightSpec.pareto_shifted(5.0, 2, 0.5)):
             summary = analytic_moments(spec)
             assert summary.ratio >= summary.mean
+
+    def test_jensen_violation_rejected(self):
+        with pytest.raises(ValueError, match="Jensen"):
+            MomentSummary(mean=2.0, second_moment=3.0, ratio=1.5,
+                          finite={1: True, 2: True})
 
 
 class TestTailCondition:
