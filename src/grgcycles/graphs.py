@@ -85,6 +85,11 @@ class GrgGraph:
         rows = [ln.split() for ln in text.splitlines() if ln.strip()]
         if not rows or len(rows[0]) != 2:
             raise ValueError("edge list must start with an 'n m' header")
+        for name, field in zip("nm", rows[0]):
+            if not (field.isascii() and field.isdigit()):
+                raise ValueError(f"edge list header '{' '.join(rows[0])}': "
+                                 f"{name} = {field!r} is not a nonnegative "
+                                 "integer")
         n, m = (int(x) for x in rows[0])
         for ln in rows[1:]:
             if len(ln) != 2:

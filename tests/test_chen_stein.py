@@ -13,7 +13,7 @@ import pytest
 from grgcycles.chen_stein import (bound_report, conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
                                   neighborhood, pair_probability,
-                                  _candidate_arrays)
+                                  _bound_terms)
 from grgcycles.cycles import (CandidateCapError, candidate_count,
                               enumerate_cycles)
 from grgcycles.graphs import GrgGraph, cycle_probability
@@ -107,7 +107,8 @@ class TestExactBoundTerms:
         assert terms.b2 == pytest.approx(12 / 5 ** 5, rel=1e-12)     # 3.84e-3
 
     @pytest.mark.parametrize("n,k,seed", [(5, 3, 0), (6, 3, 1), (6, 4, 2),
-                                          (7, 3, 3), (7, 4, 4)])
+                                          (7, 3, 3), (7, 4, 4), (7, 5, 5),
+                                          (8, 4, 6)])
     def test_matches_exhaustive_oracle(self, n, k, seed):
         wv = sample_weights(WeightSpec.pareto_shifted(9.5, 10, 1), n, seed)
         b1_oracle, b2_oracle = oracle_bound_terms(wv, k)
@@ -124,11 +125,31 @@ class TestExactBoundTerms:
         # b1 = |I|(3n-8)p^6, b2 = |I| 3(n-3) p^5
         for n, lam in ((10, 2.0), (20, 6.0)):
             wv = WeightVector.from_values(np.full(n, n * lam / (n - lam)))
-            terms = exact_bound_terms(wv, 3)
             i3 = candidate_count(n, 3)
             p = lam / n
-            assert terms.b1 == pytest.approx(i3 * (3 * n - 8) * p ** 6, rel=1e-10)
-            assert terms.b2 == pytest.approx(i3 * 3 * (n - 3) * p ** 5, rel=1e-10)
+            for method in ("auto", "candidates"):
+                terms = exact_bound_terms(wv, 3, method=method)
+                assert terms.b1 == pytest.approx(i3 * (3 * n - 8) * p ** 6,
+                                                 rel=1e-10)
+                assert terms.b2 == pytest.approx(i3 * 3 * (n - 3) * p ** 5,
+                                                 rel=1e-10)
+
+    def test_single_triangle_has_exactly_zero_b2(self):
+        wv = WeightVector.from_values([0.7, 2.0, 5.3])
+        assert exact_bound_terms(wv, 3, method="candidates").b2 == 0.0
+
+    def test_edge_set_key_overflow_raises(self):
+        # 2**16 edges: keys of four base-2**16 digits would need 64 bits
+        with pytest.raises(ValueError, match="overflow int64"):
+            _bound_terms(np.arange(4).reshape(1, 4), np.array([0.5 ** 4]),
+                         np.full(2 ** 16, 0.5))
+
+    def test_candidates_match_dense_on_heavy_tail(self):
+        wv = sample_weights(WeightSpec.pareto_shifted(2.5, 1, 0.5), 25, seed=4)
+        dense = exact_bound_terms(wv, 3, method="dense")
+        cands = exact_bound_terms(wv, 3, method="candidates")
+        assert cands.b1 == pytest.approx(dense.b1, rel=1e-10)
+        assert cands.b2 == pytest.approx(dense.b2, rel=1e-10)
 
     def test_monotone_in_weights(self):
         small = WeightVector.from_values([0.5] * 6)

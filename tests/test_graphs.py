@@ -80,7 +80,7 @@ class TestGraphRepresentation:
 
     @pytest.mark.parametrize("text", [
         "", "3\n", "2 1\n1 3\n", "2 2\n1 2\n", "2 1\n1 2 3\n",
-        "2 2\n1 2\n2 1\n",
+        "2 2\n1 2\n2 1\n", "-1 0\n", "a b\n", "3 x\n", "3 -2\n",
     ])
     def test_malformed_edge_text(self, text):
         with pytest.raises(ValueError):
@@ -104,6 +104,12 @@ class TestGraphRepresentation:
             GrgGraph.from_edge_text("2 2\n1 2\n2 1\n")
         with pytest.raises(ValueError, match=r"edge \(1,3\) outside 1\.\.2"):
             GrgGraph.from_edge_text("2 1\n1 3\n")
+
+    def test_edge_text_names_bad_header_field(self):
+        with pytest.raises(ValueError, match=r"header '-1 0': n = '-1'"):
+            GrgGraph.from_edge_text("-1 0\n")
+        with pytest.raises(ValueError, match=r"header '3 x': m = 'x'"):
+            GrgGraph.from_edge_text("3 x\n")
 
 
 class TestSampling:
