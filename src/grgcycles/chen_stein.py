@@ -36,14 +36,14 @@ BLAS syrk at half the flops of a general product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import perm
+from itertools import chain, combinations, permutations
+from math import comb, perm
 from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, candidate_count,
-                     canonicalize, _iter_candidates)
+                     canonicalize)
 from .graphs import edge_probability
 from .poisson import poisson_rate
 from .weights import WeightSpec, WeightVector, analytic_moments, sample_weights
@@ -191,9 +191,13 @@ def _candidate_arrays(weights: WeightVector, k: int, cap: int):
     if total_cands > cap:
         raise CandidateCapError(
             f"{total_cands} candidate cycles exceed the cap {cap}")
-    cands = np.fromiter(
-        (v for cyc in _iter_candidates(n, k) for v in cyc),
-        dtype=np.int64, count=total_cands * k).reshape(total_cands, k)
+    combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                         dtype=np.int64, count=comb(n, k) * k).reshape(-1, k)
+    # each vertex set in the order of cycles._iter_candidates: its least
+    # vertex, then the orders of the rest whose first is below its last
+    orders = [(0,) + order for order in permutations(range(1, k))
+              if order[0] < order[-1]]
+    cands = combos[:, orders].reshape(total_cands, k)
     tails = np.roll(cands, -1, axis=1)
     raw_ids = np.minimum(cands, tails) * n + np.maximum(cands, tails)
     uniq, rows = np.unique(raw_ids, return_inverse=True)

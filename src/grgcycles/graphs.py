@@ -8,6 +8,16 @@ self-loops) so the cycle census kernels can run directly on the arrays.
 
 Sampling consumes exactly one uniform variate per vertex pair, visiting
 pairs in lexicographic order, so a fixed seed pins the whole bit stream.
+The uniforms are drawn in chunks of whole rows; PCG64 yields one double per
+variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and the
+chunking does not move a draw.  A pre-filter bounds ``p_ij`` over each run of
+columns by the edge law at the run's largest weight, times ``1 + 1e-12``;
+only pairs whose uniform falls below that bound get the exact test
+``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` (or
+``prod / total``) from ``prod = w_i * w_j``.  Both laws increase with the
+product and rounding moves each value by a few ulps, far less than the
+slack, so the bound never falls below ``p_ij`` and the pre-filter cannot
+change an edge (for weights whose products and total stay finite).
 """
 
 from __future__ import annotations
@@ -75,10 +85,8 @@ class GrgGraph:
 
     def to_edge_text(self) -> str:
         """Whitespace edge list with an ``n m`` header, 1-based vertex ids."""
-        lines = [f"{self.n} {self.m}"]
-        for u, v in self.edge_array():
-            lines.append(f"{u + 1} {v + 1}")
-        return "\n".join(lines) + "\n"
+        us, vs = (self.edge_array() + 1).T.tolist()
+        return f"{self.n} {self.m}\n" + "".join(map("{} {}\n".format, us, vs))
 
     @classmethod
     def from_edge_text(cls, text: str) -> "GrgGraph":
@@ -114,31 +122,62 @@ def edge_probability(w_i: float, w_j: float, total: float) -> float:
 
 def _csr_from_pairs(n: int, us: np.ndarray, vs: np.ndarray,
                     base: int = 0) -> tuple:
-    """CSR arrays of the simple graph with edges ``(us[t], vs[t])``.
+    """CSR arrays of the simple graph with edges ``(us[t], vs[t])``, given
+    as int64 arrays.
 
     Rejects self-loops, endpoints outside ``0..n-1`` and repeated edges,
     naming the first offender with vertex ids shifted by ``base``.
     """
-    loops = np.flatnonzero(us == vs)
+    loops = (us == vs).nonzero()[0]
     if loops.size:
         raise ValueError(f"self-loop at vertex {us[loops[0]] + base}")
-    outside = np.flatnonzero((us < 0) | (us >= n) | (vs < 0) | (vs >= n))
+    # as unsigned integers, negative ids wrap round to values above n
+    outside = (np.maximum(us.view(np.uint64), vs.view(np.uint64))
+               >= n).nonzero()[0]
     if outside.size:
         t = outside[0]
         raise ValueError(f"edge ({us[t] + base},{vs[t] + base}) outside "
                          f"{base}..{n - 1 + base}")
-    rows = np.concatenate([us, vs])
-    cols = np.concatenate([vs, us])
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    repeated = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    # key row * n + col for both directions of every edge, sorted
+    keys = np.concatenate((us, vs))
+    keys *= n
+    keys += np.concatenate((vs, us))
+    keys.sort()
+    repeated = (keys[1:] == keys[:-1]).nonzero()[0]
     if repeated.size:
-        u, v = sorted((rows[repeated[0]], cols[repeated[0]]))
+        u, v = sorted(divmod(int(keys[repeated[0]]), n))
         raise ValueError(f"repeated edge ({u + base},{v + base})")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols
+    indptr = keys.searchsorted(np.arange(n + 1) * n)
+    return indptr, keys % n
+
+
+# Most uniforms drawn per ``rng.random`` call (512 kB of doubles), unless a
+# single row is longer.
+_PAIR_CHUNK = 1 << 16
+# Columns that share one pre-filter bound within a row; the 2n/_BLOCK
+# heaviest columns get a bound of their own.
+_BLOCK = 128
+# Relative slack that lifts each bound far above its rounding error.
+_SLACK = 1.0 + 1e-12
+# Chunks with fewer pairs test every pair exactly: there the pre-filter
+# costs more than it saves.
+_FILTER_MIN = 1024
+
+
+def _column_segments(w: np.ndarray) -> tuple:
+    """Edges of the pre-filter's column segments and each segment's largest
+    weight: blocks of ``_BLOCK`` columns, with each of the ``2n/_BLOCK``
+    heaviest columns cut out as a segment of its own, so that a hub does not
+    loosen the bound of its block."""
+    n = w.size
+    cut = np.zeros(n + 1, dtype=bool)
+    cut[::_BLOCK] = True
+    cut[-1] = True
+    hubs = w.argsort()[n - 2 * n // _BLOCK:]
+    cut[hubs] = True
+    cut[1:][hubs] = True
+    edges = cut.nonzero()[0]
+    return edges, np.maximum.reduceat(w, edges[:-1])
 
 
 def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
@@ -148,14 +187,49 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
         raise ValueError("need at least two vertices")
     total = weights.total
     rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n - 1):
-        u = rng.random(n - 1 - i)
-        prod = w[i] * w[i + 1:]
+    # pair (i, j) sits at flat index starts[i] + j - i - 1 of the stream,
+    # so adding col_shift[i] to a flat index of row i gives its column
+    ids = np.arange(n + 1)
+    starts = np.zeros(n, dtype=np.int64)
+    np.add.accumulate(ids[n - 1:0:-1], out=starts[1:])
+    col_shift = ids[1:] - starts
+    npairs = n * (n - 1) // 2
+    if npairs >= _FILTER_MIN:
+        edges, seg_max = _column_segments(w)
+    heads, tails = [], []
+    i0 = 0
+    while i0 < n - 1:
+        # rows i0..i1-1, at most _PAIR_CHUNK pairs unless one row is longer
+        a = int(starts[i0])
+        i1 = int(starts.searchsorted(a + _PAIR_CHUNK, "right")) - 1
+        i1 = max(i0 + 1, i1)
+        u = rng.random(int(starts[i1]) - a)
+        if u.size < _FILTER_MIN:
+            cand = np.arange(u.size)
+        else:
+            # bound p_ij over row i's columns in segment k by the segment's
+            # largest weight; segments left of the row get length 0
+            k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
+            x = w[i0:i1, None] * seg_max[k0:]
+            bound = (x / total if chung_lu else x / (total + x)) * _SLACK
+            clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
+            lens = clipped[:, 1:] - clipped[:, :-1]
+            cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
+        # exact test of the candidates; row i0 + r holds candidates
+        # firsts[r] up to firsts[r + 1]
+        pos = cand + a
+        firsts = pos.searchsorted(starts[i0:i1 + 1])
+        rows = ids[i0:i1].repeat(firsts[1:] - firsts[:-1])
+        cols = pos + col_shift[rows]
+        prod = w[rows] * w[cols]
         p = prod / total if chung_lu else prod / (total + prod)
-        rows.append(np.nonzero(u < p)[0] + i + 1)
-    heads = np.repeat(np.arange(n - 1), [row.size for row in rows])
-    indptr, indices = _csr_from_pairs(n, heads, np.concatenate(rows))
+        keep = u[cand] < p
+        heads.append(rows[keep])
+        tails.append(cols[keep])
+        i0 = i1
+    if len(heads) > 1:
+        heads, tails = [np.concatenate(heads)], [np.concatenate(tails)]
+    indptr, indices = _csr_from_pairs(n, heads[0], tails[0])
     return GrgGraph(n=n, indptr=indptr, indices=indices, weights=weights)
 
 

@@ -1,11 +1,14 @@
 """Edge law, graph sampling and the adjacency representation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grgcycles import graphs
 from grgcycles.graphs import (GrgGraph, cycle_probability, edge_probability,
                               sample_chung_lu, sample_grg)
 from grgcycles.weights import WeightSpec, WeightVector, sample_weights
@@ -164,6 +167,123 @@ class TestSampling:
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
             sample_grg(WeightVector.from_values([1.0]), seed=0)
+
+
+def reference_sample(weights, seed, chung_lu):
+    """CSR arrays from a per-row loop, the reference for the sampler: one
+    ``rng.random`` call per row and every pair tested exactly."""
+    w = weights.values
+    n = w.size
+    total = weights.total
+    rng = np.random.default_rng(seed)
+    heads, tails = [], []
+    for i in range(n - 1):
+        u = rng.random(n - 1 - i)
+        prod = w[i] * w[i + 1:]
+        p = prod / total if chung_lu else prod / (total + prod)
+        cols = np.nonzero(u < p)[0] + i + 1
+        heads.append(np.full(cols.size, i))
+        tails.append(cols)
+    rows = np.concatenate(heads + tails)
+    cols = np.concatenate(tails + heads)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols[order]
+
+
+def chung_lu_ready(values):
+    """Scale weights down until every ``w_i**2 <= total``."""
+    w = np.asarray(values, dtype=np.float64)
+    return w * min(1.0, 0.5 * w.sum() / (w.max() ** 2))
+
+
+def parity_weights(n, seed):
+    rng = np.random.default_rng(seed)
+    cases = {f"pareto{shape}": sample_weights(
+        WeightSpec.pareto_shifted(shape, 10, 1), n, seed).values
+        for shape in (9.5, 2.5, 1.5)}
+    cases["two_point"] = sample_weights(WeightSpec.two_point(1, 60, 0.9), n,
+                                        seed).values
+    cases["constant"] = np.full(n, 3.0)
+    cases["extreme"] = 10.0 ** rng.uniform(-6, 6, n)
+    return cases
+
+
+class TestSamplerStream:
+    """The sampler draws one uniform per pair in lexicographic order, so its
+    graphs are pinned by the seed; the digests were recorded from the per-row
+    loop of ``reference_sample``."""
+
+    @pytest.mark.parametrize("shape,n,wseed,seed,chung_lu,digest", [
+        (9.5, 2000, 0, 0, False,
+         "52331bbbb616fec26aefe79e7189e4249a04a15735865a3e3f5540f0fccdc1e8"),
+        (9.5, 2000, 0, 1, False,
+         "d7be0e80e34f79329ad239e8f98ffc1df533a3632f1f3ef899b31719c5f0bebc"),
+        (1.5, 500, 0, 2, False,
+         "cbf9d59f65a3efe17fa8696519632ed03ccf70d88e9b9e434801c79e7e3bb30d"),
+        (None, 1000, None, 3, True,
+         "cb9f20c54359701109093463a5dbfb9ea1db846b611f3dae5b65df9b3ccdd15c"),
+    ])
+    def test_pinned_edge_text(self, shape, n, wseed, seed, chung_lu, digest):
+        if chung_lu:
+            graph = sample_chung_lu(
+                WeightVector.from_values(np.full(n, 5.0)), seed)
+        else:
+            graph = sample_grg(sample_weights(
+                WeightSpec.pareto_shifted(shape, 10, 1), n, wseed), seed)
+        text = graph.to_edge_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @staticmethod
+    def assert_parity(weights, seed, chung_lu):
+        sample = sample_chung_lu if chung_lu else sample_grg
+        graph = sample(weights, seed)
+        indptr, indices = reference_sample(weights, seed, chung_lu)
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.indices, indices)
+
+    @staticmethod
+    def shrink_constants(monkeypatch, chunk=7, block=5, filter_min=4):
+        # chunks of up to 7 pairs, 5-column blocks that end mid-row, and the
+        # pre-filter on every chunk of 4 pairs or more
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(graphs, "_BLOCK", block)
+        monkeypatch.setattr(graphs, "_FILTER_MIN", filter_min)
+
+    @pytest.mark.parametrize("chung_lu", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 300])
+    def test_matches_row_loop_with_small_chunks(self, monkeypatch, n,
+                                                chung_lu):
+        self.shrink_constants(monkeypatch)
+        for values in parity_weights(n, seed=n).values():
+            if chung_lu:
+                values = chung_lu_ready(values)
+            weights = WeightVector.from_values(values)
+            for seed in range(3):
+                self.assert_parity(weights, seed, chung_lu)
+
+    @pytest.mark.parametrize("chung_lu", [False, True])
+    def test_matches_row_loop_at_default_chunks(self, chung_lu):
+        n = 700                 # 244,650 pairs: four chunks, ten hub columns
+        for values in parity_weights(n, seed=11).values():
+            if chung_lu:
+                values = chung_lu_ready(values)
+            self.assert_parity(WeightVector.from_values(values), 4, chung_lu)
+
+    @pytest.mark.parametrize("values", [
+        [2.0, 2.0],                      # the one pair has p = 1
+        [4.0, 4.0, 2.0, 2.0, 2.0, 2.0],  # total = 16 = w_0**2 = w_1**2
+        [6.0] * 6,                       # complete graph
+    ])
+    def test_chung_lu_at_equality(self, monkeypatch, values):
+        weights = WeightVector.from_values(values)
+        assert weights.values.max() ** 2 == weights.total
+        for seed in range(20):
+            self.assert_parity(weights, seed, chung_lu=True)
+        self.shrink_constants(monkeypatch, chunk=3, block=2, filter_min=1)
+        for seed in range(20):
+            self.assert_parity(weights, seed, chung_lu=True)
+        assert sample_chung_lu(WeightVector.from_values([6.0] * 6), 0).m == 15
 
 
 class TestChungLu:
