@@ -22,23 +22,31 @@ subsets of each pair's shared edges gives
 
 where F runs over the 2**k - 1 nonempty subsets of each candidate's edges.
 For triangles there is also a dense matrix path: with ``P`` the edge
-probability matrix, ``Q = P * P`` elementwise and ``S = P @ P``,
+probability matrix, ``Q = P * P`` elementwise, ``S = P @ P`` and
+``Q2 = Q @ Q``,
 
     rate = sum(P * S) / 6
-    b1   = sum((P * S)**2) / 2 - sum(Q * (Q @ Q)) / 3
-    b2   = sum(P * (S**2 - Q @ Q)) / 2
+    b1   = sum((P * S)**2) / 2 - sum(Q * Q2) / 3
+    b2   = sum(P * (S**2 - Q2)) / 2
 
 which needs no enumeration and scales to thousands of vertices.  Both
 products are symmetric and computed as ``X @ X.T``, which NumPy hands to
-BLAS syrk at half the flops of a general product.
+BLAS syrk at half the flops of a general product.  The two products are
+independent, so the path runs as two halves that each hold at most two
+n x n arrays: the S-half returns ``rate``, ``sum(P**2 * S**2)`` and
+``sum(P * S**2)``; the Q-half returns ``sum(Q * Q2)`` and ``sum(P * Q2)``.
+``bound_report`` maps the halves of every replication as separate units of
+the replication map, so two workers share one replication; in-process the
+halves run one after the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, permutations
 from math import comb, perm
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,6 +54,7 @@ from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, candidate_count,
                      canonicalize)
 from .graphs import edge_probability
 from .poisson import poisson_rate
+from .replication import map_replications, replication_seed
 from .weights import WeightSpec, WeightVector, analytic_moments, sample_weights
 
 __all__ = [
@@ -156,31 +165,45 @@ def pair_probability(weights: WeightVector, alpha: Sequence[int],
 # Exact paths
 # ---------------------------------------------------------------------------
 
-def _edge_matrix(weights: WeightVector, scratch: np.ndarray) -> np.ndarray:
-    """Edge probability matrix; overwrites the n x n buffer ``scratch``."""
-    w = weights.values
-    P = np.outer(w, w)
-    np.add(P, weights.total, out=scratch)
-    P /= scratch
+def _edge_matrix(weights: WeightVector) -> np.ndarray:
+    """Edge probability matrix ``1 / (1 + c_i c_j)`` with
+    ``c = sqrt(total) / w``, built in one n x n array; exactly symmetric."""
+    c = np.sqrt(weights.total) / weights.values
+    P = np.empty((c.size, c.size))
+    np.copyto(P, c)
+    P *= c[:, None]
+    P += 1.0
+    np.divide(1.0, P, out=P)
     np.fill_diagonal(P, 0.0)
     return P
 
 
-def _dense_triangle_terms(weights: WeightVector) -> Tuple[float, float, float]:
-    n = len(weights)
-    Q = np.empty((n, n))
-    P = _edge_matrix(weights, Q)
-    np.multiply(P, P, out=Q)
-    Q2 = Q @ Q.T
-    q_q2 = float(np.vdot(Q, Q2))
-    del Q                       # keeps at most three n x n arrays alive
+def _dense_s_half(weights: WeightVector) -> Tuple[float, float, float]:
+    """``rate``, ``sum(P**2 * S**2)`` and ``sum(P * S**2)`` from P and S."""
+    P = _edge_matrix(weights)
     S = P @ P.T
     rate = float(np.vdot(P, S)) / 6.0
     S *= S
-    b1 = float(np.einsum("ij,ij,ij->", P, P, S)) / 2.0 - q_q2 / 3.0
-    S -= Q2
-    b2 = float(np.vdot(P, S)) / 2.0
-    return b1, b2, rate
+    return (rate, float(np.einsum("ij,ij,ij->", P, P, S)),
+            float(np.vdot(P, S)))
+
+
+def _dense_q_half(weights: WeightVector) -> Tuple[float, float]:
+    """``sum(Q * Q2)`` and ``sum(P * Q2)`` from Q and Q2; P comes back from
+    Q in place, since ``sqrt(p * p) == p`` in binary floating point unless
+    ``p * p`` underflows."""
+    Q = _edge_matrix(weights)
+    Q *= Q
+    Q2 = Q @ Q.T
+    qq = float(np.vdot(Q, Q2))
+    return qq, float(np.vdot(np.sqrt(Q, out=Q), Q2))
+
+
+def _dense_terms(s_half, q_half) -> Tuple[float, float, float]:
+    """b1, b2 and the rate from the two halves' sums."""
+    rate, e1, e2 = s_half
+    qq, pq = q_half
+    return e1 / 2.0 - qq / 3.0, (e2 - pq) / 2.0, rate
 
 
 def _candidate_arrays(weights: WeightVector, k: int, cap: int):
@@ -253,7 +276,8 @@ def exact_bound_terms(weights: WeightVector, k: int,
     if method == "dense" and k != 3:
         raise ValueError("the dense path only covers k = 3")
     if k == 3 and method != "candidates":
-        return BoundTerms(*_dense_triangle_terms(weights)[:2])
+        return BoundTerms(*_dense_terms(_dense_s_half(weights),
+                                        _dense_q_half(weights))[:2])
     return BoundTerms(*_bound_terms(*_candidate_arrays(weights, k, cap)))
 
 
@@ -264,8 +288,7 @@ def conditional_rate_exact(weights: WeightVector, k: int,
     if n < k:
         return 0.0
     if k == 3:
-        P = _edge_matrix(weights, np.empty((n, n)))
-        return float(np.vdot(P, P @ P.T)) / 6.0
+        return _dense_s_half(weights)[0]
     return float(_candidate_arrays(weights, k, cap)[1].sum())
 
 
@@ -275,15 +298,37 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
     return float((w @ w / w.sum()) ** k / (2 * k))
 
 
+def _bound_unit(spec: WeightSpec, n: int, k: int, seed, cap: int,
+                plugin: bool, unit: Tuple[int, Optional[str]]) -> tuple:
+    """One unit of ``bound_report``: ``(rep, "s")`` or ``(rep, "q")`` is a
+    half of a dense replication, ``(rep, None)`` a whole candidate one.
+    Every unit draws the replication's weights itself."""
+    rep, half = unit
+    weights = sample_weights(spec, n, replication_seed(seed, rep, 0))
+    if half == "q":
+        return _dense_q_half(weights)
+    if half == "s":
+        out = _dense_s_half(weights)
+    else:
+        arrays = _candidate_arrays(weights, k, cap)
+        out = (float(arrays[1].sum()), *_bound_terms(*arrays))
+    if plugin:
+        out = (conditional_rate_plugin(weights, k),) + out[1:]
+    return out
+
+
 def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
-                 cap: int = DEFAULT_CANDIDATE_CAP,
-                 rate_mode: str = "auto") -> Tuple[BoundReport, List[dict]]:
+                 cap: int = DEFAULT_CANDIDATE_CAP, rate_mode: str = "auto",
+                 workers: int = 1) -> Tuple[BoundReport, List[dict]]:
     """Monte Carlo bound study over weight replications.
 
     b1 and b2 are exact per replication: dense path for triangles, capped
     candidate enumeration otherwise (beyond the cap there is no surrogate,
     so that raises).  The conditional rate is exact by default;
-    ``rate_mode="plugin"`` switches it to the plug-in upper bound.
+    ``rate_mode="plugin"`` switches it to the plug-in upper bound.  The
+    units (the two dense halves of each replication, or each candidate
+    replication) run on ``workers`` processes; the result does not depend
+    on their number.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -297,18 +342,17 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
     use_exact = rate_mode != "plugin"
     mode = "exact" if use_exact else "plugin"
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
+    halves = ("s", "q") if k == 3 else (None,)
+    job = partial(_bound_unit, spec, n, k, seed, cap, not use_exact)
+    results = map_replications(
+        job, [(rep, half) for rep in range(replications) for half in halves],
+        workers)
     rows = []
     for rep in range(replications):
-        wseed = np.random.SeedSequence(seed, spawn_key=(rep, 0))
-        weights = sample_weights(spec, n, wseed)
         if k == 3:
-            b1, b2, rate = _dense_triangle_terms(weights)
+            b1, b2, rate = _dense_terms(results[2 * rep], results[2 * rep + 1])
         else:
-            arrays = _candidate_arrays(weights, k, cap)
-            b1, b2 = _bound_terms(*arrays)
-            rate = float(arrays[1].sum())
-        if not use_exact:
-            rate = conditional_rate_plugin(weights, k)
+            rate, b1, b2 = results[rep]
         rows.append({"replication": rep, "b1": b1, "b2": b2,
                      "conditional_mean": rate, "mode": mode})
     b1, b2, rate = (float(np.mean([row[key] for row in rows]))

@@ -131,15 +131,13 @@ def _count_triangles(graph: GrgGraph) -> int:
     tails = rank[np.repeat(np.arange(n), degree)]
     heads = rank[graph.indices]
     forward = tails < heads
-    tails, heads = tails[forward], heads[forward]
-    order = np.lexsort((heads, tails))
-    tails, heads = tails[order], heads[order]
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=out_ptr[1:])
-    wedges = _row_pair_keys(out_ptr, heads, n)
+    edges = tails[forward] * n + heads[forward]
+    edges.sort()
+    out_ptr = np.searchsorted(edges, np.arange(0, n * n + 1, n))
+    wedges = _row_pair_keys(out_ptr, edges % n, n)
     if not wedges.size:
         return 0
-    edges = tails * n + heads
+    wedges.sort()     # ordered probes keep the lookup cache-friendly
     hit = np.minimum(np.searchsorted(edges, wedges), edges.size - 1)
     return int(np.count_nonzero(edges[hit] == wedges))
 

@@ -1,9 +1,15 @@
-"""Experiment harness: configuration, seeding, replication and studies.
+"""Experiment harness: configuration, studies and their output files.
 
+The census, bound and ratio studies run on the one replication map of
+:mod:`.replication`, which this module re-exports with ``replication_seed``
+and ``resolve_workers``.
 Reproducibility contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
-for weights and stream 1 for the graph.  Replication results are collected,
-sorted by replication index and only then aggregated, so the outputs are
+for weights and stream 1 for the graph.  The units a study maps are cut so
+that no result depends on the process that computes it: one census
+replication, one half of a dense bound replication (or a whole candidate
+replication), one Monte Carlo chunk of a ratio estimate.  Results come back
+in unit order and are aggregated in that order, so the outputs are
 byte-identical for any worker count.
 
 Output files embed the subcommand, size parameters and master seed in their
@@ -13,20 +19,17 @@ names; data goes to CSV, summaries to JSON.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .chen_stein import bound_report
 from .cycles import DEFAULT_CANDIDATE_CAP, count_k_cycles
 from .graphs import GrgGraph, sample_grg
 from .poisson import EmpiricalPmf, QqTable, poisson_rate, qq_table, tv_distance
 from .ratios import estimate_r_moment, estimate_t_moment, exact_t_moment, rate_fit
+from .replication import map_replications, replication_seed, resolve_workers
 from .spectral import ThresholdReport, threshold_report
 from .weights import WeightSpec, analytic_moments, sample_weights
 
@@ -34,6 +37,7 @@ __all__ = [
     "ExperimentConfig",
     "replication_seed",
     "resolve_workers",
+    "map_replications",
     "load_config",
     "run_census",
     "run_bounds",
@@ -45,32 +49,8 @@ __all__ = [
     "RatioStudyResult",
 ]
 
-WORKERS_ENV = "GRGCYCLES_WORKERS"
 DEFAULT_QQ_LEVELS = tuple((i + 1) / 100 for i in range(99))
 NOISE_FLOOR_FACTOR = 10.0
-
-
-def replication_seed(master_seed: int, replication: int,
-                     stream: int = 0) -> np.random.SeedSequence:
-    """Derived seed for one replication; stream 0 = weights, 1 = graph."""
-    return np.random.SeedSequence(master_seed,
-                                  spawn_key=(replication, stream))
-
-
-def resolve_workers(requested: int = 0) -> int:
-    """Worker count: explicit request, else environment, else 1."""
-    if requested and requested > 0:
-        return requested
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV}={env!r} is not an integer") from None
-        if value > 0:
-            return value
-    return 1
 
 
 @dataclass(frozen=True)
@@ -208,25 +188,18 @@ class CensusResult:
 
 
 def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
-                        rep: int) -> Tuple[int, int]:
+                        rep: int) -> int:
     weights = sample_weights(spec, n, replication_seed(master_seed, rep, 0))
     graph = sample_grg(weights, replication_seed(master_seed, rep, 1))
-    return rep, count_k_cycles(graph, k).count
+    return count_k_cycles(graph, k).count
 
 
 def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
     cfg = cfg.validated()
-    workers = resolve_workers(cfg.workers)
-    reps = range(cfg.replications)
     job = partial(_census_replication, cfg.spec, cfg.n, cfg.k, cfg.seed)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, reps, chunksize=8))
-    else:
-        results = [job(rep) for rep in reps]
-    results.sort()
-    counts = tuple(count for _, count in results)
+    counts = tuple(map_replications(job, range(cfg.replications),
+                                    resolve_workers(cfg.workers)))
     pmf = EmpiricalPmf.from_samples(counts)
     model = poisson_rate(analytic_moments(cfg.spec).ratio, cfg.k)
     table = qq_table(pmf, model, cfg.levels)
@@ -292,6 +265,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     grid = cfg.n_grid or ((cfg.n,) if cfg.n else ())
     if not grid:
         raise ValueError("bound study needs n or n_grid")
+    workers = resolve_workers(cfg.workers)
     reports = []
     all_rows = []
     for n in grid:
@@ -299,7 +273,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
                   if cfg.er_lambda is not None else cfg.spec)
         report, rows = bound_report(spec_n, n, cfg.k, cfg.replications,
                                     cfg.seed, cap=cfg.candidate_cap,
-                                    rate_mode=cfg.rate_mode)
+                                    rate_mode=cfg.rate_mode, workers=workers)
         reports.append((n, report))
         for row in rows:
             all_rows.append((n, row["replication"], row["b1"], row["b2"],
@@ -364,16 +338,19 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         limit = analytic_moments(cfg.spec).ratio ** cfg.p
     else:
         limit = 0.0
+    workers = resolve_workers(cfg.workers)
     rows = []
     fit_points = []
     floored = []
     for idx, n in enumerate(grid):
-        seed_n = np.random.SeedSequence(cfg.seed, spawn_key=(idx, 2))
+        seed_n = replication_seed(cfg.seed, idx, 2)
         if cfg.statistic == "t":
-            est = estimate_t_moment(cfg.spec, n, cfg.p, cfg.replications, seed_n)
+            est = estimate_t_moment(cfg.spec, n, cfg.p, cfg.replications,
+                                    seed_n, workers=workers)
         else:
             est = estimate_r_moment(cfg.spec, n, cfg.p, cfg.replications,
-                                    seed_n, regime=cfg.regime)
+                                    seed_n, regime=cfg.regime,
+                                    workers=workers)
         abs_error = abs(est.value - limit)
         rows.append((n, est.value, est.std_error, abs_error))
         if abs_error >= NOISE_FLOOR_FACTOR * est.std_error and abs_error > 0:
@@ -393,9 +370,10 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     exact_rows = []
     if cfg.statistic == "t" and cfg.spec.family == "two_point":
         for n in (2, 5, 10):
-            seed_n = np.random.SeedSequence(cfg.seed, spawn_key=(n, 3))
             est = estimate_t_moment(cfg.spec, n, cfg.p,
-                                    max(cfg.replications, 1000), seed_n)
+                                    max(cfg.replications, 1000),
+                                    replication_seed(cfg.seed, n, 3),
+                                    workers=workers)
             exact_rows.append((n, exact_t_moment(cfg.spec, n, cfg.p),
                                est.value, est.std_error))
     summary = {

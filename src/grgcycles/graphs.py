@@ -90,24 +90,61 @@ class GrgGraph:
 
     @classmethod
     def from_edge_text(cls, text: str) -> "GrgGraph":
-        rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-        if not rows or len(rows[0]) != 2:
-            raise ValueError("edge list must start with an 'n m' header")
-        for name, field in zip("nm", rows[0]):
-            if not (field.isascii() and field.isdigit()):
-                raise ValueError(f"edge list header '{' '.join(rows[0])}': "
-                                 f"{name} = {field!r} is not a nonnegative "
-                                 "integer")
-        n, m = (int(x) for x in rows[0])
-        for ln in rows[1:]:
-            if len(ln) != 2:
-                raise ValueError(f"malformed edge line: {' '.join(ln)}")
-        if len(rows) - 1 != m:
-            raise ValueError(f"header declares {m} edges, found {len(rows) - 1}")
-        pairs = np.array(rows[1:], dtype=np.int64).reshape(-1, 2)
+        if not (text.isascii() and _two_fields_per_line(text)):
+            _check_lines(text)
+        tokens = text.split()
+        n, m = _header(tokens[:2])
+        if len(tokens) // 2 - 1 != m:
+            raise ValueError(
+                f"header declares {m} edges, found {len(tokens) // 2 - 1}")
+        pairs = np.array(tokens[2:], dtype=np.int64).reshape(-1, 2)
         indptr, indices = _csr_from_pairs(n, pairs[:, 0] - 1, pairs[:, 1] - 1,
                                           base=1)
         return cls(n=n, indptr=indptr, indices=indices)
+
+
+# ASCII codes that ``str.split()`` treats as whitespace, and those of them
+# that ``str.splitlines()`` ends a line at.
+_SPACE = np.zeros(128, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = True
+_LINE_END = np.zeros(128, dtype=bool)
+_LINE_END[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = True
+
+
+def _two_fields_per_line(text: str) -> bool:
+    """Whether some line of the ASCII ``text`` has fields and every such
+    line has exactly two."""
+    codes = np.frombuffer((" " + text).encode("ascii"), dtype=np.uint8)
+    space = _SPACE.take(codes)
+    # a field starts after position j where a space meets a non-space;
+    # its line number counts the line ends up to j
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    line = np.flatnonzero(_LINE_END.take(codes)).searchsorted(starts, "right")
+    return (line.size > 0 and line.size % 2 == 0
+            and np.array_equal(line[0::2], line[1::2])
+            and bool(np.all(line[1:-1:2] < line[2::2])))
+
+
+def _header(fields) -> tuple:
+    """``n`` and ``m`` from the two fields of an edge list header."""
+    for name, field in zip("nm", fields):
+        if not (field.isascii() and field.isdigit()):
+            raise ValueError(f"edge list header '{' '.join(fields)}': "
+                             f"{name} = {field!r} is not a nonnegative "
+                             "integer")
+    return int(fields[0]), int(fields[1])
+
+
+def _check_lines(text: str) -> None:
+    """Line by line: raise naming the header or the first edge line that
+    does not hold exactly two fields."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not rows or len(rows[0]) != 2:
+        raise ValueError("edge list must start with an 'n m' header")
+    _header(rows[0])
+    for ln in rows[1:]:
+        if len(ln) != 2:
+            raise ValueError(f"malformed edge line: {' '.join(ln)}")
 
 
 def edge_probability(w_i: float, w_j: float, total: float) -> float:

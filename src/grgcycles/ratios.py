@@ -13,6 +13,14 @@ standard errors, exact finite-n values for two-point laws (the outcome of
 binomial sum is exact for any n), an exponential lower-tail bound for sums
 of independent nonnegative variables, and least-squares rate fitting on
 log-log error points.
+
+A Monte Carlo estimate is cut into chunks of whole replications, and the
+chunk that starts at replication ``start`` rebuilds the generator from the
+seed and advances it past the ``start * n`` variates before it.  Every
+weight family draws exactly one PCG64 output per variate, so each chunk
+sees the same draws as one sequentially consumed generator would.  The
+chunks run on the replication map and their sums are added in chunk order,
+so an estimate is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,12 +29,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .replication import map_replications
 from .weights import WeightSpec, analytic_moments, draw
 
 __all__ = [
@@ -166,26 +176,38 @@ def exact_t_moment_bruteforce(spec: WeightSpec, n: int, p: int) -> float:
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
-def _mc_rows(spec: WeightSpec, n: int, replications: int, seed,
-             want_max: bool):
-    """Yield per-replication (t, and optionally max, sum) in chunks.
-
-    One sequentially consumed generator keeps the stream independent of the
-    chunk size policy.
-    """
+def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
+                unit: Tuple[int, int]) -> Tuple[float, float]:
+    """Sums of the statistic and of its square over the ``size``
+    replications of the chunk ``unit = (start, size)``."""
+    start, size = unit
     rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * n)
+    x = draw(spec, rng, (size, n))
+    s = x.sum(axis=1)
+    mx = x.max(axis=1)
+    x *= x                      # in place: one chunk-sized array, not two
+    v = (x.sum(axis=1) / s) ** p
+    if statistic == "r":
+        v = v * mx * mx / s
+    return float(v.sum()), float((v * v).sum())
+
+
+def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
+                 statistic: str, workers: int) -> MCEstimate:
+    """Mean and standard error of the statistic over chunked replications."""
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError("seed must be an int or a SeedSequence: each chunk "
+                        "rebuilds its generator from it")
     chunk = max(1, _CHUNK_BUDGET // max(n, 1))
-    done = 0
-    while done < replications:
-        size = min(chunk, replications - done)
-        x = draw(spec, rng, (size, n))
-        s = x.sum(axis=1)
-        t = (x * x).sum(axis=1) / s
-        if want_max:
-            yield t, x.max(axis=1), s
-        else:
-            yield t, None, None
-        done += size
+    units = [(start, min(chunk, replications - start))
+             for start in range(0, replications, chunk)]
+    job = partial(_chunk_sums, spec, n, p, seed, statistic)
+    acc1 = acc2 = 0.0
+    for sum1, sum2 in map_replications(job, units, workers):
+        acc1 += sum1
+        acc2 += sum2
+    return _finish(acc1, acc2, replications)
 
 
 def _finish(acc1: float, acc2: float, replications: int) -> MCEstimate:
@@ -197,19 +219,15 @@ def _finish(acc1: float, acc2: float, replications: int) -> MCEstimate:
 
 
 def estimate_t_moment(spec: WeightSpec, n: int, p: int, replications: int,
-                      seed) -> MCEstimate:
-    """Monte Carlo mean of ``t**p`` with standard error."""
+                      seed, workers: int = 1) -> MCEstimate:
+    """Monte Carlo mean of ``t**p`` with standard error, its chunks run on
+    ``workers`` processes."""
     if replications < 1000:
         raise ValueError("need at least 1000 replications")
     if p < 1:
         raise ValueError("p must be positive")
     analytic_moments(spec)   # rejects laws without a finite second moment
-    acc1 = acc2 = 0.0
-    for t, _, _ in _mc_rows(spec, n, replications, seed, want_max=False):
-        tp = t ** p
-        acc1 += float(tp.sum())
-        acc2 += float((tp * tp).sum())
-    return _finish(acc1, acc2, replications)
+    return _mc_estimate(spec, n, p, replications, seed, "t", workers)
 
 
 def _check_regime(spec: WeightSpec, p: int, regime: str) -> None:
@@ -231,8 +249,10 @@ def _check_regime(spec: WeightSpec, p: int, regime: str) -> None:
 
 
 def estimate_r_moment(spec: WeightSpec, n: int, p: int, replications: int,
-                      seed, regime: Optional[str] = None) -> MCEstimate:
-    """Monte Carlo mean of ``r`` with standard error.
+                      seed, regime: Optional[str] = None,
+                      workers: int = 1) -> MCEstimate:
+    """Monte Carlo mean of ``r`` with standard error, its chunks run on
+    ``workers`` processes.
 
     ``regime`` optionally names the targeted convergence regime
     (``"sqrt"``, ``"poly"`` or ``"log"``); a law violating its assumption
@@ -245,12 +265,7 @@ def estimate_r_moment(spec: WeightSpec, n: int, p: int, replications: int,
         raise ValueError("p must be an integer >= 2")
     if regime is not None:
         _check_regime(spec, p, regime)
-    acc1 = acc2 = 0.0
-    for t, mx, s in _mc_rows(spec, n, replications, seed, want_max=True):
-        r = t ** p * mx * mx / s
-        acc1 += float(r.sum())
-        acc2 += float((r * r).sum())
-    return _finish(acc1, acc2, replications)
+    return _mc_estimate(spec, n, p, replications, seed, "r", workers)
 
 
 # ---------------------------------------------------------------------------

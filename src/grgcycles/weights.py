@@ -195,14 +195,26 @@ class MomentSummary:
 
 
 def draw(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:
-    """Draw i.i.d. variates of any shape from an existing generator."""
+    """Draw i.i.d. variates of any shape from an existing generator.
+
+    Every family but ``constant`` consumes exactly one double, one PCG64
+    output, per variate; the chunked Monte Carlo estimators of
+    :mod:`.ratios` rely on this to skip ahead with ``advance``.
+    """
     if spec.family == "constant":
         return np.full(size, spec.value, dtype=np.float64)
     if spec.family == "pareto_shifted":
         u = 1.0 - rng.random(size)       # in (0, 1], keeps the transform finite
         return spec.scale * u ** (-1.0 / spec.shape) + spec.loc
     if spec.family == "two_point":
-        return np.where(rng.random(size) < spec.p1, spec.x1, spec.x2)
+        # select between the atoms' bit patterns without a branch:
+        # x2 ^ ((u < p1) * (x1 ^ x2)), written over u's own buffer
+        u = rng.random(size)
+        x1, x2 = np.array([spec.x1, spec.x2]).view(np.int64)
+        bits = u.view(np.int64)
+        np.multiply(u < spec.p1, x1 ^ x2, out=bits)
+        bits ^= x2
+        return u
     return rng.choice(np.asarray(spec.values), size=size,
                       p=np.asarray(spec.probs))
 

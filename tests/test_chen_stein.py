@@ -151,6 +151,23 @@ class TestExactBoundTerms:
         assert cands.b1 == pytest.approx(dense.b1, rel=1e-10)
         assert cands.b2 == pytest.approx(dense.b2, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [9.5, 2.5])
+    def test_dense_halves_match_three_array_formula(self, shape):
+        wv = sample_weights(WeightSpec.pareto_shifted(shape, 10, 1), 60, 3)
+        prod = np.outer(wv.values, wv.values)
+        P = prod / (wv.total + prod)
+        np.fill_diagonal(P, 0.0)
+        Q = P * P
+        S = P @ P
+        Q2 = Q @ Q
+        b1 = float(((P * S) ** 2).sum()) / 2 - float((Q * Q2).sum()) / 3
+        b2 = float((P * (S * S - Q2)).sum()) / 2
+        terms = exact_bound_terms(wv, 3, method="dense")
+        assert terms.b1 == pytest.approx(b1, rel=1e-12)
+        assert terms.b2 == pytest.approx(b2, rel=1e-12)
+        assert conditional_rate_exact(wv, 3) == pytest.approx(
+            float((P * S).sum()) / 6, rel=1e-12)
+
     def test_monotone_in_weights(self):
         small = WeightVector.from_values([0.5] * 6)
         large = WeightVector.from_values([1.5] * 6)
@@ -236,6 +253,16 @@ class TestBoundReport:
         with pytest.raises(CandidateCapError):
             bound_report(WeightSpec.constant(1.0), 12, 4, replications=1,
                          seed=0, cap=5)
+
+    @pytest.mark.parametrize("n,k,rate_mode", [(12, 3, "auto"),
+                                               (12, 3, "plugin"),
+                                               (7, 4, "auto")])
+    def test_workers_do_not_change_report(self, n, k, rate_mode):
+        spec = WeightSpec.pareto_shifted(9.5, 10, 1)
+        one = bound_report(spec, n, k, 3, seed=5, rate_mode=rate_mode)
+        two = bound_report(spec, n, k, 3, seed=5, rate_mode=rate_mode,
+                           workers=2)
+        assert repr(one) == repr(two)
 
     def test_deterministic(self):
         spec = WeightSpec.pareto_shifted(9.5, 10, 1)

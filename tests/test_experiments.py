@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grgcycles import replication
 from grgcycles.cycles import candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
-                                   load_config, replication_seed,
-                                   resolve_workers, run_bounds, run_census,
-                                   run_ratio_study, run_threshold)
+                                   load_config, map_replications,
+                                   replication_seed, resolve_workers,
+                                   run_bounds, run_census, run_ratio_study,
+                                   run_threshold)
 from grgcycles.graphs import GrgGraph
 from grgcycles.weights import WeightSpec
 
@@ -119,6 +121,46 @@ class TestSeeding:
         monkeypatch.setenv("GRGCYCLES_WORKERS", "four")
         with pytest.raises(ValueError, match="GRGCYCLES_WORKERS='four'"):
             resolve_workers(0)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    requests = []
+
+    def __init__(self, max_workers):
+        self.requests.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, job, units, chunksize=1):
+        self.requests.append(("chunksize", chunksize))
+        return map(job, units)
+
+
+class TestReplicationMap:
+    @pytest.fixture()
+    def pool(self, monkeypatch):
+        RecordingPool.requests = []
+        monkeypatch.setattr(replication, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool.requests
+
+    def test_never_more_processes_than_units(self, pool):
+        assert map_replications(abs, [-1, -2], 64) == [1, 2]
+        assert map_replications(abs, range(-20, 0), 3) == list(range(20, 0, -1))
+        assert pool == [2, ("chunksize", 1), 3, ("chunksize", 7)]
+
+    def test_one_worker_or_one_unit_runs_in_process(self, pool):
+        assert map_replications(abs, [-1, -2, -3], 1) == [1, 2, 3]
+        assert map_replications(abs, [-4], 8) == [4]
+        assert pool == []
+
+    def test_pool_returns_unit_order(self):
+        assert map_replications(abs, range(-30, 0), 2) == list(range(30, 0, -1))
 
 
 class TestCensusRunner:
@@ -267,6 +309,24 @@ class TestCli:
                        "--replications", "10", "--output-dir", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "census_n40_k3_seed5_counts.csv").exists()
+
+    @pytest.mark.parametrize("section,extra", [
+        ("bounds", ()),
+        ("ratio", ("--n-grid", "64,4096")),
+        ("ratio", ("--n-grid", "64,4096", "--statistic", "r", "--p", "3")),
+    ])
+    def test_outputs_do_not_depend_on_workers(self, config_file, tmp_path,
+                                              section, extra):
+        outputs = []
+        for workers in ("1", "3"):
+            outdir = tmp_path / f"w{workers}"
+            proc = run_cli(section, "--config", str(config_file), *extra,
+                           "--workers", workers, "--output-dir", str(outdir))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(outdir.iterdir())})
+        assert len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1]
 
     def test_error_is_one_line_nonzero(self):
         proc = run_cli("census", "--family", "constant", "--value", "1",

@@ -15,7 +15,7 @@ from grgcycles.ratios import (RegimeWarning, TailBoundCheck, check_lower_tail,
                               exact_t_moment, exact_t_moment_bruteforce,
                               lower_tail_bound, r_statistic, rate_fit,
                               t_statistic)
-from grgcycles.weights import InfiniteMomentError, WeightSpec
+from grgcycles.weights import InfiniteMomentError, WeightSpec, draw
 
 TWO_POINT = WeightSpec.two_point(1, 2, 0.5)
 
@@ -141,6 +141,39 @@ class TestMonteCarloT:
         monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 640)   # ten tiny chunks
         chunked = estimate_t_moment(TWO_POINT, 64, 2, 5000, seed=9)
         assert chunked.value == pytest.approx(full.value, rel=1e-12)
+
+
+FAMILIES = [WeightSpec.constant(2.0), WeightSpec.pareto_shifted(3.5, 2, 1),
+            TWO_POINT, WeightSpec.empirical([1, 2, 5], [0.2, 0.5, 0.3])]
+
+
+class TestChunkedStreams:
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_advanced_chunks_equal_one_sequential_generator(self, spec):
+        n, sizes = 7, (3, 5, 1, 4)
+        rng = np.random.default_rng(np.random.SeedSequence(8))
+        sequential = [draw(spec, rng, (size, n)) for size in sizes]
+        start = 0
+        for size, want in zip(sizes, sequential):
+            chunk_rng = np.random.default_rng(np.random.SeedSequence(8))
+            chunk_rng.bit_generator.advance(start * n)
+            assert np.array_equal(draw(spec, chunk_rng, (size, n)), want)
+            start += size
+
+    @pytest.mark.parametrize("spec", FAMILIES[1:], ids=lambda s: s.family)
+    def test_estimates_do_not_depend_on_workers(self, spec, monkeypatch):
+        import grgcycles.ratios as ratios
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 500)  # ten chunks
+        seed = np.random.SeedSequence(6)
+        one, two = (repr((estimate_t_moment(spec, 64, 2, 5000, seed, workers=w),
+                          estimate_r_moment(spec, 64, 3, 5000, seed, workers=w)))
+                    for w in (1, 2))
+        assert one == two
+
+    def test_generator_seed_rejected(self):
+        with pytest.raises(TypeError, match="SeedSequence"):
+            estimate_t_moment(TWO_POINT, 8, 2, 1000,
+                              np.random.default_rng(0))
 
 
 class TestMonteCarloR:

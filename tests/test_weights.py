@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from grgcycles.weights import (InfiniteMomentError, MomentSummary,
                                WeightSpec, WeightSpecError, WeightVector,
-                               analytic_moments, moment, sample_weights,
+                               analytic_moments, draw, moment, sample_weights,
                                tail_condition_holds)
 
 
@@ -136,6 +136,17 @@ class TestSampling:
         spec = WeightSpec.two_point(x1, x1 + gap, p1)
         wv = sample_weights(spec, 200, seed)
         assert set(np.unique(wv.values)) <= {x1, x1 + gap}
+
+
+    @pytest.mark.parametrize("x1,x2,p1", [(1, 2, 0.5), (0.1, 0.7, 0.3),
+                                          (1e-300, 3e200, 0.9)])
+    def test_two_point_draw_is_the_branchy_select(self, x1, x2, p1):
+        spec = WeightSpec.two_point(x1, x2, p1)
+        u = np.random.default_rng(11).random((64, 100))
+        want = np.where(u < p1, spec.x1, spec.x2)
+        got = draw(spec, np.random.default_rng(11), (64, 100))
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestWeightVector:
