@@ -44,14 +44,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, permutations
-from math import comb, perm
+from itertools import combinations, permutations
+from math import perm
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, candidate_count,
-                     canonicalize)
+from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, _candidate_rows,
+                     candidate_count, canonicalize)
 from .graphs import edge_probability
 from .poisson import poisson_rate
 from .replication import map_replications, replication_seed
@@ -210,21 +210,11 @@ def _candidate_arrays(weights: WeightVector, k: int, cap: int):
     """Sorted edge-id rows of the candidates, their probabilities and the
     edge probabilities."""
     n = len(weights)
-    total_cands = candidate_count(n, k)
-    if total_cands > cap:
-        raise CandidateCapError(
-            f"{total_cands} candidate cycles exceed the cap {cap}")
-    combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
-                         dtype=np.int64, count=comb(n, k) * k).reshape(-1, k)
-    # each vertex set in the order of cycles._iter_candidates: its least
-    # vertex, then the orders of the rest whose first is below its last
-    orders = [(0,) + order for order in permutations(range(1, k))
-              if order[0] < order[-1]]
-    cands = combos[:, orders].reshape(total_cands, k)
+    cands = _candidate_rows(n, k, cap)
     tails = np.roll(cands, -1, axis=1)
     raw_ids = np.minimum(cands, tails) * n + np.maximum(cands, tails)
     uniq, rows = np.unique(raw_ids, return_inverse=True)
-    rows = np.sort(rows.reshape(total_cands, k), axis=1)
+    rows = np.sort(rows.reshape(cands.shape), axis=1)
     w = weights.values
     prod = w[uniq // n] * w[uniq % n]
     p_edge = prod / (weights.total + prod)

@@ -3,12 +3,14 @@
 Subcommands: moments, sample, census, bounds, ratio, threshold.  Each reads
 one INI configuration file (section named after the subcommand) and accepts
 flag overrides; flags win over file values.  Exit code 0 on success,
-nonzero with a one-line diagnostic otherwise.
+nonzero with a one-line diagnostic otherwise; with ``GRGCYCLES_DEBUG=1``
+the error is re-raised with its traceback instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -17,6 +19,17 @@ from .experiments import (ExperimentConfig, load_config, replication_seed,
                           run_threshold)
 from .graphs import sample_grg
 from .weights import analytic_moments, sample_weights, tail_condition_holds
+
+
+DEBUG_ENV = "GRGCYCLES_DEBUG"
+
+
+def _debug_requested() -> bool:
+    """Whether GRGCYCLES_DEBUG asks for errors to be re-raised."""
+    env = os.environ.get(DEBUG_ENV, "").strip()
+    if env not in ("", "0", "1"):
+        raise ValueError(f"{DEBUG_ENV}={env!r} is not 0 or 1")
+    return env == "1"
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -160,9 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    debug = _debug_requested()
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
+        if debug:
+            raise
         print(f"grgcycles {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -201,12 +202,23 @@ def brute_force_count(graph: GrgGraph, k: int) -> CycleCensus:
     return CycleCensus(k=k, count=count)
 
 
-def _iter_candidates(n: int, k: int) -> Iterator[tuple]:
-    for combo in combinations(range(n), k):
-        v0 = combo[0]
-        for perm in permutations(combo[1:]):
-            if perm[0] < perm[-1]:
-                yield (v0,) + perm
+def _candidate_rows(n: int, k: int,
+                    cap: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
+    """Every canonical k-cycle on n vertices as one int64 row each.
+
+    Vertex sets come in lexicographic order; within a set, its least vertex
+    is followed by each order of the rest whose first is below its last, in
+    the order of ``permutations``.  Refused if the count exceeds ``cap``.
+    """
+    total = candidate_count(n, k)
+    if total > cap:
+        raise CandidateCapError(
+            f"{total} candidate cycles exceed the cap {cap}")
+    combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
+                         dtype=np.int64, count=comb(n, k) * k).reshape(-1, k)
+    orders = [(0,) + order for order in permutations(range(1, k))
+              if order[0] < order[-1]]
+    return combos[:, orders].reshape(total, k)
 
 
 def _iter_present(graph: GrgGraph, k: int) -> Iterator[tuple]:
@@ -246,11 +258,7 @@ def enumerate_cycles(graph: GrgGraph, k: int, mode: str = "present",
     """
     _validate_k(graph.n, k)
     if mode == "candidates":
-        total = candidate_count(graph.n, k)
-        if total > cap:
-            raise CandidateCapError(
-                f"{total} candidate cycles exceed the cap {cap}")
-        return _iter_candidates(graph.n, k)
+        return map(tuple, _candidate_rows(graph.n, k, cap).tolist())
     if mode == "present":
         return _iter_present(graph, k)
     raise ValueError(f"unknown enumeration mode {mode!r}")

@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if need_n and self.n < max(2, self.k):
             raise ValueError(f"n={self.n} is too small for k={self.k}")
+        if not self.levels:
+            raise ValueError("need at least one quantile level")
+        if not all(0 < level < 1 for level in self.levels):
+            raise ValueError("quantile levels must lie strictly inside (0,1)")
         return self
 
 
@@ -203,6 +207,7 @@ def run_census(cfg: ExperimentConfig) -> CensusResult:
     pmf = EmpiricalPmf.from_samples(counts)
     model = poisson_rate(analytic_moments(cfg.spec).ratio, cfg.k)
     table = qq_table(pmf, model, cfg.levels)
+    tv_sup = tv_distance(pmf, model)
     mean = pmf.mean()
     variance = pmf.variance()
     std_error = (variance / cfg.replications) ** 0.5
@@ -218,8 +223,8 @@ def run_census(cfg: ExperimentConfig) -> CensusResult:
         "std_error_of_mean": std_error,
         "target_rate": model.lam,
         "mean_minus_target": mean - model.lam,
-        "tv_sup": tv_distance(pmf, model),
-        "tv_half": tv_distance(pmf, model, half=True),
+        "tv_sup": tv_sup,
+        "tv_half": tv_sup / 2,
         "qq_correlation": table.correlation(),
     }
     files = []

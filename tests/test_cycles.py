@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from itertools import combinations, permutations
 from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grgcycles.cycles import (CandidateCapError, brute_force_count,
+from grgcycles.cycles import (CandidateCapError, _candidate_rows,
+                              brute_force_count,
                               candidate_count, canonicalize, count_k_cycles,
                               count_triangles, enumerate_cycles, is_canonical)
 from grgcycles.graphs import GrgGraph
@@ -193,6 +195,18 @@ class TestEnumeration:
             assert len(stream) == candidate_count(7, k)
             assert len(set(stream)) == len(stream)
             assert all(is_canonical(c) for c in stream)
+
+    @pytest.mark.parametrize("n,k", [(3, 3), (6, 4), (7, 5), (8, 6)])
+    def test_candidate_rows_in_itertools_order(self, n, k):
+        expected = [(combo[0],) + order
+                    for combo in combinations(range(n), k)
+                    for order in permutations(combo[1:])
+                    if order[0] < order[-1]]
+        rows = _candidate_rows(n, k)
+        assert rows.dtype == np.int64
+        assert list(map(tuple, rows.tolist())) == expected
+        graph = GrgGraph.from_edges(n, [])
+        assert list(enumerate_cycles(graph, k, mode="candidates")) == expected
 
     def test_candidate_cap(self):
         with pytest.raises(CandidateCapError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grgcycles import replication
+from grgcycles import cli, experiments, replication
 from grgcycles.cycles import candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    load_config, map_replications,
@@ -190,6 +190,17 @@ class TestCensusRunner:
         assert seq.counts == par.counts
         assert seq.summary == par.summary
 
+    @pytest.mark.parametrize("levels", [(0.5, 1.0), (0.0,), ()])
+    def test_bad_levels_fail_before_sampling(self, monkeypatch, levels):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph before checking levels")
+        monkeypatch.setattr(experiments, "sample_grg", no_sampling)
+        cfg = ExperimentConfig(spec=PARETO, n=2000, k=3, replications=8,
+                               levels=levels)
+        match = "quantile level" if levels else "at least one quantile level"
+        with pytest.raises(ValueError, match=match):
+            run_census(cfg)
+
 
 class TestBoundsRunner:
     def test_er_grid_matches_closed_form(self, config_file, tmp_path):
@@ -284,6 +295,10 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+BAD_CENSUS = ["census", "--family", "constant", "--value", "1",
+              "--n", "2", "--k", "5"]
+
+
 class TestCli:
     def test_moments_subcommand(self):
         proc = run_cli("moments", "--family", "pareto_shifted", "--shape",
@@ -334,6 +349,27 @@ class TestCli:
         assert proc.returncode != 0
         assert proc.stderr.count("\n") == 1
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("value", [None, "", "0"])
+    def test_debug_off_prints_one_line(self, monkeypatch, capsys, value):
+        if value is None:
+            monkeypatch.delenv("GRGCYCLES_DEBUG", raising=False)
+        else:
+            monkeypatch.setenv("GRGCYCLES_DEBUG", value)
+        assert cli.main(BAD_CENSUS) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "too small for k=5" in err
+
+    def test_debug_on_reraises(self, monkeypatch):
+        monkeypatch.setenv("GRGCYCLES_DEBUG", "1")
+        with pytest.raises(ValueError, match="too small for k=5"):
+            cli.main(BAD_CENSUS)
+
+    def test_bad_debug_env_named(self, monkeypatch):
+        monkeypatch.setenv("GRGCYCLES_DEBUG", "yes")
+        with pytest.raises(ValueError, match="GRGCYCLES_DEBUG='yes'"):
+            cli.main(BAD_CENSUS)
 
     def test_unknown_family_diagnostic(self):
         proc = run_cli("moments", "--family", "lognormal")

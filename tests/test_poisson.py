@@ -9,9 +9,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grgcycles.experiments import DEFAULT_QQ_LEVELS
 from grgcycles.poisson import (EmpiricalPmf, PoissonModel, mixed_poisson_pmf,
                                poisson_pmf, poisson_rate, qq_table,
                                tv_distance)
+
+# Pareto(9.5, 10, 1) rates for k = 3 and 4, and small ones whose truncated
+# support ends within a few outcomes
+ORACLE_RATES = (0.0, 0.5, 311.69408, 2880.16)
+
+
+def oracle_laws(lam):
+    """Empirical laws inside, straddling and beyond the Poisson support."""
+    rng = np.random.default_rng(int(lam * 100) + 7)
+    pmf, _ = PoissonModel(lam).truncated_pmf()
+    top = pmf.size - 1
+    inside = rng.poisson(lam, 400).tolist()
+    return [EmpiricalPmf.from_samples(inside),
+            EmpiricalPmf.from_samples(inside[:16] + [top + 1, top + 40]),
+            EmpiricalPmf.from_samples([top + 3, top + 3, 2 * top + 90])]
+
+
+def reference_tv(p, q, half=False):
+    """The l1 distance from outcome->probability dicts, summed one outcome
+    at a time in ascending order, plus the truncated tails."""
+    def pairs(law):
+        if isinstance(law, PoissonModel):
+            pmf, tail = law.truncated_pmf()
+            return {m: float(x) for m, x in enumerate(pmf)}, tail
+        return {m: law.pmf(m) for m in law.outcomes()}, 0.0
+    pmf_p, tail_p = pairs(p)
+    pmf_q, tail_q = pairs(q)
+    dist = 0
+    for m in sorted(set(pmf_p) | set(pmf_q)):
+        dist += abs(pmf_p.get(m, 0.0) - pmf_q.get(m, 0.0))
+    dist = min(dist + (tail_p + tail_q), 2.0)
+    return dist / 2 if half else dist
 
 
 def pareto_ratio():
@@ -130,6 +163,16 @@ class TestTvDistance:
         assert 0 <= d <= 2
         assert d == pytest.approx(tv_distance(model, emp), abs=1e-12)
 
+    @pytest.mark.parametrize("lam", ORACLE_RATES)
+    def test_equals_dict_reference(self, lam):
+        model = PoissonModel(lam)
+        laws = [model, PoissonModel(lam + 0.7)] + oracle_laws(lam)
+        for p in laws:
+            for q in laws:
+                assert tv_distance(p, q) == reference_tv(p, q)
+                assert tv_distance(p, q, half=True) == \
+                    reference_tv(p, q, half=True)
+
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30))
@@ -188,3 +231,36 @@ class TestQqTable:
             qq_table(emp, PoissonModel(1.0), [0.0])
         with pytest.raises(ValueError):
             qq_table(emp, PoissonModel(1.0), [1.0])
+
+    def test_empty_levels_give_empty_table(self):
+        assert qq_table(EmpiricalPmf({1: 1}), PoissonModel(1.0), []).rows == ()
+
+    @pytest.mark.parametrize("lam", ORACLE_RATES)
+    def test_rows_equal_scalar_quantiles(self, lam):
+        model = PoissonModel(lam)
+        for emp in oracle_laws(lam):
+            table = qq_table(emp, model, DEFAULT_QQ_LEVELS)
+            assert table.rows == tuple(
+                (level, emp.quantile(level), model.quantile(level))
+                for level in DEFAULT_QQ_LEVELS)
+
+    def test_levels_on_count_boundaries(self):
+        # cumulative counts 1, 2, 3, 4 of 4: levels 0.25, 0.5 and 0.75 land
+        # exactly on a boundary and pick the outcome that reaches it
+        emp = EmpiricalPmf.from_samples([2, 5, 9, 40])
+        model = PoissonModel(311.69408)
+        levels = (0.25, 0.5, 0.75)
+        table = qq_table(emp, model, levels)
+        assert table.empirical_column() == [2, 5, 9]
+        assert table.rows == tuple(
+            (level, emp.quantile(level), model.quantile(level))
+            for level in levels)
+
+    def test_levels_on_poisson_cdf_values(self):
+        # a level equal to cdf(m) has quantile m, not m + 1
+        model = PoissonModel(3.0)
+        pmf, _ = model.truncated_pmf()
+        levels = np.cumsum(pmf)[:6].tolist()
+        table = qq_table(EmpiricalPmf({1: 1}), model, levels)
+        assert table.poisson_column() == [0, 1, 2, 3, 4, 5]
+        assert table.poisson_column() == [model.quantile(x) for x in levels]
