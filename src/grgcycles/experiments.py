@@ -201,11 +201,12 @@ def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
 def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
     cfg = cfg.validated()
+    # the reference law first: a spec without it fails before any sampling
+    model = poisson_rate(analytic_moments(cfg.spec).ratio, cfg.k)
     job = partial(_census_replication, cfg.spec, cfg.n, cfg.k, cfg.seed)
     counts = tuple(map_replications(job, range(cfg.replications),
                                     resolve_workers(cfg.workers)))
     pmf = EmpiricalPmf.from_samples(counts)
-    model = poisson_rate(analytic_moments(cfg.spec).ratio, cfg.k)
     table = qq_table(pmf, model, cfg.levels)
     tv_sup = tv_distance(pmf, model)
     mean = pmf.mean()

@@ -18,6 +18,17 @@ only pairs whose uniform falls below that bound get the exact test
 product and rounding moves each value by a few ulps, far less than the
 slack, so the bound never falls below ``p_ij`` and the pre-filter cannot
 change an edge (for weights whose products and total stay finite).
+
+Graphs exchange as whitespace edge lists: an ``n m`` header, then one
+``u v`` line per edge with 1-based ids.  Both directions work on ASCII bytes
+in a few NumPy passes.  The writer counts each id's digits, places the
+separators by one running sum and fills in the digits from right to left.
+The reader finds the fields where digits meet whitespace, checks two fields
+per line, and adds up each field's digits from right to left.  Any other
+text (signs, ``1_0``, non-ASCII digits, fields over 18 digits, or a line
+with the wrong number of fields) goes down the token path: a line-by-line
+check, ``str.split`` and ``int`` per token, so every error names the same
+line or field either way.
 """
 
 from __future__ import annotations
@@ -85,19 +96,47 @@ class GrgGraph:
 
     def to_edge_text(self) -> str:
         """Whitespace edge list with an ``n m`` header, 1-based vertex ids."""
-        us, vs = (self.edge_array() + 1).T.tolist()
-        return f"{self.n} {self.m}\n" + "".join(map("{} {}\n".format, us, vs))
+        header = f"{self.n} {self.m}\n".encode("ascii")
+        ids = (self.edge_array() + 1).ravel()
+        # in the narrowest unsigned type that holds n the passes run faster
+        ids = ids.astype(np.min_scalar_type(self.n))
+        # each id takes its digits and one separator; ends[t] is the
+        # position just past the separator of id t
+        width = np.full(ids.size, 2, dtype=np.int64)
+        for digits in range(1, len(str(self.n))):
+            width += ids >= 10 ** digits
+        ends = np.cumsum(width)
+        ends += len(header)
+        buf = np.empty(ends[-1] if ids.size else len(header), dtype=np.uint8)
+        buf[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+        buf[ends[0::2] - 1] = ord(" ")
+        buf[ends[1::2] - 1] = ord("\n")
+        # digits right to left; an id drops out after its leading digit
+        pos = ends - 2
+        while ids.size:
+            quot = ids // 10
+            buf[pos] = ids - 10 * quot + ord("0")
+            more = quot > 0
+            ids, pos = quot[more], pos[more] - 1
+        return buf.tobytes().decode("ascii")
 
     @classmethod
     def from_edge_text(cls, text: str) -> "GrgGraph":
-        if not (text.isascii() and _two_fields_per_line(text)):
+        fields = _digit_fields(text)
+        if fields is None:
+            # signs, underscores, non-ASCII digits, long fields or a
+            # malformed text: check line by line and parse token by token
             _check_lines(text)
-        tokens = text.split()
-        n, m = _header(tokens[:2])
-        if len(tokens) // 2 - 1 != m:
+            fields = text.split()
+            n, m = _header(fields[:2])
+        else:
+            n, m = int(fields[0]), int(fields[1])
+        if len(fields) // 2 - 1 != m:
             raise ValueError(
-                f"header declares {m} edges, found {len(tokens) // 2 - 1}")
-        pairs = np.array(tokens[2:], dtype=np.int64).reshape(-1, 2)
+                f"header declares {m} edges, found {len(fields) // 2 - 1}")
+        if isinstance(fields, list):
+            fields = _int64_fields(fields)
+        pairs = fields[2:].reshape(-1, 2)
         indptr, indices = _csr_from_pairs(n, pairs[:, 0] - 1, pairs[:, 1] - 1,
                                           base=1)
         return cls(n=n, indptr=indptr, indices=indices)
@@ -109,20 +148,58 @@ _SPACE = np.zeros(128, dtype=bool)
 _SPACE[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = True
 _LINE_END = np.zeros(128, dtype=bool)
 _LINE_END[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = True
+# Longest field the byte parser reads; 10**18 - 1 < 2**63.
+_MAX_DIGITS = 18
+_INT64 = np.iinfo(np.int64)
 
 
-def _two_fields_per_line(text: str) -> bool:
-    """Whether some line of the ASCII ``text`` has fields and every such
-    line has exactly two."""
-    codes = np.frombuffer((" " + text).encode("ascii"), dtype=np.uint8)
-    space = _SPACE.take(codes)
-    # a field starts after position j where a space meets a non-space;
-    # its line number counts the line ends up to j
-    starts = np.flatnonzero(space[:-1] > space[1:])
-    line = np.flatnonzero(_LINE_END.take(codes)).searchsorted(starts, "right")
-    return (line.size > 0 and line.size % 2 == 0
+def _digit_fields(text: str) -> Optional[np.ndarray]:
+    """The fields of ``text`` as int64 values, or ``None`` unless the text
+    is ASCII, some line holds fields, every such line holds exactly two and
+    every field is a run of at most ``_MAX_DIGITS`` decimal digits."""
+    if not text.isascii():
+        return None
+    # padded with a space at both ends, so every field lies between two
+    # non-digit bytes
+    codes = np.frombuffer(f" {text} ".encode("ascii"), dtype=np.uint8)
+    digits = codes - np.uint8(ord("0"))
+    gaps = np.flatnonzero(digits > 9)
+    others = codes.take(gaps)
+    if not _SPACE.take(others).all():
+        return None
+    # a field lies between non-digit bytes gaps[j] and gaps[j + 1] that are
+    # not adjacent; its line number counts the line ends up to gaps[j]
+    cut = np.flatnonzero(np.diff(gaps) > 1)
+    line = np.cumsum(_LINE_END.take(others)).take(cut)
+    if not (line.size > 0 and line.size % 2 == 0
             and np.array_equal(line[0::2], line[1::2])
-            and bool(np.all(line[1:-1:2] < line[2::2])))
+            and bool(np.all(line[1:-1:2] < line[2::2]))):
+        return None
+    before = gaps.take(cut)
+    ends = gaps.take(cut + 1)
+    width = int((ends - before).max()) - 1
+    if width > _MAX_DIGITS:
+        return None
+    digits[gaps] = 0
+    # digit d of a field, counted from the right, sits at ends - 1 - d; a
+    # shorter field reads the zero of the space before it instead
+    values = np.zeros(cut.size, dtype=np.int64)
+    pos = ends
+    for d in range(width):
+        pos = np.maximum(pos - 1, before)
+        values += digits.take(pos) * np.int64(10 ** d)
+    return values
+
+
+def _int64_fields(tokens: list) -> np.ndarray:
+    """``tokens`` as an int64 array, naming the first one out of range."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        field = next(t for t in tokens
+                     if not _INT64.min <= int(t) <= _INT64.max)
+        raise ValueError(
+            f"edge list field {field!r} is outside int64") from None
 
 
 def _header(fields) -> tuple:
@@ -132,6 +209,9 @@ def _header(fields) -> tuple:
             raise ValueError(f"edge list header '{' '.join(fields)}': "
                              f"{name} = {field!r} is not a nonnegative "
                              "integer")
+        if int(field) > _INT64.max:
+            raise ValueError(f"edge list header '{' '.join(fields)}': "
+                             f"{name} = {field!r} is outside int64")
     return int(fields[0]), int(fields[1])
 
 

@@ -11,7 +11,6 @@ bytes whether it ran in this process or on a pool.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List
 
 import numpy as np
@@ -58,6 +57,9 @@ def map_replications(job: Callable, units: Iterable,
     processes = min(workers, len(units))
     if processes <= 1:
         return [job(unit) for unit in units]
+    # imported here: loading the pool machinery costs about 20 ms, and a
+    # study on one worker never needs it
+    from concurrent.futures import ProcessPoolExecutor
     chunksize = min(_MAX_CHUNK, -(-len(units) // processes))
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(job, units, chunksize=chunksize))

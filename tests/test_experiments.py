@@ -1,14 +1,16 @@
 """Experiment harness: configuration, runners, CLI and determinism."""
 
+import concurrent.futures
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grgcycles import cli, experiments, replication
+from grgcycles import cli, experiments
 from grgcycles.cycles import candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    load_config, map_replications,
@@ -16,7 +18,7 @@ from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    run_bounds, run_census, run_ratio_study,
                                    run_threshold)
 from grgcycles.graphs import GrgGraph
-from grgcycles.weights import WeightSpec
+from grgcycles.weights import InfiniteMomentError, WeightSpec
 
 PARETO = WeightSpec.pareto_shifted(9.5, 10, 1)
 
@@ -146,7 +148,8 @@ class TestReplicationMap:
     @pytest.fixture()
     def pool(self, monkeypatch):
         RecordingPool.requests = []
-        monkeypatch.setattr(replication, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         return RecordingPool.requests
 
     def test_never_more_processes_than_units(self, pool):
@@ -161,6 +164,21 @@ class TestReplicationMap:
 
     def test_pool_returns_unit_order(self):
         assert map_replications(abs, range(-30, 0), 2) == list(range(30, 0, -1))
+
+    def test_one_worker_never_loads_the_pool(self):
+        code = textwrap.dedent("""\
+            import sys
+            from grgcycles.experiments import ExperimentConfig, run_census
+            from grgcycles.weights import WeightSpec
+            run_census(ExperimentConfig(
+                spec=WeightSpec.pareto_shifted(9.5, 10, 1), n=60, k=3,
+                replications=3, workers=1))
+            print("concurrent.futures.process" in sys.modules)
+            """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCensusRunner:
@@ -199,6 +217,15 @@ class TestCensusRunner:
                                levels=levels)
         match = "quantile level" if levels else "at least one quantile level"
         with pytest.raises(ValueError, match=match):
+            run_census(cfg)
+
+    def test_infinite_moment_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph before the reference law")
+        monkeypatch.setattr(experiments, "sample_grg", no_sampling)
+        cfg = ExperimentConfig(spec=WeightSpec.pareto_shifted(1.8, 10, 1),
+                               n=2000, k=3, replications=8)
+        with pytest.raises(InfiniteMomentError, match="shape 1.8"):
             run_census(cfg)
 
 

@@ -1,6 +1,7 @@
 """Edge law, graph sampling and the adjacency representation."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,26 @@ class TestEdgeProbability:
             wi, wj, total)
 
 
+# malformed edge texts and the error message each one raises
+MALFORMED_EDGE_TEXT = {
+    "": "edge list must start with an 'n m' header",
+    "3\n": "edge list must start with an 'n m' header",
+    "2 1\n1 3\n": "edge (1,3) outside 1..2",
+    "2 2\n1 2\n": "header declares 2 edges, found 1",
+    "2 1\n1 2 3\n": "malformed edge line: 1 2 3",
+    "2 2\n1 2\n2 1\n": "repeated edge (1,2)",
+    "-1 0\n": "edge list header '-1 0': n = '-1' is not a nonnegative",
+    "a b\n": "edge list header 'a b': n = 'a' is not a nonnegative",
+    "3 x\n": "edge list header '3 x': m = 'x' is not a nonnegative",
+    "3 -2\n": "edge list header '3 -2': m = '-2' is not a nonnegative",
+    "3 1\n1 99999999999999999999\n":
+        "edge list field '99999999999999999999' is outside int64",
+    "99999999999999999999 0\n":
+        "edge list header '99999999999999999999 0': "
+        "n = '99999999999999999999' is outside int64",
+}
+
+
 class TestGraphRepresentation:
     def test_symmetry_and_no_self_loops(self):
         wv = sample_weights(WeightSpec.pareto_shifted(9.5, 10, 1), 40, seed=5)
@@ -81,12 +102,10 @@ class TestGraphRepresentation:
         graph = GrgGraph.from_edges(2, [(0, 1)])
         assert graph.to_edge_text() == "2 1\n1 2\n"
 
-    @pytest.mark.parametrize("text", [
-        "", "3\n", "2 1\n1 3\n", "2 2\n1 2\n", "2 1\n1 2 3\n",
-        "2 2\n1 2\n2 1\n", "-1 0\n", "a b\n", "3 x\n", "3 -2\n",
-    ])
+    @pytest.mark.parametrize("text", list(MALFORMED_EDGE_TEXT))
     def test_malformed_edge_text(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=re.escape(MALFORMED_EDGE_TEXT[text])):
             GrgGraph.from_edge_text(text)
 
     def test_from_edges_rejects_self_loop(self):
@@ -113,6 +132,145 @@ class TestGraphRepresentation:
             GrgGraph.from_edge_text("-1 0\n")
         with pytest.raises(ValueError, match=r"header '3 x': m = 'x'"):
             GrgGraph.from_edge_text("3 x\n")
+
+
+def reference_edge_text(graph):
+    """The edge text of ``graph`` from one ``str.format`` call per edge."""
+    us, vs = (graph.edge_array() + 1).T.tolist()
+    return f"{graph.n} {graph.m}\n" + "".join(map("{} {}\n".format, us, vs))
+
+
+def token_parse(monkeypatch, text):
+    """``from_edge_text`` on its token path, which splits the text and
+    parses each token with ``int``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_digit_fields", lambda text: None)
+        return GrgGraph.from_edge_text(text)
+
+
+def assert_same_graph(a, b):
+    assert a.n == b.n
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+
+
+def random_graph(n, m, rng):
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(m)}
+    return GrgGraph.from_edges(n, sorted(pairs))
+
+
+def styled_edge_text(graph, style, rng):
+    """The edge list of ``graph`` in one whitespace style, with the edges
+    and their two ends in random order."""
+    edges = rng.permuted(rng.permutation(graph.edge_array() + 1), axis=1)
+    lines = [(graph.n, graph.m)] + [tuple(e) for e in edges]
+    seps, ends, zeros = [" "], ["\n"], [0]
+    if style == "crlf":
+        ends = ["\r\n"]
+    elif style == "tabs":
+        seps = ["\t", " \t ", "\t\t"]
+    elif style == "blank_lines":
+        ends = ["\n", "\n\n", "\n  \n", "\n\t\n\n"]
+    elif style == "leading_zeros":
+        zeros = [0, 1, 3]
+    elif style == "mixed":
+        seps = [" ", "\t", "  ", " \t", "\x1f", "\x1f\t"]
+        ends = ["\n", "\r\n", "\r", " \n", "\x0b", "\x0c", "\x1c",
+                "\x1d", "\x1e", "\n\r\n"]
+        zeros = [0, 0, 2]
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    text = pick(["", "\n", " "]) if style in ("mixed", "blank_lines") else ""
+    for u, v in lines:
+        text += ("0" * pick(zeros) + str(u) + pick(seps)
+                 + "0" * pick(zeros) + str(v) + pick(ends))
+    return text.rstrip("\n") if style == "no_final_newline" else text
+
+
+class TestEdgeText:
+    """The byte-level writer and parser against ``str.format`` and the token
+    path."""
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 255, 256,
+                                   1000, 10001, 65536])
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_writer_matches_format_at_digit_boundaries(self, n, shape):
+        if shape == "path":
+            edges = [(i, i + 1) for i in range(n - 1)]
+        else:
+            edges = [(0, i) for i in range(1, n)]
+        graph = GrgGraph.from_edges(n, edges)
+        assert graph.to_edge_text() == reference_edge_text(graph)
+
+    def test_writer_matches_format_on_sampled_graph(self):
+        wv = sample_weights(WeightSpec.pareto_shifted(2.5, 10, 1), 1200, 3)
+        graph = sample_grg(wv, seed=4)
+        assert graph.to_edge_text() == reference_edge_text(graph)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless_graph_writes_header_only(self, n):
+        graph = GrgGraph.from_edges(n, [])
+        assert graph.to_edge_text() == f"{n} 0\n"
+        assert_same_graph(GrgGraph.from_edge_text(f"{n} 0\n"), graph)
+
+    @pytest.mark.parametrize("style", ["plain", "crlf", "tabs", "blank_lines",
+                                       "leading_zeros", "no_final_newline",
+                                       "mixed"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parser_matches_token_path(self, monkeypatch, style, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([2, 9, 10, 11, 120, 1500]))
+        graph = random_graph(n, int(rng.integers(0, 3 * n)), rng)
+        text = styled_edge_text(graph, style, rng)
+        assert graphs._digit_fields(text) is not None
+        parsed = GrgGraph.from_edge_text(text)
+        assert_same_graph(parsed, token_parse(monkeypatch, text))
+        assert_same_graph(parsed, graph)
+
+    @pytest.mark.parametrize("text", ["7 0", "7 0\r\n", "\n\t7\t0 \n\n",
+                                      "007 000\n"])
+    def test_header_only_text(self, monkeypatch, text):
+        assert graphs._digit_fields(text) is not None
+        parsed = GrgGraph.from_edge_text(text)
+        assert parsed.n == 7 and parsed.m == 0
+        assert_same_graph(parsed, token_parse(monkeypatch, text))
+
+    def test_eighteen_digit_field_is_parsed(self):
+        text = "3 1\n000000000000000001 003\n"
+        assert list(graphs._digit_fields(text)) == [3, 1, 1, 3]
+        assert GrgGraph.from_edge_text(text).has_edge(0, 2)
+
+    @pytest.mark.parametrize("text,edge", [
+        ("3 1\n+1 2\n", (0, 1)),
+        ("3 1\n2 \u0661\n", (0, 1)),        # ARABIC-INDIC DIGIT ONE
+        ("3 1\n0000000000000000001 3\n", (0, 2)),
+        ("+3 1\n1 2\n", None),
+        ("3 1\n1_0 2\n", None),
+        ("3 1\n1 99999999999999999999\n", None),
+        ("3 1\n1 9999999999999999999\n", None),
+    ])
+    def test_other_fields_take_the_token_path(self, monkeypatch, text, edge):
+        assert graphs._digit_fields(text) is None
+        if edge is None:
+            with pytest.raises(ValueError):
+                GrgGraph.from_edge_text(text)
+        else:
+            assert GrgGraph.from_edge_text(text).has_edge(*edge)
+
+    @pytest.mark.parametrize("text", [
+        "3\n", "3 1 1\n", "3 1\n1\n2\n", "3 1\n1 2 3\n", "3 1\n1 2\n3\n",
+        "3 1\n1\n", "3 2\n1 2\n", "3 1\n1 2\n2 3\n", "3 1\n2 2\n",
+        "3 1\n1 4\n", "3 2\n1 2\n02 001\n", " \n\t\n", "3 1 1 2\n",
+        "3 2\n1 2 2 3\n", "3 2\n1 2\r\n2\r\n3\r\n",
+    ])
+    def test_digit_texts_fail_as_on_token_path(self, monkeypatch, text):
+        with pytest.raises(ValueError) as token_error:
+            token_parse(monkeypatch, text)
+        with pytest.raises(ValueError) as byte_error:
+            GrgGraph.from_edge_text(text)
+        assert str(byte_error.value) == str(token_error.value)
 
 
 class TestSampling:
