@@ -12,8 +12,11 @@ replication), one Monte Carlo chunk of a ratio estimate.  Results come back
 in unit order and are aggregated in that order, so the outputs are
 byte-identical for any worker count.
 
-Output files embed the subcommand, size parameters and master seed in their
-names; data goes to CSV, summaries to JSON.
+Every config key is listed once, in ``CONFIG_KEYS``: ``load_config``
+converts INI values and flag overrides from it, and the command line builds
+one ``--flag`` per key from it.  Every output file goes through
+``write_outputs``; file names embed the subcommand, size parameters and
+master seed, data goes to CSV and summaries to JSON.
 """
 
 from __future__ import annotations
@@ -74,10 +77,10 @@ class ExperimentConfig:
     edge_list: Optional[str] = None
     levels: tuple = DEFAULT_QQ_LEVELS
 
-    def validated(self, need_n: bool = True) -> "ExperimentConfig":
+    def validated(self) -> "ExperimentConfig":
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if need_n and self.n < max(2, self.k):
+        if self.n < max(2, self.k):
             raise ValueError(f"n={self.n} is too small for k={self.k}")
         if not self.levels:
             raise ValueError("need at least one quantile level")
@@ -90,18 +93,41 @@ class ExperimentConfig:
 # Configuration files: INI sections per subcommand, flag overrides win
 # ---------------------------------------------------------------------------
 
-_SPEC_KEYS = ("family", "value", "shape", "scale", "loc", "x1", "x2", "p1",
-              "values", "probs")
-_TYPED_KEYS = (("n", int), ("k", int), ("p", int), ("replications", int),
-               ("seed", int), ("workers", int), ("candidate_cap", int),
-               ("er_lambda", float))
-_STRING_KEYS = ("output_dir", "statistic", "regime", "rate_mode", "edge_list")
-_KNOWN_KEYS = frozenset(_SPEC_KEYS + tuple(key for key, _ in _TYPED_KEYS)
-                        + _STRING_KEYS + ("n_grid",))
+def _parse_grid(text) -> tuple:
+    tokens = (text.replace(" ", "").split(",") if isinstance(text, str)
+              else text)
+    return tuple(int(tok) for tok in tokens if tok != "")
 
 
-def _parse_grid(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+# key -> (converter, or None for a weight parameter; --flag help), flag order
+CONFIG_KEYS = {
+    "family": (None, "weight family override"),
+    "value": (None, "constant weight value"),
+    "shape": (None, "pareto shape"),
+    "scale": (None, "pareto scale"),
+    "loc": (None, "pareto location"),
+    "x1": (None, "two-point first atom"),
+    "x2": (None, "two-point second atom"),
+    "p1": (None, "two-point first-atom probability"),
+    "values": (None, "empirical support (comma separated)"),
+    "probs": (None, "empirical probabilities (comma separated)"),
+    "n": (int, "vertex / sample count"),
+    "k": (int, "cycle length"),
+    "p": (int, "ratio statistic power"),
+    "replications": (int, "number of replications"),
+    "seed": (int, "master seed"),
+    "workers": (int, "worker count (0 = env/default)"),
+    "output_dir": (str, "output directory"),
+    "candidate_cap": (int, "candidate cycle cap for exact bound sums"),
+    "n_grid": (_parse_grid, "comma separated n grid for studies"),
+    "statistic": (str, "ratio statistic: t or r"),
+    "regime": (str, "targeted ratio regime: sqrt/poly/log"),
+    "er_lambda": (float, "per-n constant-weight calibration for bounds"),
+    "rate_mode": (str, "conditional rate mode: auto/exact/plugin"),
+    "edge_list": (str, "edge-list file for the threshold subcommand"),
+}
+_KINDS = {int: "an integer", float: "a number",
+          _parse_grid: "a comma separated list of integers"}
 
 
 def load_config(path, section: str,
@@ -117,29 +143,26 @@ def load_config(path, section: str,
             raise FileNotFoundError(f"cannot read config file {path}")
         if parser.has_section(section):
             merged.update({k: v for k, v in parser.items(section)})
-        unknown = sorted(set(merged) - _KNOWN_KEYS)
+        unknown = sorted(set(merged) - set(CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in section "
                              f"[{section}] of {path}")
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    spec_map = {k: str(merged[k]) for k in _SPEC_KEYS if k in merged}
-    spec = WeightSpec.from_mapping(spec_map) if spec_map else None
-    if spec is None:
+    kwargs = {}
+    for key, (convert, _) in CONFIG_KEYS.items():
+        if convert is not None and key in merged:
+            try:
+                kwargs[key] = convert(merged[key])
+            except ValueError:
+                raise ValueError(f"{key} = {merged[key]!r} in [{section}] "
+                                 f"is not {_KINDS[convert]}") from None
+    spec_map = {key: str(merged[key]) for key, (convert, _) in
+                CONFIG_KEYS.items() if convert is None and key in merged}
+    if not spec_map:
         raise ValueError(f"section [{section}] does not define a weight family")
-    kwargs = dict(spec=spec)
-    for key, conv in _TYPED_KEYS:
-        if key in merged:
-            kwargs[key] = conv(merged[key])
-    if "n_grid" in merged:
-        kwargs["n_grid"] = (_parse_grid(merged["n_grid"])
-                            if isinstance(merged["n_grid"], str)
-                            else tuple(merged["n_grid"]))
-    for key in _STRING_KEYS:
-        if key in merged:
-            kwargs[key] = merged[key]
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(spec=WeightSpec.from_mapping(spec_map), **kwargs)
 
 
 def er_constant_spec(n: int, er_lambda: float) -> WeightSpec:
@@ -149,33 +172,55 @@ def er_constant_spec(n: int, er_lambda: float) -> WeightSpec:
     return WeightSpec.constant(n * er_lambda / (n - er_lambda))
 
 
+def draw_graph(spec: WeightSpec, n: int, master_seed: int,
+               rep: int = 0) -> GrgGraph:
+    """Replication ``rep``'s graph: weights from stream 0, edges from 1."""
+    weights = sample_weights(spec, n, replication_seed(master_seed, rep, 0))
+    return sample_grg(weights, replication_seed(master_seed, rep, 1))
+
+
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output files
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Comma separated lines; floats as their ``repr``."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
 
 
-def write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+def json_text(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def _outdir(cfg: ExperimentConfig) -> Optional[Path]:
-    if cfg.output_dir is None:
-        return None
-    out = Path(cfg.output_dir)
+def write_outputs(output_dir: Optional[str], files: dict) -> tuple:
+    """Write ``{name: text}`` into ``output_dir``, if set; sorted paths."""
+    if output_dir is None:
+        return ()
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    paths = []
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text)
+        paths.append(str(path))
+    return tuple(sorted(paths))
+
+
+def _fit_record(fit, prefix: str = "") -> dict:
+    """A rate fit's slope, intercept and r_squared (``None`` without a fit)."""
+    return {prefix + name: None if fit is None else getattr(fit, name)
+            for name in ("slope", "intercept", "r_squared")}
+
+
+def _grid(cfg: ExperimentConfig, study: str) -> tuple:
+    grid = cfg.n_grid or ((cfg.n,) if cfg.n else ())
+    if not grid:
+        raise ValueError(f"{study} study needs n or n_grid")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +238,7 @@ class CensusResult:
 
 def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
                         rep: int) -> int:
-    weights = sample_weights(spec, n, replication_seed(master_seed, rep, 0))
-    graph = sample_grg(weights, replication_seed(master_seed, rep, 1))
-    return count_k_cycles(graph, k).count
+    return count_k_cycles(draw_graph(spec, n, master_seed, rep), k).count
 
 
 def run_census(cfg: ExperimentConfig) -> CensusResult:
@@ -228,24 +271,18 @@ def run_census(cfg: ExperimentConfig) -> CensusResult:
         "tv_half": tv_sup / 2,
         "qq_correlation": table.correlation(),
     }
-    files = []
-    out = _outdir(cfg)
-    if out is not None:
-        stem = f"census_n{cfg.n}_k{cfg.k}_seed{cfg.seed}"
-        paths = {
-            "counts": out / f"{stem}_counts.csv",
-            "pmf": out / f"{stem}_pmf.csv",
-            "qq": out / f"{stem}_qq.csv",
-            "summary": out / f"{stem}_summary.json",
-        }
-        write_csv(paths["counts"], ("replication", "k", "count"),
-                  [(rep, cfg.k, c) for rep, c in enumerate(counts)])
-        write_csv(paths["pmf"], ("outcome", "count"), pmf.to_csv_rows())
-        write_csv(paths["qq"], ("level", "empirical_q", "poisson_q"), table.rows)
-        write_json(paths["summary"], summary)
-        files = sorted(str(p) for p in paths.values())
+    stem = f"census_n{cfg.n}_k{cfg.k}_seed{cfg.seed}"
+    files = write_outputs(cfg.output_dir, {
+        f"{stem}_counts.csv": csv_text(
+            ("replication", "k", "count"),
+            [(rep, cfg.k, c) for rep, c in enumerate(counts)]),
+        f"{stem}_pmf.csv": csv_text(("outcome", "count"), pmf.to_csv_rows()),
+        f"{stem}_qq.csv": csv_text(("level", "empirical_q", "poisson_q"),
+                                   table.rows),
+        f"{stem}_summary.json": json_text(summary),
+    })
     return CensusResult(pmf=pmf, counts=counts, summary=summary, qq=table,
-                        files=tuple(files))
+                        files=files)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +305,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     to edge probability ``er_lambda / n`` (otherwise the configured weight
     spec is reused unchanged at every n).
     """
-    grid = cfg.n_grid or ((cfg.n,) if cfg.n else ())
-    if not grid:
-        raise ValueError("bound study needs n or n_grid")
+    grid = _grid(cfg, "bound")
     workers = resolve_workers(cfg.workers)
     reports = []
     all_rows = []
@@ -295,23 +330,17 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
         "n_grid": list(grid),
         "er_lambda": cfg.er_lambda,
         "per_n": {str(n): rep.to_record() for n, rep in reports},
-        "sum_slope": None if fit is None else fit.slope,
-        "sum_intercept": None if fit is None else fit.intercept,
-        "sum_r_squared": None if fit is None else fit.r_squared,
+        **_fit_record(fit, "sum_"),
     }
-    files = []
-    out = _outdir(cfg)
-    if out is not None:
-        stem = f"bounds_k{cfg.k}_seed{cfg.seed}"
-        rows_path = out / f"{stem}_terms.csv"
-        summary_path = out / f"{stem}_summary.json"
-        write_csv(rows_path,
-                  ("n", "replication", "b1", "b2", "conditional_mean", "mode"),
-                  all_rows)
-        write_json(summary_path, summary)
-        files = sorted([str(rows_path), str(summary_path)])
+    stem = f"bounds_k{cfg.k}_seed{cfg.seed}"
+    files = write_outputs(cfg.output_dir, {
+        f"{stem}_terms.csv": csv_text(
+            ("n", "replication", "b1", "b2", "conditional_mean", "mode"),
+            all_rows),
+        f"{stem}_summary.json": json_text(summary),
+    })
     return BoundsResult(reports=tuple(reports), rows=tuple(all_rows), fit=fit,
-                        summary=summary, files=tuple(files))
+                        summary=summary, files=files)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +364,7 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     estimate itself.  Points whose error falls below ten standard errors
     are below the Monte Carlo noise floor: excluded from the fit, reported.
     """
-    grid = cfg.n_grid or ((cfg.n,) if cfg.n else ())
-    if not grid:
-        raise ValueError("ratio study needs n or n_grid")
+    grid = _grid(cfg, "ratio")
     if cfg.statistic not in ("t", "r"):
         raise ValueError("statistic must be 't' or 'r'")
     if cfg.statistic == "t":
@@ -390,30 +417,22 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         "seed": cfg.seed,
         "n_grid": list(grid),
         "limit": limit,
-        "slope": None if fit is None else fit.slope,
-        "intercept": None if fit is None else fit.intercept,
-        "r_squared": None if fit is None else fit.r_squared,
+        **_fit_record(fit),
         "below_noise_floor": floored,
         "fit_note": fit_note,
     }
-    files = []
-    out = _outdir(cfg)
-    if out is not None:
-        stem = f"ratio_{cfg.statistic}_p{cfg.p}_seed{cfg.seed}"
-        rows_path = out / f"{stem}_estimates.csv"
-        summary_path = out / f"{stem}_summary.json"
-        write_csv(rows_path, ("n", "estimate", "std_error", "abs_error"), rows)
-        files = [str(rows_path), str(summary_path)]
-        if exact_rows:
-            exact_path = out / f"{stem}_exact.csv"
-            write_csv(exact_path,
-                      ("n", "exact_value", "mc_value", "mc_std_error"),
-                      exact_rows)
-            files.append(str(exact_path))
-        write_json(summary_path, summary)
-        files.sort()
+    stem = f"ratio_{cfg.statistic}_p{cfg.p}_seed{cfg.seed}"
+    texts = {
+        f"{stem}_estimates.csv": csv_text(
+            ("n", "estimate", "std_error", "abs_error"), rows),
+        f"{stem}_summary.json": json_text(summary),
+    }
+    if exact_rows:
+        texts[f"{stem}_exact.csv"] = csv_text(
+            ("n", "exact_value", "mc_value", "mc_std_error"), exact_rows)
     return RatioStudyResult(rows=tuple(rows), exact_rows=tuple(exact_rows),
-                            fit=fit, summary=summary, files=tuple(files))
+                            fit=fit, summary=summary,
+                            files=write_outputs(cfg.output_dir, texts))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +444,9 @@ def run_threshold(cfg: ExperimentConfig) -> ThresholdReport:
     if cfg.edge_list:
         graph = GrgGraph.from_edge_text(Path(cfg.edge_list).read_text())
     else:
-        cfg = cfg.validated()
-        weights = sample_weights(cfg.spec, cfg.n, replication_seed(cfg.seed, 0, 0))
-        graph = sample_grg(weights, replication_seed(cfg.seed, 0, 1))
+        graph = draw_graph(cfg.spec, cfg.n, cfg.seed)
     report = threshold_report(graph)
-    out = _outdir(cfg)
-    if out is not None:
-        stem = f"threshold_n{graph.n}_seed{cfg.seed}"
-        write_json(out / f"{stem}.json", report.to_record())
+    write_outputs(cfg.output_dir, {
+        f"threshold_n{graph.n}_seed{cfg.seed}.json":
+            json_text(report.to_record())})
     return report

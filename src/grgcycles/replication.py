@@ -30,19 +30,25 @@ def replication_seed(master_seed: int, replication: int,
 
 
 def resolve_workers(requested: int = 0) -> int:
-    """Worker count: explicit request, else environment, else 1."""
-    if requested and requested > 0:
+    """Worker count: explicit request, else environment, else 1.
+
+    0 means "not requested"; a negative count is an error wherever it
+    comes from.
+    """
+    if requested < 0:
+        raise ValueError(f"workers={requested} is negative")
+    if requested:
         return requested
     env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV}={env!r} is not an integer") from None
-        if value > 0:
-            return value
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"{WORKERS_ENV}={env!r} is negative")
+    return value or 1
 
 
 def map_replications(job: Callable, units: Iterable,

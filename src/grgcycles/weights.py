@@ -44,7 +44,11 @@ class InfiniteMomentError(ValueError):
     """A requested moment does not exist for the given family."""
 
 
-_FAMILIES = ("constant", "pareto_shifted", "two_point", "empirical")
+# each family's parameters, in the order its constructor takes them
+_PARAMETERS = {"constant": ("value",),
+               "pareto_shifted": ("shape", "scale", "loc"),
+               "two_point": ("x1", "x2", "p1"),
+               "empirical": ("values", "probs")}
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ class WeightSpec:
     probs: tuple = field(default=())
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _PARAMETERS:
             raise WeightSpecError(f"unknown weight family {self.family!r}")
         if self.family == "constant":
             if self.value <= 0:
@@ -123,17 +127,12 @@ class WeightSpec:
 
     def to_mapping(self) -> dict:
         """Named-parameter form used by configuration files."""
-        if self.family == "constant":
-            return {"family": "constant", "value": repr(self.value)}
-        if self.family == "pareto_shifted":
-            return {"family": "pareto_shifted", "shape": repr(self.shape),
-                    "scale": repr(self.scale), "loc": repr(self.loc)}
-        if self.family == "two_point":
-            return {"family": "two_point", "x1": repr(self.x1),
-                    "x2": repr(self.x2), "p1": repr(self.p1)}
-        return {"family": "empirical",
-                "values": ",".join(repr(v) for v in self.values),
-                "probs": ",".join(repr(p) for p in self.probs)}
+        mapping = {"family": self.family}
+        for key in _PARAMETERS[self.family]:
+            value = getattr(self, key)
+            mapping[key] = (",".join(repr(v) for v in value)
+                            if self.family == "empirical" else repr(value))
+        return mapping
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "WeightSpec":
@@ -141,20 +140,23 @@ class WeightSpec:
             family = mapping["family"].strip()
         except KeyError:
             raise WeightSpecError("weight block is missing 'family'") from None
-        if family == "constant":
-            return cls.constant(float(mapping["value"]))
-        if family == "pareto_shifted":
-            return cls.pareto_shifted(float(mapping["shape"]),
-                                      float(mapping["scale"]),
-                                      float(mapping["loc"]))
-        if family == "two_point":
-            return cls.two_point(float(mapping["x1"]), float(mapping["x2"]),
-                                 float(mapping["p1"]))
-        if family == "empirical":
-            values = [float(v) for v in mapping["values"].split(",")]
-            probs = [float(p) for p in mapping["probs"].split(",")]
-            return cls.empirical(values, probs)
-        raise WeightSpecError(f"unknown weight family {family!r}")
+        if family not in _PARAMETERS:
+            raise WeightSpecError(f"unknown weight family {family!r}")
+        listed = family == "empirical"
+        args = []
+        for key in _PARAMETERS[family]:
+            if key not in mapping:
+                raise WeightSpecError(f"{family} weights need {key!r}")
+            text = mapping[key]
+            try:
+                args.append([float(v) for v in text.split(",")] if listed
+                            else float(text))
+            except ValueError:
+                kind = ("a comma separated list of numbers" if listed
+                        else "a number")
+                raise WeightSpecError(f"{family} weights: {key} = {text!r} "
+                                      f"is not {kind}") from None
+        return getattr(cls, family)(*args)
 
 
 @dataclass(frozen=True)

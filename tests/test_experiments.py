@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -100,6 +101,72 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(spec=PARETO, n=10, replications=0).validated()
 
+    @pytest.mark.parametrize("key,value,kind", [
+        ("n", "abc", "an integer"),
+        ("n_grid", "10,x", "a comma separated list of integers"),
+        ("er_lambda", "six", "a number"),
+    ])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, key, value,
+                                     kind):
+        match = re.escape(f"{key} = {value!r} in [census] is not {kind}")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[census]\nfamily = constant\nvalue = 1\n"
+                        f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=match):
+            load_config(path, "census")
+        flag = "--" + key.replace("_", "-")
+        assert cli.main(["census", "--family", "constant", "--value", "1",
+                         flag, value]) == 2
+        assert re.search(match, capsys.readouterr().err)
+
+
+# one valid setting per config key, with the weight keys its value needs
+KEY_SETTINGS = {
+    "family": {"family": "constant", "value": "2"},
+    "value": {"family": "constant", "value": "2"},
+    "shape": {"family": "pareto_shifted", "shape": "9.5", "scale": "10",
+              "loc": "1"},
+    "x1": {"family": "two_point", "x1": "1", "x2": "3", "p1": "0.25"},
+    "values": {"family": "empirical", "values": "1,2", "probs": "1,3"},
+    "n": {"n": "40"}, "k": {"k": "4"}, "p": {"p": "3"},
+    "replications": {"replications": "7"}, "seed": {"seed": "11"},
+    "workers": {"workers": "2"}, "output_dir": {"output_dir": "out"},
+    "candidate_cap": {"candidate_cap": "500"}, "n_grid": {"n_grid": "8,16"},
+    "statistic": {"statistic": "r"}, "regime": {"regime": "log"},
+    "er_lambda": {"er_lambda": "1.5"}, "rate_mode": {"rate_mode": "plugin"},
+    "edge_list": {"edge_list": "g.txt"},
+}
+for _key in ("scale", "loc"):
+    KEY_SETTINGS[_key] = KEY_SETTINGS["shape"]
+for _key in ("x2", "p1"):
+    KEY_SETTINGS[_key] = KEY_SETTINGS["x1"]
+KEY_SETTINGS["probs"] = KEY_SETTINGS["values"]
+
+
+class TestConfigKeys:
+    """Every key of the one key table works as an INI key and as a flag."""
+
+    @pytest.mark.parametrize("key", list(experiments.CONFIG_KEYS))
+    def test_ini_key_and_flag_agree(self, tmp_path, monkeypatch, key):
+        settings = {"family": "constant", "value": "2", **KEY_SETTINGS[key]}
+        path = tmp_path / "all.ini"
+        path.write_text("[census]\n" + "".join(
+            f"{k} = {v}\n" for k, v in settings.items()))
+        flags = ["census"]
+        for k, v in settings.items():
+            flags += ["--" + k.replace("_", "-"), v]
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "census",
+                            lambda cfg: seen.append(cfg) or ())
+        assert cli.main(flags) == 0
+        from_ini = load_config(path, "census")
+        assert seen == [from_ini]
+        if experiments.CONFIG_KEYS[key][0] is None:
+            assert key in from_ini.spec.to_mapping()
+        else:
+            default = ExperimentConfig(spec=from_ini.spec)
+            assert getattr(from_ini, key) != getattr(default, key)
+
 
 class TestSeeding:
     def test_replication_seed_is_stable(self):
@@ -122,6 +189,19 @@ class TestSeeding:
     def test_bad_worker_env_named(self, monkeypatch):
         monkeypatch.setenv("GRGCYCLES_WORKERS", "four")
         with pytest.raises(ValueError, match="GRGCYCLES_WORKERS='four'"):
+            resolve_workers(0)
+
+    def test_negative_workers_rejected(self, monkeypatch, config_file):
+        monkeypatch.setenv("GRGCYCLES_WORKERS", "0")
+        assert resolve_workers(0) == 1
+        with pytest.raises(ValueError, match="workers=-2 is negative"):
+            resolve_workers(-2)
+        cfg = load_config(config_file, "census", {"workers": "-2"})
+        with pytest.raises(ValueError, match="workers=-2 is negative"):
+            run_census(cfg)
+        monkeypatch.setenv("GRGCYCLES_WORKERS", "-1")
+        with pytest.raises(ValueError,
+                           match="GRGCYCLES_WORKERS='-1' is negative"):
             resolve_workers(0)
 
 
@@ -402,3 +482,61 @@ class TestCli:
         proc = run_cli("moments", "--family", "lognormal")
         assert proc.returncode == 2
         assert "lognormal" in proc.stderr
+
+    def test_missing_weight_parameter_named(self, capsys):
+        assert cli.main(["census", "--family", "pareto_shifted",
+                         "--shape", "9.5", "--n", "40"]) == 2
+        assert ("error: pareto_shifted weights need 'scale'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["sample", "threshold"])
+    def test_two_vertices_ignore_default_k(self, capsys, command):
+        assert cli.main([command, "--family", "constant", "--value", "8",
+                         "--n", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("2 1\n" if command == "sample" else "n: 2\n")
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out,
+                           flags=re.M)
+        assert flags == [
+            "--config", "--family", "--value", "--shape", "--scale", "--loc",
+            "--x1", "--x2", "--p1", "--values", "--probs", "--n", "--k",
+            "--p", "--replications", "--seed", "--workers", "--output-dir",
+            "--candidate-cap", "--n-grid", "--statistic", "--regime",
+            "--er-lambda", "--rate-mode", "--edge-list"]
+
+    @pytest.mark.parametrize("args,names", [
+        (["census", "--family", "constant", "--value", "2", "--n", "12",
+          "--replications", "3", "--seed", "1"],
+         ["census_n12_k3_seed1_counts.csv", "census_n12_k3_seed1_pmf.csv",
+          "census_n12_k3_seed1_qq.csv", "census_n12_k3_seed1_summary.json"]),
+        (["bounds", "--family", "constant", "--value", "1", "--n-grid", "8,12",
+          "--seed", "2"],
+         ["bounds_k3_seed2_summary.json", "bounds_k3_seed2_terms.csv"]),
+        (["ratio", "--family", "two_point", "--x1", "1", "--x2", "2",
+          "--p1", "0.5", "--n-grid", "8,16", "--replications", "1000"],
+         ["ratio_t_p2_seed0_estimates.csv", "ratio_t_p2_seed0_exact.csv",
+          "ratio_t_p2_seed0_summary.json"]),
+        (["ratio", "--family", "constant", "--value", "1", "--n-grid", "8,16",
+          "--statistic", "r", "--p", "3", "--replications", "1000"],
+         ["ratio_r_p3_seed0_estimates.csv", "ratio_r_p3_seed0_summary.json"]),
+        (["sample", "--family", "constant", "--value", "8", "--n", "12",
+          "--seed", "4"],
+         ["sample_n12_seed4_edges.txt"]),
+        (["threshold", "--family", "constant", "--value", "8", "--n", "12",
+          "--seed", "4"],
+         ["threshold_n12_seed4.json"]),
+    ])
+    def test_output_file_names(self, tmp_path, capsys, args, names):
+        outdir = tmp_path / "out"
+        assert cli.main([*args, "--output-dir", str(outdir)]) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        out = capsys.readouterr().out
+        wrote = [line.split()[1] for line in out.splitlines()
+                 if line.startswith("wrote ")]
+        if args[0] != "threshold":
+            assert wrote == [str(outdir / name) for name in names]

@@ -74,6 +74,26 @@ class TestSpecValidation:
         with pytest.raises(WeightSpecError):
             WeightSpec.from_mapping({})
 
+    @pytest.mark.parametrize("mapping,match", [
+        ({"family": "pareto_shifted", "shape": "9.5", "loc": "1"},
+         "pareto_shifted weights need 'scale'"),
+        ({"family": "pareto_shifted", "shape": "abc", "scale": "10",
+          "loc": "1"},
+         "pareto_shifted weights: shape = 'abc' is not a number"),
+        ({"family": "constant"}, "constant weights need 'value'"),
+        ({"family": "empirical", "values": "1,2"},
+         "empirical weights need 'probs'"),
+        ({"family": "empirical", "probs": "0.5,0.5"},
+         "empirical weights need 'values'"),
+        ({"family": "empirical", "values": "1,x", "probs": "0.5,0.5"},
+         "empirical weights: values = '1,x' is not a comma separated list"),
+        ({"family": "empirical", "values": "1,2", "probs": "half,0.5"},
+         "empirical weights: probs = 'half,0.5' is not a comma separated"),
+    ])
+    def test_from_mapping_names_family_and_key(self, mapping, match):
+        with pytest.raises(WeightSpecError, match=match):
+            WeightSpec.from_mapping(mapping)
+
 
 class TestSampling:
     def test_constant_degenerate(self):
