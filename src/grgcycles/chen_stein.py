@@ -35,18 +35,18 @@ BLAS syrk at half the flops of a general product.  The two products are
 independent, so the path runs as two halves that each hold at most two
 n x n arrays: the S-half returns ``rate``, ``sum(P**2 * S**2)`` and
 ``sum(P * S**2)``; the Q-half returns ``sum(Q * Q2)`` and ``sum(P * Q2)``.
-``bound_report`` maps the halves of every replication as separate units of
-the replication map, so two workers share one replication; in-process the
-halves run one after the other.
+``bound_report`` draws each replication's weights once and maps each half,
+with those weights, as a unit of the replication map, so two workers share
+one replication; in-process the halves run one after the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations, permutations
 from math import perm
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -104,16 +104,7 @@ class BoundReport:
         return self.b1 + self.b2 + self.gap
 
     def to_record(self) -> dict:
-        return {
-            "b1": self.b1,
-            "b2": self.b2,
-            "conditional_mean": self.conditional_mean,
-            "target_rate": self.target_rate,
-            "gap": self.gap,
-            "rhs": self.rhs,
-            "mode": self.mode,
-            "replications": self.replications,
-        }
+        return {**asdict(self), "rhs": self.rhs}
 
 
 def _cycle_edges(cycle: Sequence[int]) -> Set[Tuple[int, int]]:
@@ -199,13 +190,6 @@ def _dense_q_half(weights: WeightVector) -> Tuple[float, float]:
     return qq, float(np.vdot(np.sqrt(Q, out=Q), Q2))
 
 
-def _dense_terms(s_half, q_half) -> Tuple[float, float, float]:
-    """b1, b2 and the rate from the two halves' sums."""
-    rate, e1, e2 = s_half
-    qq, pq = q_half
-    return e1 / 2.0 - qq / 3.0, (e2 - pq) / 2.0, rate
-
-
 def _candidate_arrays(weights: WeightVector, k: int, cap: int):
     """Sorted edge-id rows of the candidates, their probabilities and the
     edge probabilities."""
@@ -252,6 +236,31 @@ def _bound_terms(edge_rows, p_cand, p_edge) -> Tuple[float, float]:
     return b1, b2
 
 
+def _parts(k: int, method: str = "auto") -> Tuple[str, ...]:
+    """A replication's units: the two dense halves, or the candidate path."""
+    return ("s", "q") if k == 3 and method != "candidates" else ("c",)
+
+
+def _part(k: int, cap: int, unit: Tuple[WeightVector, str]) -> tuple:
+    """One unit ``(weights, part)``: the dense ``"s"`` or ``"q"`` half, or
+    the candidate path ``"c"``, which returns (rate, b1, b2) whole."""
+    weights, part = unit
+    if part == "s":
+        return _dense_s_half(weights)
+    if part == "q":
+        return _dense_q_half(weights)
+    arrays = _candidate_arrays(weights, k, cap)
+    return (float(arrays[1].sum()), *_bound_terms(*arrays))
+
+
+def _assemble(parts: Sequence[tuple]) -> Tuple[float, float, float]:
+    """The exact (rate, b1, b2) of one replication from its units' results."""
+    if len(parts) == 1:
+        return parts[0]
+    (rate, e1, e2), (qq, pq) = parts
+    return rate, e1 / 2.0 - qq / 3.0, (e2 - pq) / 2.0
+
+
 def exact_bound_terms(weights: WeightVector, k: int,
                       cap: int = DEFAULT_CANDIDATE_CAP,
                       method: str = "auto") -> BoundTerms:
@@ -265,10 +274,9 @@ def exact_bound_terms(weights: WeightVector, k: int,
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and k != 3:
         raise ValueError("the dense path only covers k = 3")
-    if k == 3 and method != "candidates":
-        return BoundTerms(*_dense_terms(_dense_s_half(weights),
-                                        _dense_q_half(weights))[:2])
-    return BoundTerms(*_bound_terms(*_candidate_arrays(weights, k, cap)))
+    _, b1, b2 = _assemble([_part(k, cap, (weights, part))
+                           for part in _parts(k, method)])
+    return BoundTerms(b1, b2)
 
 
 def conditional_rate_exact(weights: WeightVector, k: int,
@@ -288,25 +296,6 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
     return float((w @ w / w.sum()) ** k / (2 * k))
 
 
-def _bound_unit(spec: WeightSpec, n: int, k: int, seed, cap: int,
-                plugin: bool, unit: Tuple[int, Optional[str]]) -> tuple:
-    """One unit of ``bound_report``: ``(rep, "s")`` or ``(rep, "q")`` is a
-    half of a dense replication, ``(rep, None)`` a whole candidate one.
-    Every unit draws the replication's weights itself."""
-    rep, half = unit
-    weights = sample_weights(spec, n, replication_seed(seed, rep, 0))
-    if half == "q":
-        return _dense_q_half(weights)
-    if half == "s":
-        out = _dense_s_half(weights)
-    else:
-        arrays = _candidate_arrays(weights, k, cap)
-        out = (float(arrays[1].sum()), *_bound_terms(*arrays))
-    if plugin:
-        out = (conditional_rate_plugin(weights, k),) + out[1:]
-    return out
-
-
 def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
                  cap: int = DEFAULT_CANDIDATE_CAP, rate_mode: str = "auto",
                  workers: int = 1) -> Tuple[BoundReport, List[dict]]:
@@ -315,34 +304,36 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
     b1 and b2 are exact per replication: dense path for triangles, capped
     candidate enumeration otherwise (beyond the cap there is no surrogate,
     so that raises).  The conditional rate is exact by default;
-    ``rate_mode="plugin"`` switches it to the plug-in upper bound.  The
-    units (the two dense halves of each replication, or each candidate
-    replication) run on ``workers`` processes; the result does not depend
-    on their number.
+    ``rate_mode="plugin"`` switches it to the plug-in upper bound.  Each
+    replication's weights are drawn once, here; its units (the two dense
+    halves, or the one candidate unit) run on ``workers`` processes, and the
+    result does not depend on their number.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     if rate_mode not in ("auto", "exact", "plugin"):
         raise ValueError(f"unknown rate_mode {rate_mode!r}")
+    if cap < 1:
+        raise ValueError(f"candidate_cap={cap} is below 1")
     if k != 3 and candidate_count(n, k) > cap:
         # b1/b2 have no plug-in surrogate; only the rate does
         raise CandidateCapError(
             f"{candidate_count(n, k)} candidates exceed cap {cap}; "
             "bound terms need the candidate set (or k = 3)")
-    use_exact = rate_mode != "plugin"
-    mode = "exact" if use_exact else "plugin"
+    mode = "plugin" if rate_mode == "plugin" else "exact"
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
-    halves = ("s", "q") if k == 3 else (None,)
-    job = partial(_bound_unit, spec, n, k, seed, cap, not use_exact)
-    results = map_replications(
-        job, [(rep, half) for rep in range(replications) for half in halves],
-        workers)
+    draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
+             for rep in range(replications)]
+    parts = _parts(k)
+    results = map_replications(partial(_part, k, cap),
+                               [(w, part) for w in draws for part in parts],
+                               workers)
     rows = []
-    for rep in range(replications):
-        if k == 3:
-            b1, b2, rate = _dense_terms(results[2 * rep], results[2 * rep + 1])
-        else:
-            rate, b1, b2 = results[rep]
+    outs = iter(results)
+    for rep, weights in enumerate(draws):
+        rate, b1, b2 = _assemble([next(outs) for _ in parts])
+        if mode == "plugin":
+            rate = conditional_rate_plugin(weights, k)
         rows.append({"replication": rep, "b1": b1, "b2": b2,
                      "conditional_mean": rate, "mode": mode})
     b1, b2, rate = (float(np.mean([row[key] for row in rows]))

@@ -92,10 +92,10 @@ def _cmd_ratio(cfg: ExperimentConfig) -> tuple:
 
 
 def _cmd_threshold(cfg: ExperimentConfig) -> tuple:
-    report = run_threshold(cfg)
+    report, files = run_threshold(cfg)
     for key, value in report.to_record().items():
         print(f"{key}: {value}")
-    return ()
+    return files
 
 
 # each command gets the config of its own INI section, prints its report

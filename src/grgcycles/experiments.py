@@ -7,8 +7,9 @@ Reproducibility contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
 for weights and stream 1 for the graph.  The units a study maps are cut so
 that no result depends on the process that computes it: one census
-replication, one half of a dense bound replication (or a whole candidate
-replication), one Monte Carlo chunk of a ratio estimate.  Results come back
+replication; one half of a dense bound replication, or a whole candidate
+one, carrying the weights the calling process drew once for that
+replication; one Monte Carlo chunk of a ratio estimate.  Results come back
 in unit order and are aggregated in that order, so the outputs are
 byte-identical for any worker count.
 
@@ -25,7 +26,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .chen_stein import bound_report
 from .cycles import DEFAULT_CANDIDATE_CAP, count_k_cycles
@@ -76,6 +77,12 @@ class ExperimentConfig:
     rate_mode: str = "auto"
     edge_list: Optional[str] = None
     levels: tuple = DEFAULT_QQ_LEVELS
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} is negative")
+        if self.candidate_cap < 1:
+            raise ValueError(f"candidate_cap={self.candidate_cap} is below 1")
 
     def validated(self) -> "ExperimentConfig":
         if self.replications < 1:
@@ -439,14 +446,14 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
 # Threshold utility
 # ---------------------------------------------------------------------------
 
-def run_threshold(cfg: ExperimentConfig) -> ThresholdReport:
-    """Threshold report for an edge-list file or one sampled graph."""
+def run_threshold(cfg: ExperimentConfig) -> Tuple[ThresholdReport, tuple]:
+    """Threshold report for an edge-list file or one sampled graph, and the
+    files written."""
     if cfg.edge_list:
         graph = GrgGraph.from_edge_text(Path(cfg.edge_list).read_text())
     else:
         graph = draw_graph(cfg.spec, cfg.n, cfg.seed)
     report = threshold_report(graph)
-    write_outputs(cfg.output_dir, {
+    return report, write_outputs(cfg.output_dir, {
         f"threshold_n{graph.n}_seed{cfg.seed}.json":
             json_text(report.to_record())})
-    return report

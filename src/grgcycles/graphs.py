@@ -56,7 +56,6 @@ class GrgGraph:
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    weights: Optional[WeightVector] = None
 
     @property
     def m(self) -> int:
@@ -83,11 +82,10 @@ class GrgGraph:
     # -- construction & text interop ---------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
-                   weights: Optional[WeightVector] = None) -> "GrgGraph":
+    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "GrgGraph":
         pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
-        return cls(n=n, indptr=indptr, indices=indices, weights=weights)
+        return cls(n=n, indptr=indptr, indices=indices)
 
     @classmethod
     def complete(cls, n: int) -> "GrgGraph":
@@ -347,7 +345,7 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
     if len(heads) > 1:
         heads, tails = [np.concatenate(heads)], [np.concatenate(tails)]
     indptr, indices = _csr_from_pairs(n, heads[0], tails[0])
-    return GrgGraph(n=n, indptr=indptr, indices=indices, weights=weights)
+    return GrgGraph(n=n, indptr=indptr, indices=indices)
 
 
 def sample_grg(weights: WeightVector, seed) -> GrgGraph:

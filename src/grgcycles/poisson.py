@@ -9,8 +9,9 @@ Poisson supports are truncated once cumulative mass 1 - 1e-12 is reached
 and the discarded tail is added to the distance as an upper-bound
 correction.
 
-``qq_table`` and ``tv_distance`` build the truncated Poisson pmf once per
-call and answer every level or outcome with array operations: the Q-Q
+A ``PoissonModel`` builds its truncated pmf once, on first use, and
+``quantile``, ``qq_table`` and ``tv_distance`` all read that copy; they
+answer every level or outcome with array operations: the Q-Q
 columns come from one ``searchsorted`` over each law's cdf, and the l1 sum
 runs over the union of both supports in ascending outcome order.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,20 +54,27 @@ class PoissonModel:
         return poisson_pmf(self, m)
 
     def truncated_pmf(self) -> Tuple[np.ndarray, float]:
-        """Pmf array over 0..M with cdf(M) >= 1 - 1e-12, plus the tail."""
-        if self.lam == 0:
-            return np.array([1.0]), 0.0
-        bound = int(self.lam + 50.0 * math.sqrt(self.lam)) + 100
-        log_lam = math.log(self.lam)
-        ms = np.arange(bound + 1)
-        logs = -self.lam + ms * log_lam - np.array(
-            [math.lgamma(m + 1) for m in range(bound + 1)])
-        pmf = np.exp(logs)
-        cdf = np.cumsum(pmf)
-        cut = int(np.searchsorted(cdf, 1.0 - _TAIL_MASS))
-        cut = min(cut, bound)
-        tail = max(0.0, 1.0 - float(cdf[cut]))
-        return pmf[:cut + 1], tail
+        """Pmf array over 0..M with cdf(M) >= 1 - 1e-12, plus the tail;
+        built once per model, read-only."""
+        return self._truncated
+
+    @cached_property
+    def _truncated(self) -> Tuple[np.ndarray, float]:
+        pmf, tail = np.array([1.0]), 0.0
+        if self.lam > 0:
+            bound = int(self.lam + 50.0 * math.sqrt(self.lam)) + 100
+            log_lam = math.log(self.lam)
+            ms = np.arange(bound + 1)
+            logs = -self.lam + ms * log_lam - np.array(
+                [math.lgamma(m + 1) for m in range(bound + 1)])
+            pmf = np.exp(logs)
+            cdf = np.cumsum(pmf)
+            cut = int(np.searchsorted(cdf, 1.0 - _TAIL_MASS))
+            cut = min(cut, bound)
+            tail = max(0.0, 1.0 - float(cdf[cut]))
+            pmf = pmf[:cut + 1]
+        pmf.flags.writeable = False
+        return pmf, tail
 
     def quantile(self, level: float) -> int:
         """Smallest m with cdf(m) >= level (left-continuous inverse)."""
@@ -79,16 +88,13 @@ class PoissonModel:
 class EmpiricalPmf:
     """Integer-outcome law built from occurrence counts."""
 
-    def __init__(self, counts: dict, total: int = None):
+    def __init__(self, counts: dict):
         self.counts = {int(m): int(c) for m, c in counts.items() if c}
         if any(m < 0 for m in self.counts):
             raise ValueError("outcomes must be nonnegative integers")
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("counts must be nonnegative")
-        observed = sum(self.counts.values())
-        self.total = observed if total is None else int(total)
-        if self.total != observed:
-            raise ValueError("total must equal the sum of counts")
+        self.total = sum(self.counts.values())
         if self.total == 0:
             raise ValueError("empirical law needs at least one observation")
 

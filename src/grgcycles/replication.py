@@ -25,6 +25,8 @@ _MAX_CHUNK = 8   # units sent to a pool worker at a time
 def replication_seed(master_seed: int, replication: int,
                      stream: int = 0) -> np.random.SeedSequence:
     """Derived seed for one replication; stream 0 = weights, 1 = graph."""
+    if master_seed < 0:
+        raise ValueError(f"seed={master_seed} is negative")
     return np.random.SeedSequence(master_seed,
                                   spawn_key=(replication, stream))
 

@@ -14,7 +14,7 @@ converges on bipartite graphs where the Rayleigh quotient would oscillate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,15 +49,7 @@ class ThresholdReport:
                 f"power-iteration estimate {self.radius_estimate}")
 
     def to_record(self) -> dict:
-        return {
-            "n": self.n,
-            "edges": self.edges,
-            "triangles": self.triangles,
-            "radius_lower_bound": self.radius_lower_bound,
-            "radius_estimate": self.radius_estimate,
-            "threshold_estimate": self.threshold_estimate,
-            "threshold_upper_bound": self.threshold_upper_bound,
-        }
+        return asdict(self)
 
 
 def spectral_lower_bound(n: int, edges: int, triangles: int) -> float:
@@ -108,15 +100,14 @@ def power_iteration_radius(graph: GrgGraph, tolerance: float = 1e-10,
         f"power iteration did not converge within {max_iters} iterations")
 
 
-def threshold_report(graph: GrgGraph, tolerance: float = 1e-10,
-                     max_iters: int = 10_000) -> ThresholdReport:
+def threshold_report(graph: GrgGraph) -> ThresholdReport:
     """Evaluate counts, bound, estimate and thresholds for one graph."""
     triangles = count_triangles(graph).count if graph.n >= 3 else 0
     edges = graph.m
     if edges == 0:
         raise ValueError("threshold analysis needs at least one edge")
     bound = spectral_lower_bound(graph.n, edges, triangles)
-    estimate = power_iteration_radius(graph, tolerance, max_iters)
+    estimate = power_iteration_radius(graph)
     return ThresholdReport(
         n=graph.n,
         edges=edges,

@@ -10,6 +10,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from grgcycles import chen_stein
 from grgcycles.chen_stein import (bound_report, conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
                                   neighborhood, pair_probability,
@@ -270,3 +271,44 @@ class TestBoundReport:
         r2, rows2 = bound_report(spec, 12, 3, replications=4, seed=77)
         assert r1 == r2
         assert rows1 == rows2
+
+    @pytest.mark.parametrize("k,n", [(3, 12), (4, 7)])
+    def test_weights_drawn_once_per_replication(self, monkeypatch, k, n):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_weights(*args)
+
+        monkeypatch.setattr(chen_stein, "sample_weights", counting)
+        bound_report(WeightSpec.pareto_shifted(9.5, 10, 1), n, k,
+                     replications=3, seed=5)
+        assert len(calls) == 3
+
+    def test_bad_cap_fails_before_weights(self, monkeypatch):
+        monkeypatch.setattr(chen_stein, "sample_weights", None)
+        for k in (3, 4):
+            with pytest.raises(ValueError, match=r"candidate_cap=-5 is below 1"):
+                bound_report(WeightSpec.constant(1.0), 10, k, 1, 0, cap=-5)
+
+
+UNIT = WeightVector.from_values(np.ones(6))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: bound_report(WeightSpec.constant(1.0), 6, 3, 0, 0),
+     "need at least one replication"),
+    (lambda: bound_report(WeightSpec.constant(1.0), 6, 3, 1, 0,
+                          rate_mode="fast"),
+     "unknown rate_mode 'fast'"),
+    (lambda: exact_bound_terms(UNIT, 3, method="both"),
+     "unknown method 'both'"),
+    (lambda: exact_bound_terms(UNIT, 4, method="dense"),
+     "the dense path only covers k = 3"),
+    (lambda: neighborhood((0, 1, 2, 3), 3, 6), "alpha does not have length k"),
+    (lambda: neighborhood((0, 1, 6), 3, 6), r"alpha vertex outside 0\.\.n-1"),
+], ids=["replications", "rate_mode", "method", "dense_k4", "alpha_length",
+        "alpha_vertex"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -204,6 +204,34 @@ class TestSeeding:
                            match="GRGCYCLES_WORKERS='-1' is negative"):
             resolve_workers(0)
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed=-1 is negative"):
+            replication_seed(-1, 0)
+        with pytest.raises(ValueError, match="seed=-1 is negative"):
+            ExperimentConfig(spec=PARETO, seed=-1)
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("census", "seed", "-1", "seed=-1 is negative"),
+        ("sample", "seed", "-1", "seed=-1 is negative"),
+        ("threshold", "seed", "-1", "seed=-1 is negative"),
+        ("bounds", "candidate_cap", "-5", "candidate_cap=-5 is below 1"),
+        ("bounds", "candidate_cap", "0", "candidate_cap=0 is below 1"),
+    ])
+    def test_bad_seed_or_cap_named(self, tmp_path, capsys, command, key,
+                                   value, message):
+        settings = {"family": "constant", "value": "1", "n": "10", "k": "4",
+                    key: value}
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{command}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in settings.items()))
+        with pytest.raises(ValueError, match=message):
+            load_config(path, command)
+        flags = [command]
+        for k, v in settings.items():
+            flags += ["--" + k.replace("_", "-"), v]
+        assert cli.main(flags) == 2
+        assert message in capsys.readouterr().err
+
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
@@ -387,13 +415,15 @@ class TestThresholdRunner:
         cfg = ExperimentConfig(spec=WeightSpec.constant(1.0),
                                edge_list=str(graph_path),
                                output_dir=str(tmp_path), seed=3)
-        report = run_threshold(cfg)
+        report, files = run_threshold(cfg)
         assert report.radius_estimate == pytest.approx(3.0, abs=1e-9)
-        assert (tmp_path / "threshold_n4_seed3.json").exists()
+        assert files == (str(tmp_path / "threshold_n4_seed3.json"),)
+        assert Path(files[0]).exists()
 
     def test_sampled_graph(self):
         cfg = ExperimentConfig(spec=PARETO, n=60, seed=12)
-        report = run_threshold(cfg)
+        report, files = run_threshold(cfg)
+        assert files == ()
         assert report.radius_lower_bound <= report.radius_estimate + 1e-6
 
 
@@ -538,5 +568,4 @@ class TestCli:
         out = capsys.readouterr().out
         wrote = [line.split()[1] for line in out.splitlines()
                  if line.startswith("wrote ")]
-        if args[0] != "threshold":
-            assert wrote == [str(outdir / name) for name in names]
+        assert wrote == [str(outdir / name) for name in names]

@@ -199,8 +199,6 @@ class TestEmpiricalPmf:
             EmpiricalPmf({})
         with pytest.raises(ValueError):
             EmpiricalPmf({-1: 2})
-        with pytest.raises(ValueError):
-            EmpiricalPmf({0: 1}, total=5)
 
 
 class TestQqTable:
@@ -264,3 +262,36 @@ class TestQqTable:
         table = qq_table(EmpiricalPmf({1: 1}), model, levels)
         assert table.poisson_column() == [0, 1, 2, 3, 4, 5]
         assert table.poisson_column() == [model.quantile(x) for x in levels]
+
+
+class TestTruncatedPmfOnce:
+    def test_built_once_and_read_only(self, monkeypatch):
+        model = PoissonModel(311.69408)
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma",
+                            lambda x: calls.append(x) or lgamma(x))
+        pmf, _ = model.truncated_pmf()
+        built = len(calls)
+        assert built > 0
+        emp = EmpiricalPmf.from_samples([300, 310, 320])
+        qq_table(emp, model, DEFAULT_QQ_LEVELS)
+        tv_distance(emp, model)
+        for level in (0.1, 0.5, 0.9):
+            model.quantile(level)
+        assert len(calls) == built
+        assert model.truncated_pmf()[0] is pmf
+        with pytest.raises(ValueError):
+            pmf[0] = 1.0
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: PoissonModel(-1), "Poisson rate must be nonnegative"),
+    (lambda: poisson_pmf(2.0, -1), "outcome must be nonnegative"),
+    (lambda: mixed_poisson_pmf([1.0, -0.5], 0),
+     "rate samples must be nonnegative"),
+    (lambda: mixed_poisson_pmf([1.0], -1), "outcome must be nonnegative"),
+], ids=["negative_rate", "pmf_outcome", "mixed_rates", "mixed_outcome"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

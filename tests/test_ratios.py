@@ -269,3 +269,18 @@ class TestRateFit:
             rate_fit([(10, 1.0), (20, 0.5), (40, 0.25)])
         with pytest.raises(ValueError):
             rate_fit([(10, 1.0), (20, 0.5), (40, 0.25), (80, 0.0)])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: estimate_t_moment(TWO_POINT, 4, 0, 1000, 0), "p must be positive"),
+    (lambda: estimate_r_moment(TWO_POINT, 4, 2, 999, 0),
+     "need at least 1000 replications"),
+    (lambda: estimate_r_moment(TWO_POINT, 4, 1, 1000, 0),
+     "p must be an integer >= 2"),
+    (lambda: exact_t_moment(TWO_POINT, 0, 2), "n and p must be positive"),
+    (lambda: exact_t_moment(TWO_POINT, 3, 0), "n and p must be positive"),
+    (lambda: lower_tail_bound(0.5, 1.0, 1.0, 0), "n must be at least 1"),
+], ids=["t_p", "r_replications", "r_p", "exact_n", "exact_p", "tail_n"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -120,3 +120,13 @@ class TestThresholdReport:
     def test_needs_an_edge(self):
         with pytest.raises(ValueError):
             threshold_report(GrgGraph.from_edges(3, []))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: spectral_lower_bound(0, 1, 0), "n must be positive"),
+    (lambda: power_iteration_radius(GrgGraph.from_edges(0, [])),
+     "graph must have at least one vertex"),
+], ids=["bound_n", "empty_graph"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -242,3 +242,18 @@ class TestTailCondition:
     def test_k_guard(self):
         with pytest.raises(ValueError):
             tail_condition_holds(WeightSpec.constant(1.0), 2)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: WeightSpec.empirical([1, 2], [0.5, -0.5]),
+     "empirical probabilities must be nonnegative"),
+    (lambda: WeightSpec.empirical([1, 2], [0, 0]),
+     "empirical probabilities sum to zero"),
+    (lambda: WeightVector.from_values([[1.0, 2.0]]),
+     "weight vector must be a nonempty 1-d array"),
+    (lambda: moment(WeightSpec.constant(1.0), 0),
+     "moment order must be a positive integer"),
+], ids=["negative_probs", "zero_sum_probs", "two_d_vector", "moment_order"])
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
