@@ -11,33 +11,47 @@ they share an edge.  Over all candidates the module computes
 * the conditional mean of the census given the weights, either exactly or
   via the cheap plug-in upper bound ``((sum W^2)/(sum W))**k / (2k)``.
 
-Two exact evaluation paths exist.  The generic one enumerates the candidate
-set (guarded by a cap) but never a pair of candidates.  With ``s_F`` and
-``q_F`` the sums of ``p_a`` and ``p_a**2`` over the candidates ``a`` whose
-edge set contains a nonempty edge set ``F``, Mobius inversion over the
-subsets of each pair's shared edges gives
+Three exact evaluation paths exist.  The generic one enumerates the
+candidate set (guarded by a cap) but never a pair of candidates.  With
+``s_F`` and ``q_F`` the sums of ``p_a`` and ``p_a**2`` over the candidates
+``a`` whose edge set contains a nonempty edge set ``F``, Mobius inversion
+over the subsets of each pair's shared edges gives
 
     b1 = sum_F (-1)**(|F|+1) s_F**2
     b2 = sum_F [prod_{e in F} (1/p_e - 1) + (-1)**(|F|+1)] (s_F**2 - q_F)
 
 where F runs over the 2**k - 1 nonempty subsets of each candidate's edges.
-For triangles there is also a dense matrix path: with ``P`` the edge
-probability matrix, ``Q = P * P`` elementwise, ``S = P @ P`` and
-``Q2 = Q @ Q``,
+For triangles, with ``P`` the edge probability matrix, ``Q = P * P``
+elementwise, ``S = P @ P`` and ``Q2 = Q @ Q``,
 
-    rate = sum(P * S) / 6
+    rate = sum(P * S) / 6 = tr(P**3) / 6
     b1   = sum((P * S)**2) / 2 - sum(Q * Q2) / 3
     b2   = sum(P * (S**2 - Q2)) / 2
 
-which needs no enumeration and scales to thousands of vertices.  Both
-products are symmetric and computed as ``X @ X.T``, which NumPy hands to
-BLAS syrk at half the flops of a general product.  The two products are
-independent, so the path runs as two halves that each hold at most two
-n x n arrays: the S-half returns ``rate``, ``sum(P**2 * S**2)`` and
-``sum(P * S**2)``; the Q-half returns ``sum(Q * Q2)`` and ``sum(P * Q2)``.
-``bound_report`` draws each replication's weights once and maps each half,
-with those weights, as a unit of the replication map, so two workers share
-one replication; in-process the halves run one after the other.
+which needs no enumeration.  The dense path evaluates it on n x n arrays
+in O(n**3) time and O(n**2) memory; it is the test oracle only.
+
+The series kernel, which ``method="auto"`` takes for k = 3, holds no n x n
+array.  With ``a = w / sqrt(total)`` and ``x = a_i a_j``, off the diagonal
+
+    p_ij = x / (1 + x)       = sum_{m>=1} (-1)**(m+1) x**m
+    p_ij**2 = x**2 / (1+x)**2 = sum_{m>=2} (-1)**m (m-1) x**m
+
+so P and Q are ``U D U^T - diag(d)`` with ``U[:, m] = a**m`` (n x R), D
+the coefficients and d the diagonal of ``U D U^T``.  ``tr(P**3)``,
+``tr(Q**3)`` and ``sum(P * Q2) = tr(Q Q P)`` reduce to n x R and R x R
+products; S is ``V L V^T`` plus a diagonal with ``V = [U, d U]``; and each
+Hadamard sum ``sum N * S**2`` (N = P or Q) is
+``sum_m D_m tr((L V^T diag(a**m) V)**2)``, less its diagonal terms.  The
+whole kernel costs O(n R**3).  Heavy vertices, ``a_i > 1/2``, leave the
+series: every pair that touches one comes from the exact n x h block
+``P[:, heavy]``, carried as 2h more columns of the same low-rank form, so
+light pairs have ``x <= 1/4``.  When every vertex is heavy the block is
+the whole matrix.  R is the fewest terms with
+``R x**(R-1) (1+x)**2 <= 2**-53`` at the largest light x, the alternating
+tail bound of the Q series (which also bounds the P tail
+``x**R (1+x)``): every light entry carries a relative error below 2**-53,
+and R <= 31.  The kernel matches the dense path to about 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -46,7 +60,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations, permutations
 from math import perm
-from typing import List, Sequence, Set, Tuple
+from typing import List, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -156,6 +170,137 @@ def pair_probability(weights: WeightVector, alpha: Sequence[int],
 # Exact paths
 # ---------------------------------------------------------------------------
 
+_HEAVY = 0.5          # a_i above this: every pair of the vertex is exact
+_TAIL = 2.0 ** -53    # relative truncation error allowed per edge term
+
+
+class _Form(NamedTuple):
+    """An n x n edge matrix ``W K W^T - diag(d)`` with a zero diagonal."""
+
+    W: np.ndarray
+    K: np.ndarray
+    d: np.ndarray
+    coef: np.ndarray    # series coefficients of the light basis a**m
+    rows: np.ndarray    # the exact rows of the heavy vertices
+
+
+def _series_length(x: float) -> int:
+    """Fewest series terms R >= 2 with ``R x**(R-1) (1+x)**2 <= 2**-53``.
+
+    That is the relative tail bound of the ``P * P`` series at its largest
+    argument x; it also bounds the tail ``x**R (1+x)`` of the P series.
+    """
+    terms = 2
+    while terms * x ** (terms - 1) * (1.0 + x) ** 2 > _TAIL:
+        terms += 1
+    return terms
+
+
+def _edge_forms(weights: WeightVector,
+                powers: Sequence[int]) -> Tuple[np.ndarray, List[_Form]]:
+    """The heavy vertices and the form of ``P ** power`` (elementwise) for
+    each power, 1 or 2.
+
+    W stacks the light basis ``a**m`` (zero on heavy rows), the exact
+    columns ``B = P[:, heavy] ** power`` and the heavy indicator columns E;
+    K holds the series coefficients and ``B E^T + E B^T - E B[heavy] E^T``,
+    which is exact on every pair that touches a heavy vertex.
+    """
+    a = weights.values / np.sqrt(weights.total)
+    heavy = np.flatnonzero(a > _HEAVY)
+    h = heavy.size
+    light = np.delete(a, heavy)
+    terms = _series_length(float(light.max()) ** 2 if light.size else 0.0)
+    m = np.arange(1, terms + 1)
+    basis = a[:, None] ** m
+    basis[heavy] = 0.0
+    c = np.sqrt(weights.total) / weights.values
+    p_heavy = 1.0 / (1.0 + c[:, None] * c[heavy])
+    p_heavy[heavy, np.arange(h)] = 0.0
+    indicator = np.zeros_like(p_heavy)
+    indicator[heavy, np.arange(h)] = 1.0
+    forms = []
+    for power in powers:
+        coef = (-1.0) ** (m + 1) if power == 1 else (-1.0) ** m * (m - 1)
+        block = p_heavy ** power
+        W = np.hstack([basis, block, indicator])
+        K = np.zeros((terms + 2 * h,) * 2)
+        K[:terms, :terms] = np.diag(coef)
+        K[terms:terms + h, terms + h:] = np.eye(h)
+        K[terms + h:, terms:terms + h] = np.eye(h)
+        K[terms + h:, terms + h:] = -block[heavy]
+        d = np.einsum("ia,ia->i", W @ K, W)
+        forms.append(_Form(W, K, d, coef, block.T))
+    return heavy, forms
+
+
+def _apply(form: _Form, M: np.ndarray) -> np.ndarray:
+    """The form's matrix times the n x c array M, in O(n r c)."""
+    return form.W @ (form.K @ (form.W.T @ M)) - form.d[:, None] * M
+
+
+def _trace3(X: _Form, Y: _Form, Z: _Form) -> float:
+    """``tr(XYZ) = tr(XY W K W^T) - sum_i (XY)_ii d_i`` with Z = (W, K, d),
+    where ``(XY)_ii = (X W_Y K_Y W_Y^T)_ii`` because X_ii = 0."""
+    xy_diag = np.einsum("ia,ia->i", _apply(X, Y.W @ Y.K), Y.W)
+    return float(np.vdot(Z.W @ Z.K, _apply(X, _apply(Y, Z.W)))
+                 - Z.d @ xy_diag)
+
+
+def _series_terms(weights: WeightVector) -> Tuple[float, float, float]:
+    """Exact (rate, b1, b2) for k = 3 from the forms of P and Q = P * P.
+
+    Off the diagonal, ``S = P @ P`` is ``V L V^T`` with ``V = [W, d W]``.
+    The Hadamard sum ``sum N * S**2`` (N = P or Q) is the light series
+    ``sum_m coef_m tr((L X_m)**2)`` with ``X_m = V^T diag(a**m) V``, less
+    its diagonal terms, plus the pairs that touch a heavy vertex.
+    """
+    heavy, (P, Q) = _edge_forms(weights, (1, 2))
+    V = np.hstack([P.W, P.d[:, None] * P.W])
+    L = np.block([[P.K @ (P.W.T @ P.W) @ P.K, -P.K],
+                  [-P.K, np.zeros_like(P.K)]])
+    VL = V @ L
+    series = np.empty(P.coef.size)
+    for m, u in enumerate(P.W[:, :P.coef.size].T):    # u = a**(m+1), light
+        LX = (VL.T * u) @ V
+        series[m] = np.vdot(LX, LX.T)
+    s_diag = np.einsum("ia,ia->i", VL, V)
+    s_heavy = np.square(VL[heavy] @ V.T)      # S[heavy, :]**2, off-diagonal
+
+    def hadamard(N: _Form) -> float:
+        cross = (2.0 * np.vdot(N.rows, s_heavy)
+                 - np.vdot(N.rows[:, heavy], s_heavy[:, heavy]))
+        return float(N.coef @ series - N.d @ np.square(s_diag) + cross)
+
+    pss, qss = hadamard(P), hadamard(Q)
+    pqq = _trace3(Q, Q, P)
+    # b2 is a difference of two positive sums; within their rounding it is
+    # zero, as for a lone triangle (n = 3), which has no dependent pair
+    b2 = (pss - pqq) / 2.0 if pss - pqq > 2.0 ** -40 * pss else 0.0
+    return (_trace3(P, P, P) / 6.0,
+            qss / 2.0 - _trace3(Q, Q, Q) / 3.0, b2)
+
+
+def _dense_terms(weights: WeightVector) -> Tuple[float, float, float]:
+    """The dense oracle: (rate, b1, b2) by the matrix formula of the module
+    docstring, in two halves that each hold at most two n x n arrays.  Q is
+    P squared in place, and P comes back from it in place, since
+    ``sqrt(p * p) == p`` in binary floating point unless ``p * p``
+    underflows."""
+    P = _edge_matrix(weights)
+    S = P @ P.T
+    rate = float(np.vdot(P, S)) / 6.0
+    S *= S
+    pps, ps = float(np.einsum("ij,ij,ij->", P, P, S)), float(np.vdot(P, S))
+    del S
+    Q = P
+    Q *= Q
+    Q2 = Q @ Q.T
+    qq = float(np.vdot(Q, Q2))
+    pq = float(np.vdot(np.sqrt(Q, out=Q), Q2))
+    return rate, pps / 2.0 - qq / 3.0, (ps - pq) / 2.0
+
+
 def _edge_matrix(weights: WeightVector) -> np.ndarray:
     """Edge probability matrix ``1 / (1 + c_i c_j)`` with
     ``c = sqrt(total) / w``, built in one n x n array; exactly symmetric."""
@@ -167,27 +312,6 @@ def _edge_matrix(weights: WeightVector) -> np.ndarray:
     np.divide(1.0, P, out=P)
     np.fill_diagonal(P, 0.0)
     return P
-
-
-def _dense_s_half(weights: WeightVector) -> Tuple[float, float, float]:
-    """``rate``, ``sum(P**2 * S**2)`` and ``sum(P * S**2)`` from P and S."""
-    P = _edge_matrix(weights)
-    S = P @ P.T
-    rate = float(np.vdot(P, S)) / 6.0
-    S *= S
-    return (rate, float(np.einsum("ij,ij,ij->", P, P, S)),
-            float(np.vdot(P, S)))
-
-
-def _dense_q_half(weights: WeightVector) -> Tuple[float, float]:
-    """``sum(Q * Q2)`` and ``sum(P * Q2)`` from Q and Q2; P comes back from
-    Q in place, since ``sqrt(p * p) == p`` in binary floating point unless
-    ``p * p`` underflows."""
-    Q = _edge_matrix(weights)
-    Q *= Q
-    Q2 = Q @ Q.T
-    qq = float(np.vdot(Q, Q2))
-    return qq, float(np.vdot(np.sqrt(Q, out=Q), Q2))
 
 
 def _candidate_arrays(weights: WeightVector, k: int, cap: int):
@@ -236,29 +360,16 @@ def _bound_terms(edge_rows, p_cand, p_edge) -> Tuple[float, float]:
     return b1, b2
 
 
-def _parts(k: int, method: str = "auto") -> Tuple[str, ...]:
-    """A replication's units: the two dense halves, or the candidate path."""
-    return ("s", "q") if k == 3 and method != "candidates" else ("c",)
-
-
-def _part(k: int, cap: int, unit: Tuple[WeightVector, str]) -> tuple:
-    """One unit ``(weights, part)``: the dense ``"s"`` or ``"q"`` half, or
-    the candidate path ``"c"``, which returns (rate, b1, b2) whole."""
-    weights, part = unit
-    if part == "s":
-        return _dense_s_half(weights)
-    if part == "q":
-        return _dense_q_half(weights)
+def _exact_terms(k: int, cap: int, weights: WeightVector,
+                 method: str = "auto") -> Tuple[float, float, float]:
+    """The exact (rate, b1, b2) of one weight vector: the series kernel for
+    k = 3, the dense oracle, or the candidate path."""
+    if method == "dense":
+        return _dense_terms(weights)
+    if k == 3 and method == "auto":
+        return _series_terms(weights)
     arrays = _candidate_arrays(weights, k, cap)
     return (float(arrays[1].sum()), *_bound_terms(*arrays))
-
-
-def _assemble(parts: Sequence[tuple]) -> Tuple[float, float, float]:
-    """The exact (rate, b1, b2) of one replication from its units' results."""
-    if len(parts) == 1:
-        return parts[0]
-    (rate, e1, e2), (qq, pq) = parts
-    return rate, e1 / 2.0 - qq / 3.0, (e2 - pq) / 2.0
 
 
 def exact_bound_terms(weights: WeightVector, k: int,
@@ -266,27 +377,28 @@ def exact_bound_terms(weights: WeightVector, k: int,
                       method: str = "auto") -> BoundTerms:
     """Exact b1 and b2 over the full candidate set for one weight vector.
 
-    ``method="auto"`` takes the dense matrix path for k=3 (no cap needed)
-    and candidate enumeration otherwise; ``"candidates"`` and ``"dense"``
-    force a path.
+    ``method="auto"`` takes the series kernel for k=3 (no cap needed) and
+    candidate enumeration otherwise; ``"candidates"`` forces enumeration
+    and ``"dense"`` the O(n**3) matrix oracle (k = 3 only).
     """
     if method not in ("auto", "candidates", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and k != 3:
         raise ValueError("the dense path only covers k = 3")
-    _, b1, b2 = _assemble([_part(k, cap, (weights, part))
-                           for part in _parts(k, method)])
+    _, b1, b2 = _exact_terms(k, cap, weights, method)
     return BoundTerms(b1, b2)
 
 
 def conditional_rate_exact(weights: WeightVector, k: int,
                            cap: int = DEFAULT_CANDIDATE_CAP) -> float:
-    """Exact conditional census mean: sum of all candidate probabilities."""
+    """Exact conditional census mean: sum of all candidate probabilities
+    (for k = 3, ``tr(P**3) / 6`` from the series form of P alone)."""
     n = len(weights)
     if n < k:
         return 0.0
     if k == 3:
-        return _dense_s_half(weights)[0]
+        _, (P,) = _edge_forms(weights, (1,))
+        return _trace3(P, P, P) / 6.0
     return float(_candidate_arrays(weights, k, cap)[1].sum())
 
 
@@ -301,13 +413,13 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
                  workers: int = 1) -> Tuple[BoundReport, List[dict]]:
     """Monte Carlo bound study over weight replications.
 
-    b1 and b2 are exact per replication: dense path for triangles, capped
-    candidate enumeration otherwise (beyond the cap there is no surrogate,
-    so that raises).  The conditional rate is exact by default;
+    b1 and b2 are exact per replication: the series kernel for triangles,
+    capped candidate enumeration otherwise (beyond the cap there is no
+    surrogate, so that raises).  The conditional rate is exact by default;
     ``rate_mode="plugin"`` switches it to the plug-in upper bound.  Each
-    replication's weights are drawn once, here; its units (the two dense
-    halves, or the one candidate unit) run on ``workers`` processes, and the
-    result does not depend on their number.
+    replication's weights are drawn once, here, and each replication is one
+    unit of the replication map on ``workers`` processes; the result does
+    not depend on their number.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -324,14 +436,9 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
     draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
              for rep in range(replications)]
-    parts = _parts(k)
-    results = map_replications(partial(_part, k, cap),
-                               [(w, part) for w in draws for part in parts],
-                               workers)
+    results = map_replications(partial(_exact_terms, k, cap), draws, workers)
     rows = []
-    outs = iter(results)
-    for rep, weights in enumerate(draws):
-        rate, b1, b2 = _assemble([next(outs) for _ in parts])
+    for rep, (weights, (rate, b1, b2)) in enumerate(zip(draws, results)):
         if mode == "plugin":
             rate = conditional_rate_plugin(weights, k)
         rows.append({"replication": rep, "b1": b1, "b2": b2,

@@ -7,9 +7,8 @@ Reproducibility contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
 for weights and stream 1 for the graph.  The units a study maps are cut so
 that no result depends on the process that computes it: one census
-replication; one half of a dense bound replication, or a whole candidate
-one, carrying the weights the calling process drew once for that
-replication; one Monte Carlo chunk of a ratio estimate.  Results come back
+replication; one bound replication, carrying the weights the calling
+process drew once for it; one Monte Carlo chunk of a ratio estimate.  Results come back
 in unit order and are aggregated in that order, so the outputs are
 byte-identical for any worker count.
 
@@ -174,8 +173,10 @@ def load_config(path, section: str,
 
 def er_constant_spec(n: int, er_lambda: float) -> WeightSpec:
     """Constant weights calibrated so every edge probability is lambda/n."""
-    if not 0 < er_lambda < n:
-        raise ValueError("er_lambda must lie strictly between 0 and n")
+    if not er_lambda > 0:
+        raise ValueError(f"er_lambda={er_lambda} is not positive")
+    if not er_lambda < n:
+        raise ValueError(f"er_lambda={er_lambda} is not below n={n}")
     return WeightSpec.constant(n * er_lambda / (n - er_lambda))
 
 
@@ -314,11 +315,12 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     """
     grid = _grid(cfg, "bound")
     workers = resolve_workers(cfg.workers)
+    # every n's calibration first: a bad er_lambda fails before any bound
+    specs = [cfg.spec if cfg.er_lambda is None
+             else er_constant_spec(n, cfg.er_lambda) for n in grid]
     reports = []
     all_rows = []
-    for n in grid:
-        spec_n = (er_constant_spec(n, cfg.er_lambda)
-                  if cfg.er_lambda is not None else cfg.spec)
+    for n, spec_n in zip(grid, specs):
         report, rows = bound_report(spec_n, n, cfg.k, cfg.replications,
                                     cfg.seed, cap=cfg.candidate_cap,
                                     rate_mode=cfg.rate_mode, workers=workers)

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 import grgcycles as g
-from grgcycles.experiments import (ExperimentConfig, run_bounds,
-                                   run_census, run_ratio_study)
+from grgcycles.experiments import (ExperimentConfig, replication_seed,
+                                   run_bounds, run_census, run_ratio_study)
 from grgcycles.ratios import rate_fit
 
 MASTER_SEED = 1234
@@ -88,14 +88,17 @@ def test_criterion_03_triangle_census_reproduction():
     if not ok:
         # cross-check: the conditional census mean given the weights is
         # exactly computable, so the gap can be certified independently
-        # of the graph sampling
-        exact = [g.conditional_rate_exact(
-            g.sample_weights(PARETO, 2000, (MASTER_SEED, rep)), 3)
-            for rep in range(6)]
-        detail += (f"; exact conditional mean over 6 weight draws = "
-                   f"{np.mean(exact):.3f} +- {np.std(exact, ddof=1):.3f}, "
-                   "confirming the census mean, so the gap to the limiting "
-                   "rate is structural at n=2000, not sampling noise")
+        # of the graph sampling, on the census's own stream-0 weight draws
+        exact = [g.conditional_rate_exact(g.sample_weights(
+            PARETO, cfg.n, replication_seed(MASTER_SEED, rep, 0)), 3)
+            for rep in range(cfg.replications)]
+        exact_mean = float(np.mean(exact))
+        detail += (f"; exact conditional mean over the census's "
+                   f"{len(exact)} weight draws = {exact_mean:.3f} "
+                   f"(sd {np.std(exact, ddof=1):.3f}), census mean "
+                   f"z = {(mean - exact_mean) / se:+.2f} against it, "
+                   "so the gap to the limiting rate is structural at "
+                   "n=2000, not sampling noise")
     assert ok, detail
 
 

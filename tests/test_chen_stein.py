@@ -2,10 +2,15 @@
 
 The oracle for b1/b2 is a literal double loop over all candidate cycles
 using ``neighborhood`` and ``pair_probability``, evaluated before checking
-the array kernels and the dense matrix path against it.
+the array kernels and the dense matrix path against it.  The power-series
+kernel is checked against the dense path, and its rate at a size the dense
+path cannot reach against the second-order expansion of the gap to the
+plug-in rate.
 """
 
-from itertools import permutations
+from fractions import Fraction
+from functools import partial
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -14,11 +19,13 @@ from grgcycles import chen_stein
 from grgcycles.chen_stein import (bound_report, conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
                                   neighborhood, pair_probability,
-                                  _bound_terms)
+                                  _bound_terms, _dense_terms, _edge_forms,
+                                  _series_length)
 from grgcycles.cycles import (CandidateCapError, candidate_count,
                               enumerate_cycles)
 from grgcycles.graphs import GrgGraph, cycle_probability
-from grgcycles.weights import WeightSpec, WeightVector, sample_weights
+from grgcycles.weights import (WeightSpec, WeightVector, moment,
+                               sample_weights)
 
 
 def all_candidates(n, k):
@@ -182,6 +189,130 @@ class TestExactBoundTerms:
             exact_bound_terms(wv, 5, cap=100, method="candidates")
 
 
+def pareto_weights(shape, n):
+    return sample_weights(WeightSpec.pareto_shifted(shape, 10, 1), n, 1)
+
+
+def constant_weights(n, a):
+    """n equal weights with a = w / sqrt(total) = sqrt(w / n)."""
+    return WeightVector.from_values(np.full(n, n * a * a))
+
+
+def er_weights(n, lam=6.0):
+    """Criterion 5's calibration: every edge probability is lam / n."""
+    return WeightVector.from_values(np.full(n, n * lam / (n - lam)))
+
+
+SERIES_CASES = {
+    **{f"pareto{shape}-n{n}": partial(pareto_weights, shape, n)
+       for shape in (9.5, 3.5, 2.5, 1.5) for n in (25, 250, 2000)},
+    **{f"two_point-n{n}": partial(sample_weights,
+                                  WeightSpec.two_point(1, 2, 0.5), n, 2)
+       for n in (25, 250)},
+    "light_a0.499-n25": partial(constant_weights, 25, 0.499),
+    "heavy_a0.501-n25": partial(constant_weights, 25, 0.501),
+    "er-n10": partial(er_weights, 10),
+    "er-n20": partial(er_weights, 20),
+}
+
+
+class TestSeriesKernel:
+    @pytest.mark.parametrize("case", list(SERIES_CASES))
+    def test_matches_dense_oracle(self, case):
+        wv = SERIES_CASES[case]()
+        terms = exact_bound_terms(wv, 3)
+        series = (conditional_rate_exact(wv, 3), terms.b1, terms.b2)
+        assert series == pytest.approx(_dense_terms(wv), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_at_most_one_triangle(self, n):
+        # a lone triangle has b1 = its probability squared and b2 = 0
+        # exactly; the dense path's b2 at n = 3 is rounding (about 2e-16)
+        wv = pareto_weights(2.5, n)
+        rate = conditional_rate_exact(wv, 3)
+        terms = exact_bound_terms(wv, 3)
+        assert rate == pytest.approx(_dense_terms(wv)[0], rel=1e-12, abs=0)
+        assert terms.b1 == pytest.approx(rate ** 2, rel=1e-12, abs=0)
+        assert terms.b2 == 0.0
+
+    @pytest.mark.parametrize("case,low,high", [
+        ("light_a0.499-n25", 0, 0), ("heavy_a0.501-n25", 25, 25),
+        ("er-n10", 10, 10), ("er-n20", 20, 20),
+        # heavy tails take the split: some vertices exact, the rest light
+        ("pareto2.5-n250", 1, 249), ("pareto2.5-n2000", 1, 1999),
+        ("pareto1.5-n250", 1, 249), ("pareto1.5-n2000", 1, 1999),
+    ])
+    def test_heavy_vertex_count(self, case, low, high):
+        heavy, _ = _edge_forms(SERIES_CASES[case](), (1,))
+        assert low <= heavy.size <= high
+
+    @pytest.mark.parametrize("x", [0.0, 1e-6, 1e-3, 0.02, 0.1, 0.2, 0.2499,
+                                   0.25])
+    def test_series_length_meets_tail_bound(self, x):
+        def tail(r):
+            return r * x ** (r - 1) * (1 + x) ** 2
+
+        terms = _series_length(x)
+        assert tail(terms) <= 2.0 ** -53
+        assert terms == 2 or tail(terms - 1) > 2.0 ** -53
+        assert terms <= 31
+        # the truncated series of P and P * P, exactly, within the bound
+        fx = Fraction(x)
+        p = sum((-1) ** (m + 1) * fx ** m for m in range(1, terms + 1))
+        q = sum((-1) ** m * (m - 1) * fx ** m for m in range(2, terms + 1))
+        if x:
+            assert abs(p - fx / (1 + fx)) <= Fraction(2) ** -53 * fx / (1 + fx)
+            assert (abs(q - (fx / (1 + fx)) ** 2)
+                    <= Fraction(2) ** -53 * (fx / (1 + fx)) ** 2)
+
+    @pytest.mark.parametrize("case", ["pareto9.5-n250", "pareto2.5-n250",
+                                      "light_a0.499-n25"])
+    def test_length_follows_largest_light_pair(self, case):
+        wv = SERIES_CASES[case]()
+        heavy, (form,) = _edge_forms(wv, (1,))
+        a = np.delete(wv.values / np.sqrt(wv.total), heavy)
+        assert form.coef.size == _series_length(float(a.max()) ** 2)
+
+    def test_two_point_rate_matches_rational_sum(self):
+        # two weight values: tr(P**3) over the 8 ordered type triples, in
+        # exact rational arithmetic, at a size where the dense path's own
+        # float sums are off by about 1e-12
+        wv = sample_weights(WeightSpec.two_point(1, 2, 0.5), 2000, 3)
+        counts = {v: int((wv.values == v).sum()) for v in (1.0, 2.0)}
+        total = sum(Fraction(v) * c for v, c in counts.items())
+        p = {(u, v): Fraction(u * v) / (total + Fraction(u * v))
+             for u in counts for v in counts}
+        trace = Fraction(0)
+        for t in product(counts, repeat=3):
+            left = dict(counts)
+            ways = 1
+            for v in t:
+                ways *= left[v]
+                left[v] -= 1
+            trace += ways * p[t[0], t[1]] * p[t[1], t[2]] * p[t[2], t[0]]
+        assert conditional_rate_exact(wv, 3) == pytest.approx(
+            float(trace / 6), rel=1e-13)
+
+    @pytest.mark.parametrize("spec,expected,tol", [
+        (WeightSpec.pareto_shifted(9.5, 10, 1), 41.72, 0.19),
+        (WeightSpec.two_point(1, 2, 0.5), 10.56, 0.021),
+    ])
+    def test_rate_gap_at_n_32000(self, spec, expected, tol):
+        # n (1 - lambda_W / plug-in) -> c = 3 [EW^4 + (EW^3)^2 / EW] / (EW^2)^2;
+        # the dense path would need 8 GB at this n.  tol is over 5 SE of the
+        # mean of three draws (per-draw sd 0.065 and 0.007 over 30 draws)
+        m1, m2, m3, m4 = (moment(spec, q) for q in (1, 2, 3, 4))
+        c = 3 * (m4 + m3 ** 2 / m1) / m2 ** 2
+        assert c == pytest.approx(expected, abs=5e-3)
+        n = 32_000
+        gaps = []
+        for seed in range(3):
+            wv = sample_weights(spec, n, seed)
+            gaps.append(n * (1 - conditional_rate_exact(wv, 3)
+                             / conditional_rate_plugin(wv, 3)))
+        assert abs(np.mean(gaps) - c) <= tol
+
+
 class TestConditionalRate:
     def test_unit_weights_four_vertices(self):
         wv = WeightVector.from_values([1.0] * 4)
@@ -284,6 +415,20 @@ class TestBoundReport:
         bound_report(WeightSpec.pareto_shifted(9.5, 10, 1), n, k,
                      replications=3, seed=5)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("k,n", [(3, 250), (4, 7)])
+    def test_one_map_unit_per_replication(self, monkeypatch, k, n):
+        sizes = []
+
+        def recording(job, units, workers=1):
+            units = list(units)
+            sizes.append(len(units))
+            return [job(unit) for unit in units]
+
+        monkeypatch.setattr(chen_stein, "map_replications", recording)
+        bound_report(WeightSpec.pareto_shifted(9.5, 10, 1), n, k,
+                     replications=4, seed=5, workers=2)
+        assert sizes == [4]
 
     def test_bad_cap_fails_before_weights(self, monkeypatch):
         monkeypatch.setattr(chen_stein, "sample_weights", None)

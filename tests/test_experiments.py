@@ -369,8 +369,21 @@ class TestBoundsRunner:
             run_bounds(ExperimentConfig(spec=PARETO))
 
     def test_er_spec_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"er_lambda=10\.0 is not below n=10"):
             er_constant_spec(10, 10.0)
+        with pytest.raises(ValueError, match=r"er_lambda=0\.0 is not positive"):
+            er_constant_spec(10, 0.0)
+
+    def test_bad_er_lambda_fails_before_any_bound(self, monkeypatch):
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("a bound ran before the grid was checked")
+
+        monkeypatch.setattr(experiments, "bound_report", no_bounds)
+        cfg = ExperimentConfig(spec=WeightSpec.constant(1.0), k=3,
+                               replications=1, seed=0, n_grid=(80, 4),
+                               er_lambda=6.0)
+        with pytest.raises(ValueError, match=r"er_lambda=6\.0 is not below n=4"):
+            run_bounds(cfg)
 
 
 class TestRatioRunner:
@@ -473,6 +486,22 @@ class TestCli:
         for workers in ("1", "3"):
             outdir = tmp_path / f"w{workers}"
             proc = run_cli(section, "--config", str(config_file), *extra,
+                           "--workers", workers, "--output-dir", str(outdir))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(outdir.iterdir())})
+        assert len(outputs[0]) >= 2
+        assert outputs[0] == outputs[1]
+
+    def test_bounds_files_do_not_depend_on_workers(self, tmp_path):
+        # the series kernel on Pareto weights, one map unit per replication
+        outputs = []
+        for workers in ("1", "2"):
+            outdir = tmp_path / f"w{workers}"
+            proc = run_cli("bounds", "--family", "pareto_shifted",
+                           "--shape", "9.5", "--scale", "10", "--loc", "1",
+                           "--k", "3", "--n-grid", "250,500,1000,2000",
+                           "--replications", "3", "--seed", "7",
                            "--workers", workers, "--output-dir", str(outdir))
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
