@@ -4,19 +4,16 @@ dependency bound terms, ratio statistics and an experiment CLI."""
 
 from .chen_stein import (BoundReport, BoundTerms, bound_report,
                          conditional_rate_exact, conditional_rate_plugin,
-                         exact_bound_terms, neighborhood, pair_probability)
+                         exact_bound_terms)
 from .cycles import (CandidateCapError, CycleCensus, DEFAULT_CANDIDATE_CAP,
-                     brute_force_count, candidate_count, canonicalize,
-                     count_k_cycles, count_triangles, enumerate_cycles,
-                     is_canonical)
-from .graphs import (GrgGraph, cycle_probability, edge_probability,
-                     sample_chung_lu, sample_grg)
+                     candidate_count, count_k_cycles, count_triangles)
+from .graphs import GrgGraph, sample_chung_lu, sample_grg
 from .poisson import (EmpiricalPmf, PoissonModel, QqTable, mixed_poisson_pmf,
                       poisson_pmf, poisson_rate, qq_table, tv_distance)
 from .ratios import (MCEstimate, RateFit, RegimeWarning, TailBoundCheck,
                      check_lower_tail, estimate_r_moment, estimate_t_moment,
-                     exact_t_moment, exact_t_moment_bruteforce,
-                     lower_tail_bound, r_statistic, rate_fit, t_statistic)
+                     exact_t_moment, lower_tail_bound, r_statistic,
+                     rate_fit, t_statistic)
 from .spectral import (ThresholdReport, epidemic_threshold,
                        power_iteration_radius, spectral_lower_bound,
                        threshold_report)

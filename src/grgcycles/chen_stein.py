@@ -8,8 +8,9 @@ they share an edge.  Over all candidates the module computes
 * ``b2``: sum over distinct such pairs of the joint occurrence probability,
   i.e. the product of edge probabilities over the union of the two edge
   sets (edges are conditionally independent given the weights);
-* the conditional mean of the census given the weights, either exactly or
-  via the cheap plug-in upper bound ``((sum W^2)/(sum W))**k / (2k)``.
+* the exact conditional mean of the census given the weights
+  (``conditional_rate_plugin`` gives the cheap upper bound
+  ``((sum W^2)/(sum W))**k / (2k)``).
 
 Three exact evaluation paths exist.  The generic one enumerates the
 candidate set (guarded by a cap) but never a pair of candidates.  With
@@ -58,15 +59,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import combinations, permutations
-from math import perm
-from typing import List, NamedTuple, Sequence, Set, Tuple
+from itertools import combinations
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, _candidate_rows,
-                     candidate_count, canonicalize)
-from .graphs import edge_probability
+                     candidate_count)
 from .poisson import poisson_rate
 from .replication import map_replications, replication_seed
 from .weights import WeightSpec, WeightVector, analytic_moments, sample_weights
@@ -74,8 +73,6 @@ from .weights import WeightSpec, WeightVector, analytic_moments, sample_weights
 __all__ = [
     "BoundTerms",
     "BoundReport",
-    "neighborhood",
-    "pair_probability",
     "exact_bound_terms",
     "conditional_rate_exact",
     "conditional_rate_plugin",
@@ -106,7 +103,6 @@ class BoundReport:
     conditional_mean: float
     target_rate: float
     gap: float
-    mode: str
     replications: int
 
     def __post_init__(self):
@@ -119,51 +115,6 @@ class BoundReport:
 
     def to_record(self) -> dict:
         return {**asdict(self), "rhs": self.rhs}
-
-
-def _cycle_edges(cycle: Sequence[int]) -> Set[Tuple[int, int]]:
-    verts = list(cycle)
-    edges = set()
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        edges.add((min(a, b), max(a, b)))
-    return edges
-
-
-def neighborhood(alpha: Sequence[int], k: int, n: int,
-                 cap: int = DEFAULT_CANDIDATE_CAP) -> Set[tuple]:
-    """All candidate k-cycles sharing at least one edge with ``alpha``.
-
-    Includes ``alpha`` itself.  Built constructively: for each edge of
-    ``alpha``, every candidate through that edge is a path of k-2 further
-    vertices connecting its endpoints.
-    """
-    alpha = canonicalize(alpha)
-    if len(alpha) != k:
-        raise ValueError("alpha does not have length k")
-    if max(alpha) >= n:
-        raise ValueError("alpha vertex outside 0..n-1")
-    per_edge = perm(n - 2, k - 2)
-    if k * per_edge > cap:
-        raise CandidateCapError(
-            f"neighborhood enumeration of ~{k * per_edge} cycles exceeds cap {cap}")
-    out: Set[tuple] = set()
-    verts = set(range(n))
-    for u, v in _cycle_edges(alpha):
-        rest = sorted(verts - {u, v})
-        for mid in permutations(rest, k - 2):
-            out.add(canonicalize((u,) + mid + (v,)))
-    return out
-
-
-def pair_probability(weights: WeightVector, alpha: Sequence[int],
-                     beta: Sequence[int]) -> float:
-    """Joint occurrence probability of two cycles given the weights."""
-    union = _cycle_edges(canonicalize(alpha)) | _cycle_edges(canonicalize(beta))
-    w = weights.values
-    prob = 1.0
-    for u, v in union:
-        prob *= edge_probability(w[u], w[v], weights.total)
-    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -409,43 +360,34 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
 
 
 def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
-                 cap: int = DEFAULT_CANDIDATE_CAP, rate_mode: str = "auto",
+                 cap: int = DEFAULT_CANDIDATE_CAP,
                  workers: int = 1) -> Tuple[BoundReport, List[dict]]:
     """Monte Carlo bound study over weight replications.
 
     b1 and b2 are exact per replication: the series kernel for triangles,
     capped candidate enumeration otherwise (beyond the cap there is no
-    surrogate, so that raises).  The conditional rate is exact by default;
-    ``rate_mode="plugin"`` switches it to the plug-in upper bound.  Each
+    surrogate, so that raises), and so is the conditional rate.  Each
     replication's weights are drawn once, here, and each replication is one
     unit of the replication map on ``workers`` processes; the result does
     not depend on their number.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if rate_mode not in ("auto", "exact", "plugin"):
-        raise ValueError(f"unknown rate_mode {rate_mode!r}")
     if cap < 1:
         raise ValueError(f"candidate_cap={cap} is below 1")
     if k != 3 and candidate_count(n, k) > cap:
-        # b1/b2 have no plug-in surrogate; only the rate does
         raise CandidateCapError(
             f"{candidate_count(n, k)} candidates exceed cap {cap}; "
             "bound terms need the candidate set (or k = 3)")
-    mode = "plugin" if rate_mode == "plugin" else "exact"
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
     draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
              for rep in range(replications)]
     results = map_replications(partial(_exact_terms, k, cap), draws, workers)
-    rows = []
-    for rep, (weights, (rate, b1, b2)) in enumerate(zip(draws, results)):
-        if mode == "plugin":
-            rate = conditional_rate_plugin(weights, k)
-        rows.append({"replication": rep, "b1": b1, "b2": b2,
-                     "conditional_mean": rate, "mode": mode})
+    rows = [{"replication": rep, "b1": b1, "b2": b2, "conditional_mean": rate}
+            for rep, (rate, b1, b2) in enumerate(results)]
     b1, b2, rate = (float(np.mean([row[key] for row in rows]))
                     for key in ("b1", "b2", "conditional_mean"))
     report = BoundReport(b1=b1, b2=b2, conditional_mean=rate,
                          target_rate=target, gap=abs(rate - target),
-                         mode=mode, replications=replications)
+                         replications=replications)
     return report, rows

@@ -40,17 +40,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_moments(cfg: ExperimentConfig) -> tuple:
-    summary = analytic_moments(cfg.spec)
-    print(f"family: {cfg.spec.family}")
+    spec = cfg.weight_spec()
+    summary = analytic_moments(spec)
+    print(f"family: {spec.family}")
     print(f"mean: {summary.mean!r}")
     print(f"second_moment: {summary.second_moment!r}")
     print(f"ratio: {summary.ratio!r}")
-    print(f"tail_condition_k{cfg.k}: {tail_condition_holds(cfg.spec, cfg.k)}")
+    print(f"tail_condition_k{cfg.k}: {tail_condition_holds(spec, cfg.k)}")
     return ()
 
 
 def _cmd_sample(cfg: ExperimentConfig) -> tuple:
-    graph = draw_graph(cfg.spec, cfg.n, cfg.seed)
+    graph = draw_graph(cfg.weight_spec(), cfg.n, cfg.seed)
     text = graph.to_edge_text()
     if cfg.output_dir is None:
         sys.stdout.write(text)
@@ -73,7 +74,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> tuple:
     for n, report in result.reports:
         print(f"n={n}: b1={report.b1!r} b2={report.b2!r} "
               f"conditional_mean={report.conditional_mean!r} "
-              f"gap={report.gap!r} mode={report.mode}")
+              f"gap={report.gap!r}")
     if result.fit is not None:
         print(f"sum_slope: {result.fit.slope!r}")
     return result.files

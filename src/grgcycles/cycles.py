@@ -1,29 +1,26 @@
-"""Exact counting and enumeration of fixed-length simple cycles.
+"""Exact counts of fixed-length simple cycles.
 
 A length-k cycle has 2k equivalent vertex sequences (k rotations times two
 orientations).  The canonical representative starts at the smallest vertex
 and runs toward the smaller of its two cycle-neighbors, i.e.
-``v0 = min(vertices)`` and ``v1 < v[k-1]``.  Enumeration walks the
-canonical representatives directly with a DFS, so no deduplication state
-is needed and the total over the complete graph matches the
-falling-factorial count ``(n)_k / (2k)`` exactly.
+``v0 = min(vertices)`` and ``v1 < v[k-1]``.  The DFS walker visits the
+canonical representatives directly, so no deduplication state is needed
+and the total over the complete graph matches the falling-factorial count
+``(n)_k / (2k)`` exactly.
 
 Triangles and 4-cycles have closed forms over wedges (paths ``y - x - z``):
 a triangle is a wedge whose endpoints are adjacent, and a 4-cycle is a pair
 of wedges with the same endpoints.  Longer cycles are counted by the DFS.
-
-``brute_force_count`` is the test oracle: it enumerates every ordered tuple
-of distinct vertices, checks all k edges, and divides by 2k.  It is guarded
-to small graphs.
+The candidate rows (every canonical k-cycle on n vertices) feed the exact
+bound sums of :mod:`.chen_stein`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, permutations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -33,13 +30,9 @@ __all__ = [
     "CandidateCapError",
     "CycleCensus",
     "DEFAULT_CANDIDATE_CAP",
-    "canonicalize",
-    "is_canonical",
     "candidate_count",
     "count_k_cycles",
     "count_triangles",
-    "brute_force_count",
-    "enumerate_cycles",
 ]
 
 DEFAULT_CANDIDATE_CAP = 200_000
@@ -53,25 +46,6 @@ class CandidateCapError(ValueError):
 class CycleCensus:
     k: int
     count: int
-
-
-def canonicalize(vertices: Sequence[int]) -> tuple:
-    """Canonical representative of a cycle given as a vertex sequence."""
-    verts = [int(v) for v in vertices]
-    if len(verts) < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    if len(set(verts)) != len(verts):
-        raise ValueError("cycle contains a repeated vertex")
-    k = len(verts)
-    start = verts.index(min(verts))
-    rot = verts[start:] + verts[:start]
-    if rot[1] > rot[-1]:
-        rot = [rot[0]] + rot[:0:-1]
-    return tuple(rot)
-
-
-def is_canonical(vertices: Sequence[int]) -> bool:
-    return tuple(int(v) for v in vertices) == canonicalize(vertices)
 
 
 def _validate_k(n: int, k: int) -> None:
@@ -178,30 +152,6 @@ def count_triangles(graph: GrgGraph) -> CycleCensus:
     return count_k_cycles(graph, 3)
 
 
-@lru_cache(maxsize=32)
-def _permutation_array(n: int, k: int) -> np.ndarray:
-    return np.array(list(permutations(range(n), k)), dtype=np.int64)
-
-
-def brute_force_count(graph: GrgGraph, k: int) -> CycleCensus:
-    """Oracle census: test all ordered k-tuples, divide hits by 2k."""
-    if graph.n > 10:
-        raise ValueError("brute force oracle is limited to n <= 10")
-    _validate_k(graph.n, k)
-    adj = np.zeros((graph.n, graph.n), dtype=bool)
-    for u, v in graph.edge_array():
-        adj[u, v] = adj[v, u] = True
-    perms = _permutation_array(graph.n, k)
-    ok = np.ones(len(perms), dtype=bool)
-    for t in range(k):
-        ok &= adj[perms[:, t], perms[:, (t + 1) % k]]
-    hits = int(ok.sum())
-    count, rem = divmod(hits, 2 * k)
-    if rem:
-        raise ArithmeticError("ordered-tuple hits not divisible by 2k")
-    return CycleCensus(k=k, count=count)
-
-
 def _candidate_rows(n: int, k: int,
                     cap: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
     """Every canonical k-cycle on n vertices as one int64 row each.
@@ -246,19 +196,3 @@ def _iter_present(graph: GrgGraph, k: int) -> Iterator[tuple]:
 
     for s in range(n):
         yield from extend(s, [s], {s}, 0)
-
-
-def enumerate_cycles(graph: GrgGraph, k: int, mode: str = "present",
-                     cap: int = DEFAULT_CANDIDATE_CAP) -> Iterator[tuple]:
-    """Yield each canonical k-cycle exactly once.
-
-    ``mode="present"`` walks the cycles realized in the graph;
-    ``mode="candidates"`` walks every potential cycle on ``graph.n``
-    vertices (refused if their number exceeds ``cap``).
-    """
-    _validate_k(graph.n, k)
-    if mode == "candidates":
-        return map(tuple, _candidate_rows(graph.n, k, cap).tolist())
-    if mode == "present":
-        return _iter_present(graph, k)
-    raise ValueError(f"unknown enumeration mode {mode!r}")

@@ -22,6 +22,7 @@ master seed, data goes to CSV and summaries to JSON.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -58,9 +59,13 @@ NOISE_FLOOR_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's knobs; identical config + seed means identical output."""
+    """One experiment's knobs; identical config + seed means identical output.
 
-    spec: WeightSpec
+    ``spec`` is None when no weight family is given; a study that draws
+    weights asks for it through ``weight_spec``.
+    """
+
+    spec: Optional[WeightSpec]
     n: int = 0
     k: int = 3
     p: int = 2
@@ -73,9 +78,7 @@ class ExperimentConfig:
     statistic: str = "t"
     regime: Optional[str] = None
     er_lambda: Optional[float] = None
-    rate_mode: str = "auto"
     edge_list: Optional[str] = None
-    levels: tuple = DEFAULT_QQ_LEVELS
 
     def __post_init__(self):
         if self.seed < 0:
@@ -83,15 +86,18 @@ class ExperimentConfig:
         if self.candidate_cap < 1:
             raise ValueError(f"candidate_cap={self.candidate_cap} is below 1")
 
+    def weight_spec(self) -> WeightSpec:
+        """The weight family, for a study that draws weights."""
+        if self.spec is None:
+            raise ValueError("the configuration does not define a weight "
+                             "family")
+        return self.spec
+
     def validated(self) -> "ExperimentConfig":
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.n < max(2, self.k):
             raise ValueError(f"n={self.n} is too small for k={self.k}")
-        if not self.levels:
-            raise ValueError("need at least one quantile level")
-        if not all(0 < level < 1 for level in self.levels):
-            raise ValueError("quantile levels must lie strictly inside (0,1)")
         return self
 
 
@@ -129,7 +135,6 @@ CONFIG_KEYS = {
     "statistic": (str, "ratio statistic: t or r"),
     "regime": (str, "targeted ratio regime: sqrt/poly/log"),
     "er_lambda": (float, "per-n constant-weight calibration for bounds"),
-    "rate_mode": (str, "conditional rate mode: auto/exact/plugin"),
     "edge_list": (str, "edge-list file for the threshold subcommand"),
 }
 _KINDS = {int: "an integer", float: "a number",
@@ -166,9 +171,12 @@ def load_config(path, section: str,
                                  f"is not {_KINDS[convert]}") from None
     spec_map = {key: str(merged[key]) for key, (convert, _) in
                 CONFIG_KEYS.items() if convert is None and key in merged}
-    if not spec_map:
+    # every study needs weights or a graph: a family, the ER calibration
+    # or an edge list
+    if not (spec_map or "er_lambda" in kwargs or "edge_list" in kwargs):
         raise ValueError(f"section [{section}] does not define a weight family")
-    return ExperimentConfig(spec=WeightSpec.from_mapping(spec_map), **kwargs)
+    spec = WeightSpec.from_mapping(spec_map) if spec_map else None
+    return ExperimentConfig(spec=spec, **kwargs)
 
 
 def er_constant_spec(n: int, er_lambda: float) -> WeightSpec:
@@ -200,8 +208,21 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float, which JSON cannot hold,
+    replaced by None (``null``)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def json_text(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_json_safe(record), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def write_outputs(output_dir: Optional[str], files: dict) -> tuple:
@@ -253,12 +274,13 @@ def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
     cfg = cfg.validated()
     # the reference law first: a spec without it fails before any sampling
-    model = poisson_rate(analytic_moments(cfg.spec).ratio, cfg.k)
-    job = partial(_census_replication, cfg.spec, cfg.n, cfg.k, cfg.seed)
+    spec = cfg.weight_spec()
+    model = poisson_rate(analytic_moments(spec).ratio, cfg.k)
+    job = partial(_census_replication, spec, cfg.n, cfg.k, cfg.seed)
     counts = tuple(map_replications(job, range(cfg.replications),
                                     resolve_workers(cfg.workers)))
     pmf = EmpiricalPmf.from_samples(counts)
-    table = qq_table(pmf, model, cfg.levels)
+    table = qq_table(pmf, model, DEFAULT_QQ_LEVELS)
     tv_sup = tv_distance(pmf, model)
     mean = pmf.mean()
     variance = pmf.variance()
@@ -316,18 +338,18 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     grid = _grid(cfg, "bound")
     workers = resolve_workers(cfg.workers)
     # every n's calibration first: a bad er_lambda fails before any bound
-    specs = [cfg.spec if cfg.er_lambda is None
+    specs = [cfg.weight_spec() if cfg.er_lambda is None
              else er_constant_spec(n, cfg.er_lambda) for n in grid]
     reports = []
     all_rows = []
     for n, spec_n in zip(grid, specs):
         report, rows = bound_report(spec_n, n, cfg.k, cfg.replications,
                                     cfg.seed, cap=cfg.candidate_cap,
-                                    rate_mode=cfg.rate_mode, workers=workers)
+                                    workers=workers)
         reports.append((n, report))
         for row in rows:
             all_rows.append((n, row["replication"], row["b1"], row["b2"],
-                             row["conditional_mean"], row["mode"]))
+                             row["conditional_mean"]))
     fit = None
     if len(grid) >= 4:
         fit = rate_fit([(n, rep.b1 + rep.b2) for n, rep in reports])
@@ -344,8 +366,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     stem = f"bounds_k{cfg.k}_seed{cfg.seed}"
     files = write_outputs(cfg.output_dir, {
         f"{stem}_terms.csv": csv_text(
-            ("n", "replication", "b1", "b2", "conditional_mean", "mode"),
-            all_rows),
+            ("n", "replication", "b1", "b2", "conditional_mean"), all_rows),
         f"{stem}_summary.json": json_text(summary),
     })
     return BoundsResult(reports=tuple(reports), rows=tuple(all_rows), fit=fit,
@@ -376,8 +397,9 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     grid = _grid(cfg, "ratio")
     if cfg.statistic not in ("t", "r"):
         raise ValueError("statistic must be 't' or 'r'")
+    spec = cfg.weight_spec()
     if cfg.statistic == "t":
-        limit = analytic_moments(cfg.spec).ratio ** cfg.p
+        limit = analytic_moments(spec).ratio ** cfg.p
     else:
         limit = 0.0
     workers = resolve_workers(cfg.workers)
@@ -387,10 +409,10 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     for idx, n in enumerate(grid):
         seed_n = replication_seed(cfg.seed, idx, 2)
         if cfg.statistic == "t":
-            est = estimate_t_moment(cfg.spec, n, cfg.p, cfg.replications,
+            est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
                                     seed_n, workers=workers)
         else:
-            est = estimate_r_moment(cfg.spec, n, cfg.p, cfg.replications,
+            est = estimate_r_moment(spec, n, cfg.p, cfg.replications,
                                     seed_n, regime=cfg.regime,
                                     workers=workers)
         abs_error = abs(est.value - limit)
@@ -410,13 +432,13 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
                     if fit is not None
                     else "fewer than 4 positive-error points")
     exact_rows = []
-    if cfg.statistic == "t" and cfg.spec.family == "two_point":
+    if cfg.statistic == "t" and spec.family == "two_point":
         for n in (2, 5, 10):
-            est = estimate_t_moment(cfg.spec, n, cfg.p,
+            est = estimate_t_moment(spec, n, cfg.p,
                                     max(cfg.replications, 1000),
                                     replication_seed(cfg.seed, n, 3),
                                     workers=workers)
-            exact_rows.append((n, exact_t_moment(cfg.spec, n, cfg.p),
+            exact_rows.append((n, exact_t_moment(spec, n, cfg.p),
                                est.value, est.std_error))
     summary = {
         "subcommand": "ratio",
@@ -454,7 +476,7 @@ def run_threshold(cfg: ExperimentConfig) -> Tuple[ThresholdReport, tuple]:
     if cfg.edge_list:
         graph = GrgGraph.from_edge_text(Path(cfg.edge_list).read_text())
     else:
-        graph = draw_graph(cfg.spec, cfg.n, cfg.seed)
+        graph = draw_graph(cfg.weight_spec(), cfg.n, cfg.seed)
     report = threshold_report(graph)
     return report, write_outputs(cfg.output_dir, {
         f"threshold_n{graph.n}_seed{cfg.seed}.json":

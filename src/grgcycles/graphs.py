@@ -42,10 +42,8 @@ from .weights import WeightVector
 
 __all__ = [
     "GrgGraph",
-    "edge_probability",
     "sample_grg",
     "sample_chung_lu",
-    "cycle_probability",
 ]
 
 
@@ -225,16 +223,6 @@ def _check_lines(text: str) -> None:
             raise ValueError(f"malformed edge line: {' '.join(ln)}")
 
 
-def edge_probability(w_i: float, w_j: float, total: float) -> float:
-    """Connection probability of one vertex pair given the total weight."""
-    if w_i <= 0 or w_j <= 0:
-        raise ValueError("weights must be strictly positive")
-    if total < w_i + w_j:
-        raise ValueError("total weight is smaller than the pair's weights")
-    prod = w_i * w_j
-    return prod / (total + prod)
-
-
 def _csr_from_pairs(n: int, us: np.ndarray, vs: np.ndarray,
                     base: int = 0) -> tuple:
     """CSR arrays of the simple graph with edges ``(us[t], vs[t])``, given
@@ -363,24 +351,3 @@ def sample_chung_lu(weights: WeightVector, seed) -> GrgGraph:
             f"Chung-Lu requires W_i^2 <= total weight; vertex {i + 1} "
             f"(1-based) has W^2 = {w[i] * w[i]:g} > {weights.total:g}")
     return _sample_pairwise(weights, seed, chung_lu=True)
-
-
-def cycle_probability(weights: WeightVector, cycle: Sequence[int]) -> float:
-    """Probability that a given vertex cycle occurs, given the weights.
-
-    Edges are conditionally independent, so this is the product of the edge
-    probabilities along the cycle.
-    """
-    verts = [int(v) for v in cycle]
-    if len(verts) < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    if len(set(verts)) != len(verts):
-        raise ValueError("cycle contains a repeated vertex")
-    w = weights.values
-    if any(not 0 <= v < w.size for v in verts):
-        raise ValueError("cycle vertex outside the weight vector")
-    total = weights.total
-    prob = 1.0
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        prob *= edge_probability(w[a], w[b], total)
-    return prob

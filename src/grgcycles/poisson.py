@@ -4,7 +4,7 @@ The limiting rate for the k-cycle count is ``(EW^2 / EW)**k / (2k)``; pmf
 evaluation goes through log space so rates of order several thousand stay
 accurate.  The total-variation distance is reported in the "sup over test
 functions bounded by one" convention, i.e. the full l1 distance between
-pmfs (twice the common half-l1 value); ``half=True`` exposes the latter.
+pmfs (twice the common half-l1 value).
 Poisson supports are truncated once cumulative mass 1 - 1e-12 is reached
 and the discarded tail is added to the distance as an upper-bound
 correction.
@@ -204,12 +204,12 @@ def _support_masses(law) -> Tuple[np.ndarray, np.ndarray, float]:
     raise TypeError("law must be an EmpiricalPmf or a PoissonModel")
 
 
-def tv_distance(p, q, half: bool = False) -> float:
+def tv_distance(p, q) -> float:
     """Total-variation distance between two integer laws.
 
-    Default is the sup-over-bounded-test-functions convention (full l1
-    distance, maximum 2); ``half=True`` halves it.  Truncated Poisson tails
-    are added back so the result upper-bounds the untruncated distance.
+    In the sup-over-bounded-test-functions convention (full l1 distance,
+    maximum 2).  Truncated Poisson tails are added back so the result
+    upper-bounds the untruncated distance.
     """
     at_p, mass_p, tail_p = _support_masses(p)
     at_q, mass_q, tail_q = _support_masses(q)
@@ -222,8 +222,7 @@ def tv_distance(p, q, half: bool = False) -> float:
     # a sequential sum in ascending outcome order, not numpy's pairwise one
     dist = float(np.add.accumulate(np.abs(diff))[-1])
     dist += tail_p + tail_q
-    dist = min(dist, 2.0)
-    return dist / 2 if half else dist
+    return min(dist, 2.0)
 
 
 def qq_table(emp: EmpiricalPmf, model: PoissonModel,

@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -47,7 +46,6 @@ __all__ = [
     "t_statistic",
     "r_statistic",
     "exact_t_moment",
-    "exact_t_moment_bruteforce",
     "estimate_t_moment",
     "estimate_r_moment",
     "lower_tail_bound",
@@ -148,27 +146,6 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
         weight = comb(n, j) * q ** j * (1 - q) ** (n - j)
         t = (j * x2 * x2 + (n - j) * x1 * x1) / (j * x2 + (n - j) * x1)
         total += weight * t ** p
-    return float(total)
-
-
-def exact_t_moment_bruteforce(spec: WeightSpec, n: int, p: int) -> float:
-    """Second-tier oracle: full 2^n enumeration, guarded to n <= 12."""
-    if spec.family != "two_point":
-        raise ValueError("brute force covers two_point laws only")
-    if n > 12:
-        raise ValueError("brute force enumeration is limited to n <= 12")
-    atoms = ((Fraction(spec.x1), Fraction(spec.p1)),
-             (Fraction(spec.x2), 1 - Fraction(spec.p1)))
-    total = Fraction(0)
-    for outcome in product(atoms, repeat=n):
-        prob = Fraction(1)
-        ssum = Fraction(0)
-        sq = Fraction(0)
-        for x, pr in outcome:
-            prob *= pr
-            ssum += x
-            sq += x * x
-        total += prob * (sq / ssum) ** p
     return float(total)
 
 

@@ -181,12 +181,11 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """First two moments of a weight law plus finiteness flags per order."""
+    """First two moments of a weight law and their ratio."""
 
     mean: float
     second_moment: float
     ratio: float
-    finite: dict
 
     def __post_init__(self):
         # Jensen: EW^2 >= (EW)^2, hence ratio >= mean
@@ -254,20 +253,12 @@ def moment(spec: WeightSpec, order: int) -> float:
                for j in range(order + 1))
 
 
-def analytic_moments(spec: WeightSpec, max_order: int = 2) -> MomentSummary:
-    """Closed-form mean, second moment and their ratio.
-
-    The summary itself needs the first two moments, so those being infinite
-    is an error rather than a flag; higher orders up to ``max_order`` are
-    only flagged.
-    """
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
+def analytic_moments(spec: WeightSpec) -> MomentSummary:
+    """Closed-form mean, second moment and their ratio; raises
+    :class:`InfiniteMomentError` if either moment diverges."""
     mean = moment(spec, 1)
     second = moment(spec, 2)
-    finite = {q: _moment_finite(spec, q) for q in range(1, max_order + 1)}
-    return MomentSummary(mean=mean, second_moment=second,
-                         ratio=second / mean, finite=finite)
+    return MomentSummary(mean=mean, second_moment=second, ratio=second / mean)
 
 
 def tail_condition_holds(spec: WeightSpec, k: int) -> bool:

@@ -18,14 +18,14 @@ import pytest
 from grgcycles import chen_stein
 from grgcycles.chen_stein import (bound_report, conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
-                                  neighborhood, pair_probability,
                                   _bound_terms, _dense_terms, _edge_forms,
                                   _series_length)
-from grgcycles.cycles import (CandidateCapError, candidate_count,
-                              enumerate_cycles)
-from grgcycles.graphs import GrgGraph, cycle_probability
+from grgcycles.cycles import CandidateCapError, candidate_count
+from grgcycles.graphs import GrgGraph
 from grgcycles.weights import (WeightSpec, WeightVector, moment,
                                sample_weights)
+from oracles import (cycle_probability, enumerate_cycles, neighborhood,
+                     pair_probability)
 
 
 def all_candidates(n, k):
@@ -359,7 +359,6 @@ class TestBoundReport:
     def test_exact_mode_constant_weights(self):
         report, rows = bound_report(WeightSpec.constant(1.0), 4, 3,
                                     replications=3, seed=0)
-        assert report.mode == "exact"
         assert report.b1 == pytest.approx(1.024e-3, rel=1e-10)
         assert report.b2 == pytest.approx(3.84e-3, rel=1e-10)
         assert report.conditional_mean == pytest.approx(0.032, rel=1e-10)
@@ -372,28 +371,16 @@ class TestBoundReport:
                                  replications=1, seed=0)
         assert report.b2 == 0.0
 
-    def test_plugin_rate_mode(self):
-        report, rows = bound_report(WeightSpec.constant(1.0), 9, 4,
-                                    replications=2, seed=1,
-                                    rate_mode="plugin")
-        assert report.mode == "plugin"
-        # constant unit weights: plug-in rate is 1/(2k)
-        assert report.conditional_mean == pytest.approx(1 / 8, rel=1e-12)
-        assert report.b1 > 0 and report.b2 > 0   # terms stay exact
-
     def test_bound_terms_beyond_cap_raise(self):
         with pytest.raises(CandidateCapError):
             bound_report(WeightSpec.constant(1.0), 12, 4, replications=1,
                          seed=0, cap=5)
 
-    @pytest.mark.parametrize("n,k,rate_mode", [(12, 3, "auto"),
-                                               (12, 3, "plugin"),
-                                               (7, 4, "auto")])
-    def test_workers_do_not_change_report(self, n, k, rate_mode):
+    @pytest.mark.parametrize("n,k", [(12, 3), (7, 4)])
+    def test_workers_do_not_change_report(self, n, k):
         spec = WeightSpec.pareto_shifted(9.5, 10, 1)
-        one = bound_report(spec, n, k, 3, seed=5, rate_mode=rate_mode)
-        two = bound_report(spec, n, k, 3, seed=5, rate_mode=rate_mode,
-                           workers=2)
+        one = bound_report(spec, n, k, 3, seed=5)
+        two = bound_report(spec, n, k, 3, seed=5, workers=2)
         assert repr(one) == repr(two)
 
     def test_deterministic(self):
@@ -443,16 +430,13 @@ UNIT = WeightVector.from_values(np.ones(6))
 @pytest.mark.parametrize("call,match", [
     (lambda: bound_report(WeightSpec.constant(1.0), 6, 3, 0, 0),
      "need at least one replication"),
-    (lambda: bound_report(WeightSpec.constant(1.0), 6, 3, 1, 0,
-                          rate_mode="fast"),
-     "unknown rate_mode 'fast'"),
     (lambda: exact_bound_terms(UNIT, 3, method="both"),
      "unknown method 'both'"),
     (lambda: exact_bound_terms(UNIT, 4, method="dense"),
      "the dense path only covers k = 3"),
     (lambda: neighborhood((0, 1, 2, 3), 3, 6), "alpha does not have length k"),
     (lambda: neighborhood((0, 1, 6), 3, 6), r"alpha vertex outside 0\.\.n-1"),
-], ids=["replications", "rate_mode", "method", "dense_k4", "alpha_length",
+], ids=["replications", "method", "dense_k4", "alpha_length",
         "alpha_vertex"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):

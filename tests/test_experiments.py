@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import re
 import subprocess
 import sys
@@ -81,8 +82,18 @@ class TestConfig:
         assert cfg.statistic == "t"
 
     def test_missing_family_rejected(self, config_file):
-        with pytest.raises(ValueError):
+        match = r"section \[threshold\] does not define a weight family"
+        with pytest.raises(ValueError, match=match):
             load_config(config_file, "threshold")
+
+    @pytest.mark.parametrize("source", [{"edge_list": "g.txt"},
+                                        {"er_lambda": "6"}])
+    def test_graph_source_stands_in_for_family(self, config_file, source):
+        cfg = load_config(config_file, "threshold", source)
+        assert cfg.spec is None
+        # a study that draws weights still needs the family
+        with pytest.raises(ValueError, match="does not define a weight family"):
+            cfg.weight_spec()
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -133,8 +144,7 @@ KEY_SETTINGS = {
     "workers": {"workers": "2"}, "output_dir": {"output_dir": "out"},
     "candidate_cap": {"candidate_cap": "500"}, "n_grid": {"n_grid": "8,16"},
     "statistic": {"statistic": "r"}, "regime": {"regime": "log"},
-    "er_lambda": {"er_lambda": "1.5"}, "rate_mode": {"rate_mode": "plugin"},
-    "edge_list": {"edge_list": "g.txt"},
+    "er_lambda": {"er_lambda": "1.5"}, "edge_list": {"edge_list": "g.txt"},
 }
 for _key in ("scale", "loc"):
     KEY_SETTINGS[_key] = KEY_SETTINGS["shape"]
@@ -316,16 +326,23 @@ class TestCensusRunner:
         assert seq.counts == par.counts
         assert seq.summary == par.summary
 
-    @pytest.mark.parametrize("levels", [(0.5, 1.0), (0.0,), ()])
-    def test_bad_levels_fail_before_sampling(self, monkeypatch, levels):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled a graph before checking levels")
-        monkeypatch.setattr(experiments, "sample_grg", no_sampling)
-        cfg = ExperimentConfig(spec=PARETO, n=2000, k=3, replications=8,
-                               levels=levels)
-        match = "quantile level" if levels else "at least one quantile level"
-        with pytest.raises(ValueError, match=match):
-            run_census(cfg)
+    def test_undefined_summary_values_are_json_null(self, tmp_path):
+        # constant weights 0.5 close no 5-cycle on 12 vertices: the mean is
+        # 0, so the dispersion and the Q-Q correlation are undefined
+        cfg = ExperimentConfig(spec=WeightSpec.constant(0.5), n=12, k=5,
+                               replications=5, output_dir=str(tmp_path))
+        result = run_census(cfg)
+        assert math.isnan(result.summary["dispersion"])
+        assert math.isnan(result.summary["qq_correlation"])
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "census_n12_k5_seed0_summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["dispersion"] is None
+        assert summary["qq_correlation"] is None
+        assert summary["mean"] == 0.0
 
     def test_infinite_moment_fails_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -348,25 +365,22 @@ class TestBoundsRunner:
                                               rel=1e-10)
             assert report.b2 == pytest.approx(i3 * 3 * (n - 3) * p ** 5,
                                               rel=1e-10)
-            assert report.mode == "exact"
         assert result.fit is not None
         assert -1.2 <= result.fit.slope <= -0.8
         terms = (tmp_path / "bounds_k3_seed9_terms.csv").read_text().splitlines()
-        assert terms[0] == "n,replication,b1,b2,conditional_mean,mode"
+        assert terms[0] == "n,replication,b1,b2,conditional_mean"
         assert len(terms) == 1 + 4 * 2
-
-    def test_plugin_rate_mode(self):
-        cfg = ExperimentConfig(spec=WeightSpec.constant(1.0), k=3,
-                               replications=1, seed=0, n_grid=(8, 12),
-                               rate_mode="plugin")
-        result = run_bounds(cfg)
-        for _, report in result.reports:
-            assert report.mode == "plugin"
-            assert report.conditional_mean == pytest.approx(1 / 6, rel=1e-12)
 
     def test_needs_grid(self):
         with pytest.raises(ValueError):
             run_bounds(ExperimentConfig(spec=PARETO))
+
+    def test_er_grid_needs_no_family(self, config_file):
+        with_family = run_bounds(load_config(config_file, "bounds"))
+        no_family = run_bounds(load_config(None, "bounds", {
+            "k": "3", "replications": "2", "seed": "9",
+            "n_grid": "10,20,40,80", "er_lambda": "6.0"}))
+        assert no_family.summary == with_family.summary
 
     def test_er_spec_guard(self):
         with pytest.raises(ValueError, match=r"er_lambda=10\.0 is not below n=10"):
@@ -464,10 +478,15 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         edge_file = tmp_path / "sample_n12_seed4_edges.txt"
         assert edge_file.exists()
-        proc2 = run_cli("threshold", "--family", "constant", "--value", "1",
-                        "--edge-list", str(edge_file))
+        proc2 = run_cli("threshold", "--edge-list", str(edge_file))
         assert proc2.returncode == 0, proc2.stderr
         assert "radius_estimate" in proc2.stdout
+
+    def test_sample_needs_family(self, capsys):
+        assert cli.main(["sample", "--edge-list", "g.txt", "--n", "12"]) == 2
+        assert capsys.readouterr().err == (
+            "grgcycles sample: error: the configuration does not define a "
+            "weight family\n")
 
     def test_census_subcommand(self, config_file, tmp_path):
         proc = run_cli("census", "--config", str(config_file),
@@ -566,7 +585,7 @@ class TestCli:
             "--x1", "--x2", "--p1", "--values", "--probs", "--n", "--k",
             "--p", "--replications", "--seed", "--workers", "--output-dir",
             "--candidate-cap", "--n-grid", "--statistic", "--regime",
-            "--er-lambda", "--rate-mode", "--edge-list"]
+            "--er-lambda", "--edge-list"]
 
     @pytest.mark.parametrize("args,names", [
         (["census", "--family", "constant", "--value", "2", "--n", "12",

@@ -1,0 +1,34 @@
+"""The public surface: each module's ``__all__`` and the package's names."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import grgcycles
+
+PACKAGE = Path(grgcycles.__file__).parent
+MODULES = [importlib.import_module(f"grgcycles.{info.name}")
+           for info in pkgutil.iter_modules([str(PACKAGE)])
+           if info.name != "__main__"]
+
+
+def test_every_listed_name_exists():
+    listed = [module for module in MODULES if hasattr(module, "__all__")]
+    assert len(listed) >= 9
+    for module in listed:
+        missing = [name for name in module.__all__
+                   if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ lists {missing}"
+
+
+def test_package_imports_only_listed_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"grgcycles.{node.module}")
+        unlisted = [alias.name for alias in node.names
+                    if alias.name not in module.__all__]
+        assert not unlisted, f"{module.__name__}.__all__ lacks {unlisted}"

@@ -30,7 +30,7 @@ def oracle_laws(lam):
             EmpiricalPmf.from_samples([top + 3, top + 3, 2 * top + 90])]
 
 
-def reference_tv(p, q, half=False):
+def reference_tv(p, q):
     """The l1 distance from outcome->probability dicts, summed one outcome
     at a time in ascending order, plus the truncated tails."""
     def pairs(law):
@@ -43,8 +43,7 @@ def reference_tv(p, q, half=False):
     dist = 0
     for m in sorted(set(pmf_p) | set(pmf_q)):
         dist += abs(pmf_p.get(m, 0.0) - pmf_q.get(m, 0.0))
-    dist = min(dist + (tail_p + tail_q), 2.0)
-    return dist / 2 if half else dist
+    return min(dist + (tail_p + tail_q), 2.0)
 
 
 def pareto_ratio():
@@ -148,7 +147,7 @@ class TestTvDistance:
         p0 = EmpiricalPmf({0: 1})
         p1 = EmpiricalPmf({1: 1})
         assert tv_distance(p0, p1) == 2.0
-        assert tv_distance(p0, p1, half=True) == 1.0
+        assert tv_distance(p0, p1) / 2 == 1.0
 
     def test_point_mass_vs_poisson(self):
         # direct pmf summation: |1 - e^-1| + sum_{m>=1} e^-1/m! = 2(1 - e^-1)
@@ -170,8 +169,6 @@ class TestTvDistance:
         for p in laws:
             for q in laws:
                 assert tv_distance(p, q) == reference_tv(p, q)
-                assert tv_distance(p, q, half=True) == \
-                    reference_tv(p, q, half=True)
 
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30),

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from grgcycles.ratios import (RegimeWarning, TailBoundCheck, check_lower_tail,
                               estimate_r_moment, estimate_t_moment,
-                              exact_t_moment, exact_t_moment_bruteforce,
-                              lower_tail_bound, r_statistic, rate_fit,
-                              t_statistic)
+                              exact_t_moment, lower_tail_bound, r_statistic,
+                              rate_fit, t_statistic)
 from grgcycles.weights import InfiniteMomentError, WeightSpec, draw
+from oracles import exact_t_moment_bruteforce
 
 TWO_POINT = WeightSpec.two_point(1, 2, 0.5)
 

@@ -207,12 +207,6 @@ class TestMoments:
         with pytest.raises(InfiniteMomentError):
             moment(WeightSpec.pareto_shifted(4.0, 1, 0), 4)
 
-    def test_finite_flags(self):
-        summary = analytic_moments(WeightSpec.pareto_shifted(4.5, 1, 0),
-                                   max_order=6)
-        assert summary.finite == {1: True, 2: True, 3: True, 4: True,
-                                  5: False, 6: False}
-
     def test_jensen_ordering(self):
         for spec in (WeightSpec.two_point(1, 9, 0.7),
                      WeightSpec.pareto_shifted(5.0, 2, 0.5)):
@@ -221,8 +215,7 @@ class TestMoments:
 
     def test_jensen_violation_rejected(self):
         with pytest.raises(ValueError, match="Jensen"):
-            MomentSummary(mean=2.0, second_moment=3.0, ratio=1.5,
-                          finite={1: True, 2: True})
+            MomentSummary(mean=2.0, second_moment=3.0, ratio=1.5)
 
 
 class TestTailCondition:
