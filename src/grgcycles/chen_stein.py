@@ -12,6 +12,11 @@ they share an edge.  Over all candidates the module computes
   (``conditional_rate_plugin`` gives the cheap upper bound
   ``((sum W^2)/(sum W))**k / (2k)``).
 
+The three travel as one record, ``BoundTerms(b1, b2, conditional_mean)``:
+every exact path returns it, ``exact_bound_terms`` and ``bound_report``
+hand it on whole, and its fields, in order, are the value columns of the
+bounds CSV.  ``BoundReport`` starts with their means over replications.
+
 Three exact evaluation paths exist.  The generic one enumerates the
 candidate set (guarded by a cap) but never a pair of candidates.  With
 ``s_F`` and ``q_F`` the sums of ``p_a`` and ``p_a**2`` over the candidates
@@ -80,17 +85,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundTerms:
-    """The two dependency sums for one weight realization."""
+class BoundTerms(NamedTuple):
+    """The bound record of one weight realization, from the kernel that
+    computes it to its row of the bounds CSV, whose columns follow these
+    fields."""
 
     b1: float
     b2: float
+    conditional_mean: float
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Aggregated bound quantities over weight replications.
+    """Aggregated bound quantities over weight replications; the first
+    three fields are the means of the replications' ``BoundTerms``.
 
     ``gap`` is the absolute difference between the mean conditional rate
     and the limiting rate; ``rhs`` is the reportable combination
@@ -198,8 +206,8 @@ def _trace3(X: _Form, Y: _Form, Z: _Form) -> float:
                  - Z.d @ xy_diag)
 
 
-def _series_terms(weights: WeightVector) -> Tuple[float, float, float]:
-    """Exact (rate, b1, b2) for k = 3 from the forms of P and Q = P * P.
+def _series_terms(weights: WeightVector) -> BoundTerms:
+    """Exact bound terms for k = 3 from the forms of P and Q = P * P.
 
     Off the diagonal, ``S = P @ P`` is ``V L V^T`` with ``V = [W, d W]``.
     The Hadamard sum ``sum N * S**2`` (N = P or Q) is the light series
@@ -228,8 +236,8 @@ def _series_terms(weights: WeightVector) -> Tuple[float, float, float]:
     # b2 is a difference of two positive sums; within their rounding it is
     # zero, as for a lone triangle (n = 3), which has no dependent pair
     b2 = (pss - pqq) / 2.0 if pss - pqq > 2.0 ** -40 * pss else 0.0
-    return (_trace3(P, P, P) / 6.0,
-            qss / 2.0 - _trace3(Q, Q, Q) / 3.0, b2)
+    return BoundTerms(qss / 2.0 - _trace3(Q, Q, Q) / 3.0, b2,
+                      _trace3(P, P, P) / 6.0)
 
 
 def _dense_terms(weights: WeightVector) -> Tuple[float, float, float]:
@@ -312,21 +320,23 @@ def _bound_terms(edge_rows, p_cand, p_edge) -> Tuple[float, float]:
 
 
 def _exact_terms(k: int, cap: int, weights: WeightVector,
-                 method: str = "auto") -> Tuple[float, float, float]:
-    """The exact (rate, b1, b2) of one weight vector: the series kernel for
+                 method: str = "auto") -> BoundTerms:
+    """The exact bound terms of one weight vector: the series kernel for
     k = 3, the dense oracle, or the candidate path."""
     if method == "dense":
-        return _dense_terms(weights)
+        rate, b1, b2 = _dense_terms(weights)
+        return BoundTerms(b1, b2, rate)
     if k == 3 and method == "auto":
         return _series_terms(weights)
     arrays = _candidate_arrays(weights, k, cap)
-    return (float(arrays[1].sum()), *_bound_terms(*arrays))
+    return BoundTerms(*_bound_terms(*arrays), float(arrays[1].sum()))
 
 
 def exact_bound_terms(weights: WeightVector, k: int,
                       cap: int = DEFAULT_CANDIDATE_CAP,
                       method: str = "auto") -> BoundTerms:
-    """Exact b1 and b2 over the full candidate set for one weight vector.
+    """Exact b1, b2 and conditional mean over the full candidate set for
+    one weight vector.
 
     ``method="auto"`` takes the series kernel for k=3 (no cap needed) and
     candidate enumeration otherwise; ``"candidates"`` forces enumeration
@@ -336,8 +346,7 @@ def exact_bound_terms(weights: WeightVector, k: int,
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and k != 3:
         raise ValueError("the dense path only covers k = 3")
-    _, b1, b2 = _exact_terms(k, cap, weights, method)
-    return BoundTerms(b1, b2)
+    return _exact_terms(k, cap, weights, method)
 
 
 def conditional_rate_exact(weights: WeightVector, k: int,
@@ -361,8 +370,9 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
 
 def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
                  cap: int = DEFAULT_CANDIDATE_CAP,
-                 workers: int = 1) -> Tuple[BoundReport, List[dict]]:
-    """Monte Carlo bound study over weight replications.
+                 workers: int = 1) -> Tuple[BoundReport, List[BoundTerms]]:
+    """Monte Carlo bound study over weight replications: the report and
+    each replication's terms, in replication order.
 
     b1 and b2 are exact per replication: the series kernel for triangles,
     capped candidate enumeration otherwise (beyond the cap there is no
@@ -382,12 +392,9 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
     draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
              for rep in range(replications)]
-    results = map_replications(partial(_exact_terms, k, cap), draws, workers)
-    rows = [{"replication": rep, "b1": b1, "b2": b2, "conditional_mean": rate}
-            for rep, (rate, b1, b2) in enumerate(results)]
-    b1, b2, rate = (float(np.mean([row[key] for row in rows]))
-                    for key in ("b1", "b2", "conditional_mean"))
-    report = BoundReport(b1=b1, b2=b2, conditional_mean=rate,
-                         target_rate=target, gap=abs(rate - target),
+    terms = map_replications(partial(_exact_terms, k, cap), draws, workers)
+    mean = BoundTerms(*(float(np.mean(column)) for column in zip(*terms)))
+    report = BoundReport(*mean, target_rate=target,
+                         gap=abs(mean.conditional_mean - target),
                          replications=replications)
-    return report, rows
+    return report, terms

@@ -21,6 +21,7 @@ from .experiments import (CONFIG_KEYS, ExperimentConfig, draw_graph,
                           run_ratio_study, run_threshold, write_outputs)
 from .weights import analytic_moments, tail_condition_holds
 
+__all__ = ["build_parser", "main"]
 
 DEBUG_ENV = "GRGCYCLES_DEBUG"
 
@@ -42,11 +43,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _cmd_moments(cfg: ExperimentConfig) -> tuple:
     spec = cfg.weight_spec()
     summary = analytic_moments(spec)
+    # before any print: a bad k fails with nothing on stdout
+    tail_condition = tail_condition_holds(spec, cfg.k)
     print(f"family: {spec.family}")
     print(f"mean: {summary.mean!r}")
     print(f"second_moment: {summary.second_moment!r}")
     print(f"ratio: {summary.ratio!r}")
-    print(f"tail_condition_k{cfg.k}: {tail_condition_holds(spec, cfg.k)}")
+    print(f"tail_condition_k{cfg.k}: {tail_condition}")
     return ()
 
 

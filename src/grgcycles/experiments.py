@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .chen_stein import bound_report
+from .chen_stein import BoundTerms, bound_report
 from .cycles import DEFAULT_CANDIDATE_CAP, count_k_cycles
 from .graphs import GrgGraph, sample_grg
 from .poisson import EmpiricalPmf, QqTable, poisson_rate, qq_table, tv_distance
@@ -38,11 +38,14 @@ from .spectral import ThresholdReport, threshold_report
 from .weights import WeightSpec, analytic_moments, sample_weights
 
 __all__ = [
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "replication_seed",
     "resolve_workers",
     "map_replications",
     "load_config",
+    "draw_graph",
+    "write_outputs",
     "run_census",
     "run_bounds",
     "run_ratio_study",
@@ -246,9 +249,13 @@ def _fit_record(fit, prefix: str = "") -> dict:
 
 
 def _grid(cfg: ExperimentConfig, study: str) -> tuple:
-    grid = cfg.n_grid or ((cfg.n,) if cfg.n else ())
-    if not grid:
+    """The study's sizes: ``n_grid``, or else ``n``; each at least 1."""
+    if not (cfg.n_grid or cfg.n):
         raise ValueError(f"{study} study needs n or n_grid")
+    key, grid = ("n_grid", cfg.n_grid) if cfg.n_grid else ("n", (cfg.n,))
+    if min(grid) < 1:
+        raise ValueError(f"{key}={','.join(map(str, grid))} holds a size "
+                         "below 1")
     return grid
 
 
@@ -343,13 +350,11 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     reports = []
     all_rows = []
     for n, spec_n in zip(grid, specs):
-        report, rows = bound_report(spec_n, n, cfg.k, cfg.replications,
-                                    cfg.seed, cap=cfg.candidate_cap,
-                                    workers=workers)
+        report, terms = bound_report(spec_n, n, cfg.k, cfg.replications,
+                                     cfg.seed, cap=cfg.candidate_cap,
+                                     workers=workers)
         reports.append((n, report))
-        for row in rows:
-            all_rows.append((n, row["replication"], row["b1"], row["b2"],
-                             row["conditional_mean"]))
+        all_rows.extend((n, rep, *row) for rep, row in enumerate(terms))
     fit = None
     if len(grid) >= 4:
         fit = rate_fit([(n, rep.b1 + rep.b2) for n, rep in reports])
@@ -366,7 +371,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     stem = f"bounds_k{cfg.k}_seed{cfg.seed}"
     files = write_outputs(cfg.output_dir, {
         f"{stem}_terms.csv": csv_text(
-            ("n", "replication", "b1", "b2", "conditional_mean"), all_rows),
+            ("n", "replication", *BoundTerms._fields), all_rows),
         f"{stem}_summary.json": json_text(summary),
     })
     return BoundsResult(reports=tuple(reports), rows=tuple(all_rows), fit=fit,

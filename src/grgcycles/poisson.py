@@ -9,11 +9,14 @@ Poisson supports are truncated once cumulative mass 1 - 1e-12 is reached
 and the discarded tail is added to the distance as an upper-bound
 correction.
 
-A ``PoissonModel`` builds its truncated pmf once, on first use, and
-``quantile``, ``qq_table`` and ``tv_distance`` all read that copy; they
-answer every level or outcome with array operations: the Q-Q
-columns come from one ``searchsorted`` over each law's cdf, and the l1 sum
-runs over the union of both supports in ascending outcome order.
+Every law, a ``PoissonModel`` or an ``EmpiricalPmf``, gives one view,
+``support``: its outcomes in ascending order, their masses and the mass
+beyond the last outcome.  A model builds it once, on first use; an
+empirical law sorts its counts once, on construction.  ``tv_distance``
+reads any two laws through that view and sums ``|p - q|`` over the union of
+both supports in ascending outcome order.  Each law's ``quantile`` answers
+one level or an array of them with one ``searchsorted`` over its cdf, and
+``qq_table`` asks both laws for all its levels at once.
 """
 
 from __future__ import annotations
@@ -40,6 +43,23 @@ __all__ = [
 _TAIL_MASS = 1e-12
 
 
+def _pmf(lam: float, outcomes) -> np.ndarray:
+    """The Poisson(lam) pmf at the nonnegative integer ``outcomes``, through
+    log space; rate 0 is the point mass at 0."""
+    outcomes = np.atleast_1d(outcomes)
+    if lam == 0:
+        return (outcomes == 0).astype(float)
+    log_factorial = np.array([math.lgamma(m + 1) for m in outcomes.tolist()])
+    return np.exp(-lam + outcomes * math.log(lam) - log_factorial)
+
+
+def _levels(levels) -> np.ndarray:
+    at = np.asarray(levels, dtype=float)
+    if not np.all((0 < at) & (at < 1)):
+        raise ValueError("quantile levels must lie strictly inside (0,1)")
+    return at
+
+
 @dataclass(frozen=True)
 class PoissonModel:
     """Poisson reference law with rate ``lam``."""
@@ -50,43 +70,28 @@ class PoissonModel:
         if self.lam < 0:
             raise ValueError("Poisson rate must be nonnegative")
 
-    def pmf(self, m: int) -> float:
-        return poisson_pmf(self, m)
-
-    def truncated_pmf(self) -> Tuple[np.ndarray, float]:
-        """Pmf array over 0..M with cdf(M) >= 1 - 1e-12, plus the tail;
-        built once per model, read-only."""
-        return self._truncated
-
     @cached_property
-    def _truncated(self) -> Tuple[np.ndarray, float]:
-        pmf, tail = np.array([1.0]), 0.0
-        if self.lam > 0:
-            bound = int(self.lam + 50.0 * math.sqrt(self.lam)) + 100
-            log_lam = math.log(self.lam)
-            ms = np.arange(bound + 1)
-            logs = -self.lam + ms * log_lam - np.array(
-                [math.lgamma(m + 1) for m in range(bound + 1)])
-            pmf = np.exp(logs)
-            cdf = np.cumsum(pmf)
-            cut = int(np.searchsorted(cdf, 1.0 - _TAIL_MASS))
-            cut = min(cut, bound)
-            tail = max(0.0, 1.0 - float(cdf[cut]))
-            pmf = pmf[:cut + 1]
-        pmf.flags.writeable = False
-        return pmf, tail
-
-    def quantile(self, level: float) -> int:
-        """Smallest m with cdf(m) >= level (left-continuous inverse)."""
-        if not 0 < level < 1:
-            raise ValueError("quantile level must lie strictly inside (0,1)")
-        pmf, _ = self.truncated_pmf()
+    def support(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Outcomes 0..M, M the first with cdf(M) >= 1 - 1e-12, their pmf
+        and the tail beyond M; built once per model, read-only."""
+        bound = int(self.lam + 50.0 * math.sqrt(self.lam)) + 100
+        pmf = _pmf(self.lam, np.arange(bound + 1))
         cdf = np.cumsum(pmf)
-        return int(np.searchsorted(cdf, level))
+        cut = min(int(np.searchsorted(cdf, 1.0 - _TAIL_MASS)), bound)
+        outcomes, pmf = np.arange(cut + 1), pmf[:cut + 1]
+        outcomes.flags.writeable = pmf.flags.writeable = False
+        return outcomes, pmf, max(0.0, 1.0 - float(cdf[cut]))
+
+    def quantile(self, levels):
+        """Smallest m with cdf(m) >= level (left-continuous inverse): an int
+        for one level, a list for an array of them."""
+        at = _levels(levels)
+        return np.cumsum(self.support[1]).searchsorted(at).tolist()
 
 
 class EmpiricalPmf:
-    """Integer-outcome law built from occurrence counts."""
+    """Integer-outcome law built from occurrence counts, which are sorted
+    once, here, into the ``support`` view: read them, do not change them."""
 
     def __init__(self, counts: dict):
         self.counts = {int(m): int(c) for m, c in counts.items() if c}
@@ -97,6 +102,11 @@ class EmpiricalPmf:
         self.total = sum(self.counts.values())
         if self.total == 0:
             raise ValueError("empirical law needs at least one observation")
+        outcomes = sorted(self.counts)
+        self._sorted_counts = np.array([self.counts[m] for m in outcomes])
+        # ascending outcomes, their frequencies, no tail
+        self.support = (np.array(outcomes),
+                        self._sorted_counts / self.total, 0.0)
 
     @classmethod
     def from_samples(cls, samples: Iterable[int]) -> "EmpiricalPmf":
@@ -105,9 +115,8 @@ class EmpiricalPmf:
     def pmf(self, m: int) -> float:
         return self.counts.get(int(m), 0) / self.total
 
-    def outcomes(self) -> List[int]:
-        return sorted(self.counts)
-
+    # mean and variance sum in the counts' own order, not the sorted one:
+    # that order fixes the last digit of the census summary
     def mean(self) -> float:
         return sum(m * c for m, c in self.counts.items()) / self.total
 
@@ -115,19 +124,18 @@ class EmpiricalPmf:
         mu = self.mean()
         return sum(c * (m - mu) ** 2 for m, c in self.counts.items()) / self.total
 
-    def quantile(self, level: float) -> int:
-        if not 0 < level < 1:
-            raise ValueError("quantile level must lie strictly inside (0,1)")
-        acc = 0
-        target = level * self.total
-        for m in self.outcomes():
-            acc += self.counts[m]
-            if acc >= target - 1e-9 * self.total:
-                return m
-        return self.outcomes()[-1]
+    def quantile(self, levels):
+        """The first outcome whose cumulative count reaches level * total,
+        less 1e-9 * total: an int for one level, a list for an array."""
+        at = _levels(levels)
+        outcomes = self.support[0]
+        hit = np.cumsum(self._sorted_counts).searchsorted(
+            at * self.total - 1e-9 * self.total)
+        return outcomes[np.minimum(hit, outcomes.size - 1)].tolist()
 
     def to_csv_rows(self) -> List[Tuple[int, int]]:
-        return [(m, self.counts[m]) for m in self.outcomes()]
+        return list(zip(self.support[0].tolist(),
+                        self._sorted_counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -135,9 +143,6 @@ class QqTable:
     """Rows of (probability level, empirical quantile, Poisson quantile)."""
 
     rows: tuple
-
-    def levels(self) -> List[float]:
-        return [r[0] for r in self.rows]
 
     def empirical_column(self) -> List[int]:
         return [r[1] for r in self.rows]
@@ -167,9 +172,7 @@ def poisson_pmf(model: Union[PoissonModel, float], m: int) -> float:
     lam = model.lam if isinstance(model, PoissonModel) else float(model)
     if m < 0:
         raise ValueError("outcome must be nonnegative")
-    if lam == 0:
-        return 1.0 if m == 0 else 0.0
-    return math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1))
+    return float(_pmf(lam, m)[0])
 
 
 def mixed_poisson_pmf(rate_samples: Sequence[float], m: int) -> float:
@@ -181,27 +184,7 @@ def mixed_poisson_pmf(rate_samples: Sequence[float], m: int) -> float:
         raise ValueError("rate samples must be nonnegative")
     if m < 0:
         raise ValueError("outcome must be nonnegative")
-    out = np.zeros(arr.size)
-    pos = arr > 0
-    if np.any(pos):
-        lam = arr[pos]
-        out[pos] = np.exp(-lam + m * np.log(lam) - math.lgamma(m + 1))
-    if m == 0:
-        out[~pos] = 1.0
-    return float(out.mean())
-
-
-def _support_masses(law) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Ascending outcomes, their probabilities and any truncated-away
-    tail mass."""
-    if isinstance(law, PoissonModel):
-        pmf, tail = law.truncated_pmf()
-        return np.arange(pmf.size), pmf, tail
-    if isinstance(law, EmpiricalPmf):
-        outcomes = law.outcomes()
-        counts = np.array([law.counts[m] for m in outcomes])
-        return np.array(outcomes), counts / law.total, 0.0
-    raise TypeError("law must be an EmpiricalPmf or a PoissonModel")
+    return float(np.mean([_pmf(lam, m)[0] for lam in arr.tolist()]))
 
 
 def tv_distance(p, q) -> float:
@@ -211,8 +194,8 @@ def tv_distance(p, q) -> float:
     maximum 2).  Truncated Poisson tails are added back so the result
     upper-bounds the untruncated distance.
     """
-    at_p, mass_p, tail_p = _support_masses(p)
-    at_q, mass_q, tail_q = _support_masses(q)
+    at_p, mass_p, tail_p = p.support
+    at_q, mass_q, tail_q = q.support
     # np.union1d would do, but its np.unique imports numpy.ma (about 1.3 MB)
     merged = np.sort(np.concatenate((at_p, at_q)))
     support = merged[np.append(True, merged[1:] != merged[:-1])]
@@ -227,23 +210,7 @@ def tv_distance(p, q) -> float:
 
 def qq_table(emp: EmpiricalPmf, model: PoissonModel,
              levels: Sequence[float]) -> QqTable:
-    """Left-continuous inverse CDF of both laws at each level.
-
-    The columns equal ``emp.quantile`` and ``model.quantile`` level by
-    level; each law's cdf is built once and searched for every level.
-    """
-    if not isinstance(emp, EmpiricalPmf):
-        raise TypeError("first argument must be an EmpiricalPmf")
-    levels = tuple(levels)
-    if not all(0 < level < 1 for level in levels):
-        raise ValueError("quantile levels must lie strictly inside (0,1)")
-    at = np.array([float(level) for level in levels])
-    pmf, _ = model.truncated_pmf()
-    poisson_q = np.cumsum(pmf).searchsorted(at)
-    outcomes = emp.outcomes()
-    cum = np.cumsum([emp.counts[m] for m in outcomes])
-    # the first outcome whose count reaches the target, as in emp.quantile
-    hit = cum.searchsorted(at * emp.total - 1e-9 * emp.total)
-    emp_q = np.array(outcomes)[np.minimum(hit, len(outcomes) - 1)]
-    rows = zip(at.tolist(), emp_q.tolist(), poisson_q.tolist())
+    """Both laws' quantiles at each level, from one search per law."""
+    at = np.asarray(list(levels), dtype=float)
+    rows = zip(at.tolist(), emp.quantile(at), model.quantile(at))
     return QqTable(rows=tuple(rows))

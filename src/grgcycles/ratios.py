@@ -162,10 +162,10 @@ def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
     rng.bit_generator.advance(start * n)
     x = draw(spec, rng, (size, n))
     s = x.sum(axis=1)
-    mx = x.max(axis=1)
+    mx = x.max(axis=1) if statistic == "r" else None
     x *= x                      # in place: one chunk-sized array, not two
     v = (x.sum(axis=1) / s) ** p
-    if statistic == "r":
+    if mx is not None:
         v = v * mx * mx / s
     return float(v.sum()), float((v * v).sum())
 
@@ -208,15 +208,14 @@ def estimate_t_moment(spec: WeightSpec, n: int, p: int, replications: int,
 
 
 def _check_regime(spec: WeightSpec, p: int, regime: str) -> None:
-    bounded = spec.family != "pareto_shifted"
     if regime == "sqrt":
-        ok = bounded or spec.shape >= p + 3.5
+        ok = spec.tail_index >= p + 3.5
         msg = "tail decay x**-(p+7/2) requires pareto shape >= p + 3.5"
     elif regime == "poly":
-        ok = p > 8 and (bounded or spec.shape > p + 4)
+        ok = p > 8 and spec.tail_index > p + 4
         msg = "polynomial regime requires p > 8 and a finite (p+4)-th moment"
     elif regime == "log":
-        ok = bounded
+        ok = spec.tail_index == math.inf
         msg = "log regime requires an exponential moment (bounded support)"
     else:
         raise ValueError(f"unknown regime {regime!r}; expected sqrt/poly/log")

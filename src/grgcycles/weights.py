@@ -12,12 +12,18 @@ A :class:`WeightSpec` describes one of four positive weight families:
 Sampling is deterministic per ``(spec, n, seed)``: the Pareto family uses
 the inverse transform ``Y = U ** (-1/shape)`` with ``U`` drawn away from
 zero, so the draw is exact and branch-free.
+
+``WeightSpec.tail_index`` is the one place that says how heavy a law's tail
+is: ``P(W > x)`` decays like ``x**-tail_index``, so the Pareto shape, and
+infinity for the bounded families.  ``moment`` (finite below the index),
+``tail_condition_holds`` (index above 2k + 1) and the regime checks of
+:mod:`.ratios` all compare against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, inf
 from typing import Mapping
 
 import numpy as np
@@ -103,6 +109,12 @@ class WeightSpec:
                 prb = tuple(p / total for p in prb)
             object.__setattr__(self, "values", vals)
             object.__setattr__(self, "probs", prb)
+
+    @property
+    def tail_index(self) -> float:
+        """The exponent of ``P(W > x) ~ x**-tail_index``: the Pareto shape,
+        infinite for bounded support."""
+        return self.shape if self.family == "pareto_shifted" else inf
 
     # -- constructors -------------------------------------------------------
 
@@ -228,17 +240,11 @@ def sample_weights(spec: WeightSpec, n: int, seed) -> WeightVector:
     return WeightVector.from_values(draw(spec, rng, n))
 
 
-def _moment_finite(spec: WeightSpec, order: int) -> bool:
-    if spec.family == "pareto_shifted":
-        return spec.shape > order
-    return True  # bounded support otherwise
-
-
 def moment(spec: WeightSpec, order: int) -> float:
     """Exact E W**order; raises :class:`InfiniteMomentError` if it diverges."""
     if order < 1:
         raise ValueError("moment order must be a positive integer")
-    if not _moment_finite(spec, order):
+    if order >= spec.tail_index:
         raise InfiniteMomentError(
             f"moment of order {order} is infinite for shape {spec.shape}")
     if spec.family == "constant":
@@ -262,14 +268,9 @@ def analytic_moments(spec: WeightSpec) -> MomentSummary:
 
 
 def tail_condition_holds(spec: WeightSpec, k: int) -> bool:
-    """Whether P(W > x) decays faster than x**-(2k+1).
-
-    True for every bounded-support family; for the shifted Pareto family the
-    tail exponent equals ``shape``, so the condition is ``shape > 2k + 1``
-    (strict: equality gives an exact power tail, not an o() bound).
+    """Whether P(W > x) decays faster than x**-(2k+1): a tail index above
+    2k + 1 (strict: equality gives an exact power tail, not an o() bound).
     """
     if k < 3:
         raise ValueError("cycle length k must be at least 3")
-    if spec.family == "pareto_shifted":
-        return spec.shape > 2 * k + 1
-    return True
+    return spec.tail_index > 2 * k + 1

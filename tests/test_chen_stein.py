@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from grgcycles import chen_stein
-from grgcycles.chen_stein import (bound_report, conditional_rate_exact,
+from grgcycles.chen_stein import (BoundTerms, bound_report,
+                                  conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
                                   _bound_terms, _dense_terms, _edge_forms,
                                   _series_length)
@@ -224,6 +225,13 @@ class TestSeriesKernel:
         series = (conditional_rate_exact(wv, 3), terms.b1, terms.b2)
         assert series == pytest.approx(_dense_terms(wv), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("shape", [9.5, 2.5])
+    @pytest.mark.parametrize("n", [25, 250, 2000])
+    def test_terms_carry_the_exact_conditional_mean(self, shape, n):
+        wv = pareto_weights(shape, n)
+        assert exact_bound_terms(wv, 3).conditional_mean == pytest.approx(
+            conditional_rate_exact(wv, 3), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_at_most_one_triangle(self, n):
         # a lone triangle has b1 = its probability squared and b2 = 0
@@ -382,6 +390,17 @@ class TestBoundReport:
         one = bound_report(spec, n, k, 3, seed=5)
         two = bound_report(spec, n, k, 3, seed=5, workers=2)
         assert repr(one) == repr(two)
+
+    @pytest.mark.parametrize("k,n", [(3, 12), (4, 7)])
+    def test_report_means_the_replication_terms(self, k, n):
+        spec = WeightSpec.pareto_shifted(9.5, 10, 1)
+        report, terms = bound_report(spec, n, k, replications=3, seed=4)
+        assert [type(row) for row in terms] == [BoundTerms] * 3
+        for field in BoundTerms._fields:
+            assert getattr(report, field) == float(
+                np.mean([getattr(row, field) for row in terms]))
+        draw = sample_weights(spec, n, chen_stein.replication_seed(4, 2, 0))
+        assert terms[2] == exact_bound_terms(draw, k)
 
     def test_deterministic(self):
         spec = WeightSpec.pareto_shifted(9.5, 10, 1)

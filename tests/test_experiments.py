@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from grgcycles import cli, experiments
+from grgcycles.chen_stein import BoundTerms, bound_report
 from grgcycles.cycles import candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    load_config, map_replications,
@@ -375,6 +376,18 @@ class TestBoundsRunner:
         with pytest.raises(ValueError):
             run_bounds(ExperimentConfig(spec=PARETO))
 
+    def test_csv_columns_are_the_bound_terms(self, tmp_path):
+        cfg = ExperimentConfig(spec=PARETO, k=3, n_grid=(12, 20),
+                               replications=2, seed=1,
+                               output_dir=str(tmp_path))
+        run_bounds(cfg)
+        lines = (tmp_path / "bounds_k3_seed1_terms.csv").read_text()
+        lines = lines.splitlines()
+        assert lines[0].split(",") == ["n", "replication",
+                                       *BoundTerms._fields]
+        _, terms = bound_report(PARETO, 20, 3, 2, 1)
+        assert lines[-1] == ",".join(["20", "1", *map(repr, terms[1])])
+
     def test_er_grid_needs_no_family(self, config_file):
         with_family = run_bounds(load_config(config_file, "bounds"))
         no_family = run_bounds(load_config(None, "bounds", {
@@ -555,6 +568,27 @@ class TestCli:
         monkeypatch.setenv("GRGCYCLES_DEBUG", "yes")
         with pytest.raises(ValueError, match="GRGCYCLES_DEBUG='yes'"):
             cli.main(BAD_CENSUS)
+
+    @pytest.mark.parametrize("command", ["ratio", "bounds"])
+    @pytest.mark.parametrize("flag,named", [
+        ("--n-grid=0,8", "n_grid=0,8"), ("--n-grid=-4,8", "n_grid=-4,8"),
+        ("--n=-4", "n=-4"),
+    ], ids=["zero", "negative", "n"])
+    def test_grid_sizes_below_one_named(self, capsys, command, flag, named):
+        assert cli.main([command, "--family", "constant", "--value", "1",
+                         flag, "--replications", "1000"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"grgcycles {command}: error: {named} holds a "
+                           "size below 1\n")
+
+    def test_moments_fails_before_printing(self):
+        proc = run_cli("moments", "--family", "constant", "--value", "1",
+                       "--k", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("grgcycles moments: error: cycle length k "
+                               "must be at least 3\n")
 
     def test_unknown_family_diagnostic(self):
         proc = run_cli("moments", "--family", "lognormal")

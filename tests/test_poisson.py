@@ -22,8 +22,7 @@ ORACLE_RATES = (0.0, 0.5, 311.69408, 2880.16)
 def oracle_laws(lam):
     """Empirical laws inside, straddling and beyond the Poisson support."""
     rng = np.random.default_rng(int(lam * 100) + 7)
-    pmf, _ = PoissonModel(lam).truncated_pmf()
-    top = pmf.size - 1
+    top = PoissonModel(lam).support[0][-1]
     inside = rng.poisson(lam, 400).tolist()
     return [EmpiricalPmf.from_samples(inside),
             EmpiricalPmf.from_samples(inside[:16] + [top + 1, top + 40]),
@@ -35,15 +34,27 @@ def reference_tv(p, q):
     at a time in ascending order, plus the truncated tails."""
     def pairs(law):
         if isinstance(law, PoissonModel):
-            pmf, tail = law.truncated_pmf()
+            _, pmf, tail = law.support
             return {m: float(x) for m, x in enumerate(pmf)}, tail
-        return {m: law.pmf(m) for m in law.outcomes()}, 0.0
+        return {m: law.pmf(m) for m in law.counts}, 0.0
     pmf_p, tail_p = pairs(p)
     pmf_q, tail_q = pairs(q)
     dist = 0
     for m in sorted(set(pmf_p) | set(pmf_q)):
         dist += abs(pmf_p.get(m, 0.0) - pmf_q.get(m, 0.0))
     return min(dist + (tail_p + tail_q), 2.0)
+
+
+def reference_quantile(emp, level):
+    """The first outcome, in ascending order, whose cumulative count
+    reaches ``level * total`` less ``1e-9 * total``; one level at a time."""
+    acc = 0
+    target = level * emp.total
+    for m in sorted(emp.counts):
+        acc += emp.counts[m]
+        if acc >= target - 1e-9 * emp.total:
+            return m
+    return max(emp.counts)
 
 
 def pareto_ratio():
@@ -110,7 +121,7 @@ class TestPmf:
         assert flips <= 1
 
     def test_truncated_support(self):
-        pmf, tail = PoissonModel(2880.16).truncated_pmf()
+        _, pmf, tail = PoissonModel(2880.16).support
         assert tail <= 1e-12
         assert abs(pmf.sum() + tail - 1.0) < 1e-9
 
@@ -170,6 +181,14 @@ class TestTvDistance:
             for q in laws:
                 assert tv_distance(p, q) == reference_tv(p, q)
 
+    @pytest.mark.parametrize("lam,mu", [(0.0, 0.5), (0.5, 3.0),
+                                        (311.69408, 320.0),
+                                        (2880.16, 311.69408)])
+    def test_two_models_equal_dict_reference(self, lam, mu):
+        p, q = PoissonModel(lam), PoissonModel(mu)
+        assert tv_distance(p, q) == reference_tv(p, q)
+        assert tv_distance(q, p) == reference_tv(q, p)
+
     @given(st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30),
            st.lists(st.integers(0, 8), min_size=1, max_size=30))
@@ -191,6 +210,23 @@ class TestEmpiricalPmf:
         assert emp.pmf(1) == 0.5 and emp.pmf(2) == 0.0
         assert emp.to_csv_rows() == [(1, 2), (3, 2)]
 
+    def test_support_view_is_ascending(self):
+        emp = EmpiricalPmf({9: 1, 2: 3, 5: 0, 4: 4})
+        outcomes, masses, tail = emp.support
+        assert outcomes.tolist() == [2, 4, 9]
+        assert masses.tolist() == [3 / 8, 4 / 8, 1 / 8]
+        assert tail == 0.0
+        assert emp.to_csv_rows() == [(2, 3), (4, 4), (9, 1)]
+
+    def test_quantile_of_one_level_or_many(self):
+        emp = EmpiricalPmf({9: 1, 2: 3, 4: 4})
+        model = PoissonModel(4.0)
+        assert emp.quantile(0.5) == 4 and isinstance(emp.quantile(0.5), int)
+        assert emp.quantile([0.1, 0.5, 0.99]) == [2, 4, 9]
+        assert isinstance(model.quantile(0.5), int)
+        assert model.quantile([0.1, 0.5]) == [model.quantile(0.1),
+                                              model.quantile(0.5)]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EmpiricalPmf({})
@@ -206,7 +242,7 @@ class TestQqTable:
 
     def test_synthetic_poisson_matches_itself(self):
         model = PoissonModel(6.0)
-        pmf, _ = model.truncated_pmf()
+        _, pmf, _ = model.support
         counts = {m: int(round(p * 10**9)) for m, p in enumerate(pmf)}
         emp = EmpiricalPmf({m: c for m, c in counts.items() if c})
         levels = [0.123, 0.25, 0.5, 0.777, 0.93]
@@ -236,8 +272,10 @@ class TestQqTable:
         for emp in oracle_laws(lam):
             table = qq_table(emp, model, DEFAULT_QQ_LEVELS)
             assert table.rows == tuple(
-                (level, emp.quantile(level), model.quantile(level))
+                (level, reference_quantile(emp, level), model.quantile(level))
                 for level in DEFAULT_QQ_LEVELS)
+            assert [emp.quantile(level) for level in DEFAULT_QQ_LEVELS] == \
+                table.empirical_column()
 
     def test_levels_on_count_boundaries(self):
         # cumulative counts 1, 2, 3, 4 of 4: levels 0.25, 0.5 and 0.75 land
@@ -248,13 +286,13 @@ class TestQqTable:
         table = qq_table(emp, model, levels)
         assert table.empirical_column() == [2, 5, 9]
         assert table.rows == tuple(
-            (level, emp.quantile(level), model.quantile(level))
+            (level, reference_quantile(emp, level), model.quantile(level))
             for level in levels)
 
     def test_levels_on_poisson_cdf_values(self):
         # a level equal to cdf(m) has quantile m, not m + 1
         model = PoissonModel(3.0)
-        pmf, _ = model.truncated_pmf()
+        _, pmf, _ = model.support
         levels = np.cumsum(pmf)[:6].tolist()
         table = qq_table(EmpiricalPmf({1: 1}), model, levels)
         assert table.poisson_column() == [0, 1, 2, 3, 4, 5]
@@ -268,7 +306,7 @@ class TestTruncatedPmfOnce:
         lgamma = math.lgamma
         monkeypatch.setattr(math, "lgamma",
                             lambda x: calls.append(x) or lgamma(x))
-        pmf, _ = model.truncated_pmf()
+        _, pmf, _ = model.support
         built = len(calls)
         assert built > 0
         emp = EmpiricalPmf.from_samples([300, 310, 320])
@@ -277,9 +315,11 @@ class TestTruncatedPmfOnce:
         for level in (0.1, 0.5, 0.9):
             model.quantile(level)
         assert len(calls) == built
-        assert model.truncated_pmf()[0] is pmf
+        assert model.support[1] is pmf
         with pytest.raises(ValueError):
             pmf[0] = 1.0
+        with pytest.raises(ValueError):
+            model.support[0][0] = 1
 
 
 @pytest.mark.parametrize("call,match", [

@@ -1,6 +1,7 @@
 """Ratio statistics, exact oracles, Monte Carlo estimators, rate fits."""
 
 import math
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grgcycles.ratios import (RegimeWarning, TailBoundCheck, check_lower_tail,
-                              estimate_r_moment, estimate_t_moment,
-                              exact_t_moment, lower_tail_bound, r_statistic,
-                              rate_fit, t_statistic)
+from grgcycles.ratios import (RegimeWarning, TailBoundCheck, _check_regime,
+                              check_lower_tail, estimate_r_moment,
+                              estimate_t_moment, exact_t_moment,
+                              lower_tail_bound, r_statistic, rate_fit,
+                              t_statistic)
 from grgcycles.weights import InfiniteMomentError, WeightSpec, draw
 from oracles import exact_t_moment_bruteforce
 
@@ -200,6 +202,32 @@ class TestMonteCarloR:
             estimate_r_moment(TWO_POINT, 8, 2, 1000, seed=0, regime="log")
             estimate_r_moment(WeightSpec.pareto_shifted(6.0, 1, 0), 8, 2,
                               1000, seed=0, regime="sqrt")
+
+    @pytest.mark.parametrize("regime,p,edge,holds_at_edge", [
+        ("sqrt", 2, 5.5, True), ("sqrt", 9, 12.5, True),
+        ("poly", 9, 13.0, False), ("poly", 12, 16.0, False),
+    ])
+    def test_regime_boundaries(self, regime, p, edge, holds_at_edge):
+        # sqrt holds from shape p + 3.5 on; poly needs shape above p + 4
+        def warns(shape):
+            spec = WeightSpec.pareto_shifted(shape, 1, 0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _check_regime(spec, p, regime)
+            return any(issubclass(w.category, RegimeWarning)
+                       for w in caught)
+
+        assert warns(edge) is not holds_at_edge
+        assert warns(math.nextafter(edge, 0)) is True
+        assert warns(math.nextafter(edge, 99)) is False
+
+    @pytest.mark.parametrize("regime", ["sqrt", "poly", "log"])
+    def test_bounded_support_meets_every_tail_condition(self, regime):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            _check_regime(TWO_POINT, 9, regime)
+        with pytest.warns(RegimeWarning, match="log regime"):
+            _check_regime(WeightSpec.pareto_shifted(1e6, 1, 0), 9, "log")
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):

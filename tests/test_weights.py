@@ -1,5 +1,7 @@
 """Weight family construction, sampling, and closed-form moments."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -235,6 +237,33 @@ class TestTailCondition:
     def test_k_guard(self):
         with pytest.raises(ValueError):
             tail_condition_holds(WeightSpec.constant(1.0), 2)
+
+
+BOUNDED = (WeightSpec.constant(5.0), WeightSpec.two_point(1, 2, 0.5),
+           WeightSpec.empirical([1, 2], [0.5, 0.5]))
+
+
+class TestTailIndex:
+    def test_shape_or_infinity(self):
+        assert WeightSpec.pareto_shifted(9.5, 10, 1).tail_index == 9.5
+        for spec in BOUNDED:
+            assert spec.tail_index == math.inf
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_moment_boundary_at_shape_equal_order(self, order):
+        with pytest.raises(InfiniteMomentError):
+            moment(WeightSpec.pareto_shifted(order, 1, 0), order)
+        above = WeightSpec.pareto_shifted(math.nextafter(order, 9), 1, 0)
+        assert math.isfinite(moment(above, order))
+        for spec in BOUNDED:
+            assert math.isfinite(moment(spec, order))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_tail_condition_boundary_at_shape_2k_plus_1(self, k):
+        at = 2 * k + 1
+        assert not tail_condition_holds(WeightSpec.pareto_shifted(at, 1, 0), k)
+        above = WeightSpec.pareto_shifted(math.nextafter(at, 99), 1, 0)
+        assert tail_condition_holds(above, k)
 
 
 @pytest.mark.parametrize("call,match", [
