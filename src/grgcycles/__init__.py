@@ -10,10 +10,10 @@ from .cycles import (CandidateCapError, CycleCensus, DEFAULT_CANDIDATE_CAP,
 from .graphs import GrgGraph, sample_chung_lu, sample_grg
 from .poisson import (EmpiricalPmf, PoissonModel, QqTable, mixed_poisson_pmf,
                       poisson_pmf, poisson_rate, qq_table, tv_distance)
-from .ratios import (MCEstimate, RateFit, RegimeWarning, TailBoundCheck,
-                     check_lower_tail, estimate_r_moment, estimate_t_moment,
-                     exact_t_moment, lower_tail_bound, r_statistic,
-                     rate_fit, t_statistic)
+from .ratios import (MCEstimate, RateFit, TailBoundCheck, check_lower_tail,
+                     estimate_r_moment, estimate_t_moment, exact_t_moment,
+                     lower_tail_bound, r_statistic, rate_fit, regimes,
+                     t_statistic)
 from .spectral import (ThresholdReport, epidemic_threshold,
                        power_iteration_radius, spectral_lower_bound,
                        threshold_report)

@@ -319,24 +319,11 @@ def _bound_terms(edge_rows, p_cand, p_edge) -> Tuple[float, float]:
     return b1, b2
 
 
-def _exact_terms(k: int, cap: int, weights: WeightVector,
-                 method: str = "auto") -> BoundTerms:
-    """The exact bound terms of one weight vector: the series kernel for
-    k = 3, the dense oracle, or the candidate path."""
-    if method == "dense":
-        rate, b1, b2 = _dense_terms(weights)
-        return BoundTerms(b1, b2, rate)
-    if k == 3 and method == "auto":
-        return _series_terms(weights)
-    arrays = _candidate_arrays(weights, k, cap)
-    return BoundTerms(*_bound_terms(*arrays), float(arrays[1].sum()))
-
-
 def exact_bound_terms(weights: WeightVector, k: int,
                       cap: int = DEFAULT_CANDIDATE_CAP,
                       method: str = "auto") -> BoundTerms:
     """Exact b1, b2 and conditional mean over the full candidate set for
-    one weight vector.
+    one weight vector; all zero when it has fewer than k vertices.
 
     ``method="auto"`` takes the series kernel for k=3 (no cap needed) and
     candidate enumeration otherwise; ``"candidates"`` forces enumeration
@@ -346,15 +333,27 @@ def exact_bound_terms(weights: WeightVector, k: int,
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and k != 3:
         raise ValueError("the dense path only covers k = 3")
-    return _exact_terms(k, cap, weights, method)
+    if k < 3:
+        raise ValueError("cycle length k must be at least 3")
+    if len(weights) < k:
+        return BoundTerms(0.0, 0.0, 0.0)
+    if method == "dense":
+        rate, b1, b2 = _dense_terms(weights)
+        return BoundTerms(b1, b2, rate)
+    if k == 3 and method == "auto":
+        return _series_terms(weights)
+    arrays = _candidate_arrays(weights, k, cap)
+    return BoundTerms(*_bound_terms(*arrays), float(arrays[1].sum()))
 
 
 def conditional_rate_exact(weights: WeightVector, k: int,
                            cap: int = DEFAULT_CANDIDATE_CAP) -> float:
     """Exact conditional census mean: sum of all candidate probabilities
-    (for k = 3, ``tr(P**3) / 6`` from the series form of P alone)."""
-    n = len(weights)
-    if n < k:
+    (for k = 3, ``tr(P**3) / 6`` from the series form of P alone); zero
+    when there are fewer than k vertices, as in ``exact_bound_terms``."""
+    if k < 3:
+        raise ValueError("cycle length k must be at least 3")
+    if len(weights) < k:
         return 0.0
     if k == 3:
         _, (P,) = _edge_forms(weights, (1,))
@@ -385,14 +384,15 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
         raise ValueError("need at least one replication")
     if cap < 1:
         raise ValueError(f"candidate_cap={cap} is below 1")
-    if k != 3 and candidate_count(n, k) > cap:
+    if k != 3 and n >= k and candidate_count(n, k) > cap:
         raise CandidateCapError(
             f"{candidate_count(n, k)} candidates exceed cap {cap}; "
             "bound terms need the candidate set (or k = 3)")
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
     draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
              for rep in range(replications)]
-    terms = map_replications(partial(_exact_terms, k, cap), draws, workers)
+    terms = map_replications(partial(exact_bound_terms, k=k, cap=cap), draws,
+                             workers)
     mean = BoundTerms(*(float(np.mean(column)) for column in zip(*terms)))
     report = BoundReport(*mean, target_rate=target,
                          gap=abs(mean.conditional_mean - target),

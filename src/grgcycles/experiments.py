@@ -32,7 +32,8 @@ from .chen_stein import BoundTerms, bound_report
 from .cycles import DEFAULT_CANDIDATE_CAP, count_k_cycles
 from .graphs import GrgGraph, sample_grg
 from .poisson import EmpiricalPmf, QqTable, poisson_rate, qq_table, tv_distance
-from .ratios import estimate_r_moment, estimate_t_moment, exact_t_moment, rate_fit
+from .ratios import (estimate_r_moment, estimate_t_moment, exact_t_moment,
+                     rate_fit, regimes)
 from .replication import map_replications, replication_seed, resolve_workers
 from .spectral import ThresholdReport, threshold_report
 from .weights import WeightSpec, analytic_moments, sample_weights
@@ -79,7 +80,6 @@ class ExperimentConfig:
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
     n_grid: tuple = ()
     statistic: str = "t"
-    regime: Optional[str] = None
     er_lambda: Optional[float] = None
     edge_list: Optional[str] = None
 
@@ -136,7 +136,6 @@ CONFIG_KEYS = {
     "candidate_cap": (int, "candidate cycle cap for exact bound sums"),
     "n_grid": (_parse_grid, "comma separated n grid for studies"),
     "statistic": (str, "ratio statistic: t or r"),
-    "regime": (str, "targeted ratio regime: sqrt/poly/log"),
     "er_lambda": (float, "per-n constant-weight calibration for bounds"),
     "edge_list": (str, "edge-list file for the threshold subcommand"),
 }
@@ -248,14 +247,17 @@ def _fit_record(fit, prefix: str = "") -> dict:
             for name in ("slope", "intercept", "r_squared")}
 
 
-def _grid(cfg: ExperimentConfig, study: str) -> tuple:
-    """The study's sizes: ``n_grid``, or else ``n``; each at least 1."""
+def _grid(cfg: ExperimentConfig, study: str, k: int = 0) -> tuple:
+    """The study's sizes: ``n_grid``, or else ``n``; each at least 1, and
+    at least the cycle length ``k`` if one is given."""
     if not (cfg.n_grid or cfg.n):
         raise ValueError(f"{study} study needs n or n_grid")
     key, grid = ("n_grid", cfg.n_grid) if cfg.n_grid else ("n", (cfg.n,))
+    named = f"{key}={','.join(map(str, grid))}"
     if min(grid) < 1:
-        raise ValueError(f"{key}={','.join(map(str, grid))} holds a size "
-                         "below 1")
+        raise ValueError(f"{named} holds a size below 1")
+    if min(grid) < k:
+        raise ValueError(f"{named} holds a size below k={k}")
     return grid
 
 
@@ -342,7 +344,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     to edge probability ``er_lambda / n`` (otherwise the configured weight
     spec is reused unchanged at every n).
     """
-    grid = _grid(cfg, "bound")
+    grid = _grid(cfg, "bound", cfg.k)
     workers = resolve_workers(cfg.workers)
     # every n's calibration first: a bad er_lambda fails before any bound
     specs = [cfg.weight_spec() if cfg.er_lambda is None
@@ -396,8 +398,10 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
 
     Statistic ``"t"`` is compared against its analytic limit
     ``(EW^2/EW)**p``; statistic ``"r"`` decays to zero so its error is the
-    estimate itself.  Points whose error falls below ten standard errors
-    are below the Monte Carlo noise floor: excluded from the fit, reported.
+    estimate itself, and its summary lists the ``regimes`` of its decay
+    that the law's tail admits (:func:`.ratios.regimes`).  Points whose
+    error falls below ten standard errors are below the Monte Carlo noise
+    floor: excluded from the fit, reported.
     """
     grid = _grid(cfg, "ratio")
     if cfg.statistic not in ("t", "r"):
@@ -418,8 +422,7 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
                                     seed_n, workers=workers)
         else:
             est = estimate_r_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n, regime=cfg.regime,
-                                    workers=workers)
+                                    seed_n, workers=workers)
         abs_error = abs(est.value - limit)
         rows.append((n, est.value, est.std_error, abs_error))
         if abs_error >= NOISE_FLOOR_FACTOR * est.std_error and abs_error > 0:
@@ -457,6 +460,8 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         "below_noise_floor": floored,
         "fit_note": fit_note,
     }
+    if cfg.statistic == "r":
+        summary["regimes"] = list(regimes(spec, cfg.p))
     stem = f"ratio_{cfg.statistic}_p{cfg.p}_seed{cfg.seed}"
     texts = {
         f"{stem}_estimates.csv": csv_text(

@@ -262,9 +262,6 @@ _PAIR_CHUNK = 1 << 16
 _BLOCK = 128
 # Relative slack that lifts each bound far above its rounding error.
 _SLACK = 1.0 + 1e-12
-# Chunks with fewer pairs test every pair exactly: there the pre-filter
-# costs more than it saves.
-_FILTER_MIN = 1024
 
 
 def _column_segments(w: np.ndarray) -> tuple:
@@ -296,9 +293,7 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
     starts = np.zeros(n, dtype=np.int64)
     np.add.accumulate(ids[n - 1:0:-1], out=starts[1:])
     col_shift = ids[1:] - starts
-    npairs = n * (n - 1) // 2
-    if npairs >= _FILTER_MIN:
-        edges, seg_max = _column_segments(w)
+    edges, seg_max = _column_segments(w)
     heads, tails = [], []
     i0 = 0
     while i0 < n - 1:
@@ -307,17 +302,14 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
         i1 = int(starts.searchsorted(a + _PAIR_CHUNK, "right")) - 1
         i1 = max(i0 + 1, i1)
         u = rng.random(int(starts[i1]) - a)
-        if u.size < _FILTER_MIN:
-            cand = np.arange(u.size)
-        else:
-            # bound p_ij over row i's columns in segment k by the segment's
-            # largest weight; segments left of the row get length 0
-            k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
-            x = w[i0:i1, None] * seg_max[k0:]
-            bound = (x / total if chung_lu else x / (total + x)) * _SLACK
-            clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
-            lens = clipped[:, 1:] - clipped[:, :-1]
-            cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
+        # bound p_ij over row i's columns in segment k by the segment's
+        # largest weight; segments left of the row get length 0
+        k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
+        x = w[i0:i1, None] * seg_max[k0:]
+        bound = (x / total if chung_lu else x / (total + x)) * _SLACK
+        clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
+        lens = clipped[:, 1:] - clipped[:, :-1]
+        cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
         # exact test of the candidates; row i0 + r holds candidates
         # firsts[r] up to firsts[r + 1]
         pos = cand + a

@@ -7,12 +7,13 @@ For a positive sample ``x_1..x_n`` the two statistics are
 
 ``t`` converges to EX^2/EX; ``E t**p`` converges to its p-th power exactly
 when the tail of X decays faster than x**-(p+1), and ``E r`` vanishes at a
-rate governed by the tail.  The module provides Monte Carlo estimators with
-standard errors, exact finite-n values for two-point laws (the outcome of
-``t`` depends only on how many draws hit the larger atom, so a single
-binomial sum is exact for any n), an exponential lower-tail bound for sums
-of independent nonnegative variables, and least-squares rate fitting on
-log-log error points.
+rate governed by the tail: ``regimes(spec, p)`` names the decay regimes
+that the law's tail index (``WeightSpec.tail_index``) admits.  The module
+provides Monte Carlo estimators with standard errors, exact finite-n values
+for two-point laws (the outcome of ``t`` depends only on how many draws hit
+the larger atom, so a single binomial sum is exact for any n), an
+exponential lower-tail bound for sums of independent nonnegative variables,
+and least-squares rate fitting on log-log error points.
 
 A Monte Carlo estimate is cut into chunks of whole replications, and the
 chunk that starts at replication ``start`` rebuilds the generator from the
@@ -26,22 +27,20 @@ so an estimate is bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .replication import map_replications
-from .weights import WeightSpec, analytic_moments, draw
+from .weights import WeightSpec, WeightVector, analytic_moments, draw
 
 __all__ = [
     "MCEstimate",
     "RateFit",
-    "RegimeWarning",
     "TailBoundCheck",
     "t_statistic",
     "r_statistic",
@@ -51,13 +50,10 @@ __all__ = [
     "lower_tail_bound",
     "check_lower_tail",
     "rate_fit",
+    "regimes",
 ]
 
 _CHUNK_BUDGET = 262_144  # variates per Monte Carlo chunk: 2 MB, stays in cache
-
-
-class RegimeWarning(UserWarning):
-    """The weight law violates the assumptions of the requested regime."""
 
 
 @dataclass(frozen=True)
@@ -88,37 +84,52 @@ class TailBoundCheck:
     probability: float
 
     def __post_init__(self):
-        if not 0 < self.bound_value <= 1:
-            raise ValueError("bound must lie in (0, 1]")
+        if not 0 <= self.bound_value <= 1:
+            raise ValueError("bound must lie in [0, 1]")
 
     @property
     def holds(self) -> bool:
         return self.probability <= self.bound_value
 
 
-def _as_positive_array(xs) -> np.ndarray:
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a nonempty 1-d sample")
-    if not np.all(arr > 0):
-        raise ValueError("all entries must be strictly positive")
-    return arr
+def _row_statistics(x: np.ndarray, p: int, statistic: str) -> np.ndarray:
+    """``t**p`` (statistic ``"t"``) or ``r`` of every row of the 2-d array
+    ``x``, which it overwrites: squaring in place keeps one array, not two."""
+    s = x.sum(axis=1)
+    mx = x.max(axis=1) if statistic == "r" else None
+    x *= x
+    v = (x.sum(axis=1) / s) ** p
+    if mx is not None:
+        v = v * mx * mx / s
+    return v
+
+
+def _one_row(xs) -> np.ndarray:
+    """A positive 1-d sample as a one-row copy."""
+    return np.array(WeightVector.from_values(xs).values, ndmin=2)
 
 
 def t_statistic(xs) -> float:
     """Sum of squares over sum."""
-    arr = _as_positive_array(xs)
-    return float(arr @ arr / arr.sum())
+    return float(_row_statistics(_one_row(xs), 1, "t")[0])
 
 
 def r_statistic(xs, p: int) -> float:
     """``t**p * max**2 / sum`` for integer p >= 2."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    arr = _as_positive_array(xs)
-    s = arr.sum()
-    t = float(arr @ arr / s)
-    return t ** p * float(arr.max()) ** 2 / float(s)
+    return float(_row_statistics(_one_row(xs), p, "r")[0])
+
+
+def regimes(spec: WeightSpec, p: int) -> Tuple[str, ...]:
+    """The decay regimes of ``E r`` that the law's tail admits, in the order
+    sqrt, poly, log: ``sqrt`` needs tail decay x**-(p+7/2) (tail index at
+    least p + 3.5), ``poly`` p > 8 and a finite (p+4)-th moment (index above
+    p + 4), ``log`` an exponential moment (bounded support)."""
+    index = spec.tail_index
+    rules = (("sqrt", index >= p + 3.5), ("poly", p > 8 and index > p + 4),
+             ("log", index == math.inf))
+    return tuple(name for name, holds in rules if holds)
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +171,15 @@ def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
     start, size = unit
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start * n)
-    x = draw(spec, rng, (size, n))
-    s = x.sum(axis=1)
-    mx = x.max(axis=1) if statistic == "r" else None
-    x *= x                      # in place: one chunk-sized array, not two
-    v = (x.sum(axis=1) / s) ** p
-    if mx is not None:
-        v = v * mx * mx / s
+    v = _row_statistics(draw(spec, rng, (size, n)), p, statistic)
     return float(v.sum()), float((v * v).sum())
 
 
 def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
                  statistic: str, workers: int) -> MCEstimate:
     """Mean and standard error of the statistic over chunked replications."""
+    if replications < 1000:
+        raise ValueError("need at least 1000 replications")
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise TypeError("seed must be an int or a SeedSequence: each chunk "
                         "rebuilds its generator from it")
@@ -199,48 +206,18 @@ def estimate_t_moment(spec: WeightSpec, n: int, p: int, replications: int,
                       seed, workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of ``t**p`` with standard error, its chunks run on
     ``workers`` processes."""
-    if replications < 1000:
-        raise ValueError("need at least 1000 replications")
     if p < 1:
         raise ValueError("p must be positive")
     analytic_moments(spec)   # rejects laws without a finite second moment
     return _mc_estimate(spec, n, p, replications, seed, "t", workers)
 
 
-def _check_regime(spec: WeightSpec, p: int, regime: str) -> None:
-    if regime == "sqrt":
-        ok = spec.tail_index >= p + 3.5
-        msg = "tail decay x**-(p+7/2) requires pareto shape >= p + 3.5"
-    elif regime == "poly":
-        ok = p > 8 and spec.tail_index > p + 4
-        msg = "polynomial regime requires p > 8 and a finite (p+4)-th moment"
-    elif regime == "log":
-        ok = spec.tail_index == math.inf
-        msg = "log regime requires an exponential moment (bounded support)"
-    else:
-        raise ValueError(f"unknown regime {regime!r}; expected sqrt/poly/log")
-    if not ok:
-        warnings.warn(f"spec violates the {regime} regime: {msg}",
-                      RegimeWarning, stacklevel=3)
-
-
 def estimate_r_moment(spec: WeightSpec, n: int, p: int, replications: int,
-                      seed, regime: Optional[str] = None,
-                      workers: int = 1) -> MCEstimate:
+                      seed, workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of ``r`` with standard error, its chunks run on
-    ``workers`` processes.
-
-    ``regime`` optionally names the targeted convergence regime
-    (``"sqrt"``, ``"poly"`` or ``"log"``); a law violating its assumption
-    draws a :class:`RegimeWarning`, not an error, since the point of the
-    study is regime dependence.
-    """
-    if replications < 1000:
-        raise ValueError("need at least 1000 replications")
+    ``workers`` processes."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    if regime is not None:
-        _check_regime(spec, p, regime)
     return _mc_estimate(spec, n, p, replications, seed, "r", workers)
 
 

@@ -16,8 +16,8 @@ zero, so the draw is exact and branch-free.
 ``WeightSpec.tail_index`` is the one place that says how heavy a law's tail
 is: ``P(W > x)`` decays like ``x**-tail_index``, so the Pareto shape, and
 infinity for the bounded families.  ``moment`` (finite below the index),
-``tail_condition_holds`` (index above 2k + 1) and the regime checks of
-:mod:`.ratios` all compare against it.
+``tail_condition_holds`` (index above 2k + 1) and ``ratios.regimes`` (the
+decay regimes of the ratio statistic r) all compare against it.
 """
 
 from __future__ import annotations

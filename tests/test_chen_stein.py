@@ -189,6 +189,25 @@ class TestExactBoundTerms:
         with pytest.raises(CandidateCapError):
             exact_bound_terms(wv, 5, cap=100, method="candidates")
 
+    @pytest.mark.parametrize("n,k,method", [
+        (2, 3, "auto"), (2, 3, "candidates"), (2, 3, "dense"),
+        (2, 4, "auto"), (3, 4, "candidates"), (4, 5, "auto"),
+    ])
+    def test_fewer_vertices_than_k_give_zeros(self, n, k, method):
+        wv = WeightVector.from_values(np.arange(1.0, n + 1))
+        terms = exact_bound_terms(wv, k, method=method)
+        assert terms == BoundTerms(0.0, 0.0, 0.0)
+        assert conditional_rate_exact(wv, k) == terms.conditional_mean
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_k_below_three_rejected_at_any_size(self, n):
+        wv = WeightVector.from_values(np.ones(n))
+        for method in ("auto", "candidates"):
+            with pytest.raises(ValueError, match="at least 3"):
+                exact_bound_terms(wv, 2, method=method)
+        with pytest.raises(ValueError, match="at least 3"):
+            conditional_rate_exact(wv, 2)
+
 
 def pareto_weights(shape, n):
     return sample_weights(WeightSpec.pareto_shifted(shape, 10, 1), n, 1)
@@ -435,6 +454,13 @@ class TestBoundReport:
         bound_report(WeightSpec.pareto_shifted(9.5, 10, 1), n, k,
                      replications=4, seed=5, workers=2)
         assert sizes == [4]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_fewer_vertices_than_k_give_zeros(self, k):
+        report, terms = bound_report(WeightSpec.constant(1.0), 2, k,
+                                     replications=2, seed=0)
+        assert terms == [BoundTerms(0.0, 0.0, 0.0)] * 2
+        assert (report.b1, report.b2, report.conditional_mean) == (0, 0, 0)
 
     def test_bad_cap_fails_before_weights(self, monkeypatch):
         monkeypatch.setattr(chen_stein, "sample_weights", None)

@@ -144,7 +144,7 @@ KEY_SETTINGS = {
     "replications": {"replications": "7"}, "seed": {"seed": "11"},
     "workers": {"workers": "2"}, "output_dir": {"output_dir": "out"},
     "candidate_cap": {"candidate_cap": "500"}, "n_grid": {"n_grid": "8,16"},
-    "statistic": {"statistic": "r"}, "regime": {"regime": "log"},
+    "statistic": {"statistic": "r"},
     "er_lambda": {"er_lambda": "1.5"}, "edge_list": {"edge_list": "g.txt"},
 }
 for _key in ("scale", "loc"):
@@ -401,6 +401,21 @@ class TestBoundsRunner:
         with pytest.raises(ValueError, match=r"er_lambda=0\.0 is not positive"):
             er_constant_spec(10, 0.0)
 
+    @pytest.mark.parametrize("k,grid,named", [
+        (3, (2,), "n_grid=2"), (4, (4, 3), "n_grid=4,3"),
+        (5, (8, 4, 6), "n_grid=8,4,6"),
+    ])
+    def test_size_below_k_fails_before_any_bound(self, monkeypatch, k, grid,
+                                                 named):
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("a bound ran before the grid was checked")
+
+        monkeypatch.setattr(experiments, "bound_report", no_bounds)
+        cfg = ExperimentConfig(spec=PARETO, k=k, n_grid=grid, replications=1)
+        with pytest.raises(ValueError, match=f"^{named} holds a size below "
+                                             f"k={k}$"):
+            run_bounds(cfg)
+
     def test_bad_er_lambda_fails_before_any_bound(self, monkeypatch):
         def no_bounds(*args, **kwargs):
             raise AssertionError("a bound ran before the grid was checked")
@@ -446,6 +461,42 @@ class TestRatioRunner:
         cfg = ExperimentConfig(spec=PARETO, n_grid=(8, 16), statistic="x")
         with pytest.raises(ValueError):
             run_ratio_study(cfg)
+
+    @pytest.mark.parametrize("spec,p,listed", [
+        (WeightSpec.constant(1.0), 3, ["sqrt", "log"]),
+        (WeightSpec.two_point(1, 2, 0.5), 9, ["sqrt", "poly", "log"]),
+        (PARETO, 3, ["sqrt"]),
+        (WeightSpec.pareto_shifted(4.0, 1, 0), 3, []),
+    ])
+    def test_r_summary_lists_its_regimes(self, tmp_path, spec, p, listed):
+        cfg = ExperimentConfig(spec=spec, p=p, replications=1000,
+                               n_grid=(8, 16), statistic="r",
+                               output_dir=str(tmp_path))
+        result = run_ratio_study(cfg)
+        assert result.summary["regimes"] == listed
+        summary = json.loads(
+            (tmp_path / f"ratio_r_p{p}_seed0_summary.json").read_text())
+        assert summary["regimes"] == listed
+
+    def test_t_summary_has_no_regimes(self):
+        cfg = ExperimentConfig(spec=PARETO, p=2, replications=1000,
+                               n_grid=(8, 16), statistic="t")
+        assert set(run_ratio_study(cfg).summary) == {
+            "subcommand", "statistic", "p", "replications", "seed", "n_grid",
+            "limit", "slope", "intercept", "r_squared", "below_noise_floor",
+            "fit_note"}
+
+    def test_regime_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["ratio", "--family", "constant", "--value", "1",
+                      "--statistic", "r", "--regime", "log"])
+        assert exit_info.value.code == 2
+        assert "--regime" in capsys.readouterr().err
+        path = tmp_path / "ratio.ini"
+        path.write_text("[ratio]\nfamily = constant\nvalue = 1\n"
+                        "regime = log\n")
+        with pytest.raises(ValueError, match="unknown key 'regime'"):
+            load_config(path, "ratio")
 
 
 class TestThresholdRunner:
@@ -582,6 +633,19 @@ class TestCli:
         assert out.err == (f"grgcycles {command}: error: {named} holds a "
                            "size below 1\n")
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--k", "3", "--n-grid", "2"], "n_grid=2 holds a size below k=3"),
+        (["--k", "4", "--n-grid", "4,3"],
+         "n_grid=4,3 holds a size below k=4"),
+        (["--k", "4", "--n", "3"], "n=3 holds a size below k=4"),
+    ], ids=["k3", "k4", "n"])
+    def test_bounds_sizes_below_k_named(self, capsys, flags, named):
+        assert cli.main(["bounds", "--family", "constant", "--value", "1",
+                         *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"grgcycles bounds: error: {named}\n"
+
     def test_moments_fails_before_printing(self):
         proc = run_cli("moments", "--family", "constant", "--value", "1",
                        "--k", "2")
@@ -618,8 +682,8 @@ class TestCli:
             "--config", "--family", "--value", "--shape", "--scale", "--loc",
             "--x1", "--x2", "--p1", "--values", "--probs", "--n", "--k",
             "--p", "--replications", "--seed", "--workers", "--output-dir",
-            "--candidate-cap", "--n-grid", "--statistic", "--regime",
-            "--er-lambda", "--edge-list"]
+            "--candidate-cap", "--n-grid", "--statistic", "--er-lambda",
+            "--edge-list"]
 
     @pytest.mark.parametrize("args,names", [
         (["census", "--family", "constant", "--value", "2", "--n", "12",

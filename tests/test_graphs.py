@@ -401,12 +401,11 @@ class TestSamplerStream:
         assert np.array_equal(graph.indices, indices)
 
     @staticmethod
-    def shrink_constants(monkeypatch, chunk=7, block=5, filter_min=4):
-        # chunks of up to 7 pairs, 5-column blocks that end mid-row, and the
-        # pre-filter on every chunk of 4 pairs or more
+    def shrink_constants(monkeypatch, chunk=7, block=5):
+        # chunks of up to 7 pairs and 5-column blocks that end mid-row; the
+        # pre-filter runs on every chunk, down to a single pair
         monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
         monkeypatch.setattr(graphs, "_BLOCK", block)
-        monkeypatch.setattr(graphs, "_FILTER_MIN", filter_min)
 
     @pytest.mark.parametrize("chung_lu", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 300])
@@ -438,7 +437,7 @@ class TestSamplerStream:
         assert weights.values.max() ** 2 == weights.total
         for seed in range(20):
             self.assert_parity(weights, seed, chung_lu=True)
-        self.shrink_constants(monkeypatch, chunk=3, block=2, filter_min=1)
+        self.shrink_constants(monkeypatch, chunk=3, block=2)
         for seed in range(20):
             self.assert_parity(weights, seed, chung_lu=True)
         assert sample_chung_lu(WeightVector.from_values([6.0] * 6), 0).m == 15

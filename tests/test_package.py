@@ -1,11 +1,15 @@
 """The public surface: each module's ``__all__`` and the package's names."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
+from itertools import chain
 from pathlib import Path
 
 import grgcycles
+from grgcycles.experiments import CONFIG_KEYS, ExperimentConfig
+from grgcycles.weights import _PARAMETERS
 
 PACKAGE = Path(grgcycles.__file__).parent
 MODULES = [importlib.import_module(f"grgcycles.{info.name}")
@@ -38,3 +42,17 @@ def test_package_imports_only_listed_names():
                                   f"{module.__name__}.__all__ lacks")
             checked.add(path.name)
     assert {"__init__.py", "cli.py", "experiments.py"} <= checked
+
+
+def test_every_config_key_has_one_owner():
+    """Each config key is an ``ExperimentConfig`` field or a weight
+    parameter, and each field but ``spec`` is a key, so a deleted option
+    leaves no orphan flag or field behind."""
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    weight_keys = {"family", *chain.from_iterable(_PARAMETERS.values())}
+    keys = set(CONFIG_KEYS)
+    assert not keys & fields & weight_keys
+    assert keys - fields - weight_keys == set()
+    assert fields - {"spec"} <= keys
+    for key, (convert, _) in CONFIG_KEYS.items():
+        assert (convert is None) is (key in weight_keys), key

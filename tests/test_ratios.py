@@ -1,7 +1,6 @@
 """Ratio statistics, exact oracles, Monte Carlo estimators, rate fits."""
 
 import math
-import warnings
 from fractions import Fraction
 from math import comb
 
@@ -11,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grgcycles.ratios import (RegimeWarning, TailBoundCheck, _check_regime,
+from grgcycles.ratios import (TailBoundCheck, _chunk_sums, _row_statistics,
                               check_lower_tail, estimate_r_moment,
                               estimate_t_moment, exact_t_moment,
                               lower_tail_bound, r_statistic, rate_fit,
-                              t_statistic)
+                              regimes, t_statistic)
 from grgcycles.weights import InfiniteMomentError, WeightSpec, draw
 from oracles import exact_t_moment_bruteforce
 
@@ -47,6 +46,24 @@ class TestStatistics:
                 t_statistic(bad)
         with pytest.raises(ValueError):
             r_statistic([1.0, 2.0], 1)
+
+    def test_one_sample_is_one_row_of_the_kernel(self):
+        spec = WeightSpec.pareto_shifted(3.5, 2, 1)
+        rows = draw(spec, np.random.default_rng(4), (6, 50))
+        for p in (2, 3):
+            want = _row_statistics(rows.copy(), p, "r")
+            assert [r_statistic(row, p) for row in rows] == list(want)
+            # the Monte Carlo chunk of these six replications
+            assert _chunk_sums(spec, 50, p, 4, "r", (0, 6)) == (
+                float(want.sum()), float((want * want).sum()))
+        want = _row_statistics(rows.copy(), 1, "t")
+        assert [t_statistic(row) for row in rows] == list(want)
+
+    def test_input_left_unchanged(self):
+        xs = np.array([1.0, 2.0, 4.0])
+        t_statistic(xs)
+        r_statistic(xs, 2)
+        assert list(xs) == [1.0, 2.0, 4.0]
 
     @given(positive_lists)
     @settings(max_examples=80, deadline=None)
@@ -185,23 +202,16 @@ class TestMonteCarloR:
             assert est.value == pytest.approx(1 / n, rel=1e-12)
             assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
-    def test_regime_warnings(self):
+    def test_tails_that_miss_a_regime(self):
         heavy = WeightSpec.pareto_shifted(4.0, 1, 0)
-        with pytest.warns(RegimeWarning):
-            estimate_r_moment(heavy, 8, 2, 1000, seed=0, regime="sqrt")
-        with pytest.warns(RegimeWarning):
-            estimate_r_moment(heavy, 8, 2, 1000, seed=0, regime="log")
-        with pytest.warns(RegimeWarning):
-            estimate_r_moment(TWO_POINT, 8, 2, 1000, seed=0, regime="poly")
+        assert "sqrt" not in regimes(heavy, 2)
+        assert "log" not in regimes(heavy, 2)
+        assert "poly" not in regimes(TWO_POINT, 2)
 
-    def test_valid_regimes_silent(self):
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("error", RegimeWarning)
-            estimate_r_moment(TWO_POINT, 8, 2, 1000, seed=0, regime="sqrt")
-            estimate_r_moment(TWO_POINT, 8, 2, 1000, seed=0, regime="log")
-            estimate_r_moment(WeightSpec.pareto_shifted(6.0, 1, 0), 8, 2,
-                              1000, seed=0, regime="sqrt")
+    def test_tails_that_meet_a_regime(self):
+        assert regimes(TWO_POINT, 2) == ("sqrt", "log")
+        assert regimes(TWO_POINT, 9) == ("sqrt", "poly", "log")
+        assert regimes(WeightSpec.pareto_shifted(6.0, 1, 0), 2) == ("sqrt",)
 
     @pytest.mark.parametrize("regime,p,edge,holds_at_edge", [
         ("sqrt", 2, 5.5, True), ("sqrt", 9, 12.5, True),
@@ -209,29 +219,23 @@ class TestMonteCarloR:
     ])
     def test_regime_boundaries(self, regime, p, edge, holds_at_edge):
         # sqrt holds from shape p + 3.5 on; poly needs shape above p + 4
-        def warns(shape):
-            spec = WeightSpec.pareto_shifted(shape, 1, 0)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                _check_regime(spec, p, regime)
-            return any(issubclass(w.category, RegimeWarning)
-                       for w in caught)
+        def holds(shape):
+            return regime in regimes(WeightSpec.pareto_shifted(shape, 1, 0), p)
 
-        assert warns(edge) is not holds_at_edge
-        assert warns(math.nextafter(edge, 0)) is True
-        assert warns(math.nextafter(edge, 99)) is False
+        assert holds(edge) is holds_at_edge
+        assert holds(math.nextafter(edge, 0)) is False
+        assert holds(math.nextafter(edge, 99)) is True
 
     @pytest.mark.parametrize("regime", ["sqrt", "poly", "log"])
     def test_bounded_support_meets_every_tail_condition(self, regime):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RegimeWarning)
-            _check_regime(TWO_POINT, 9, regime)
-        with pytest.warns(RegimeWarning, match="log regime"):
-            _check_regime(WeightSpec.pareto_shifted(1e6, 1, 0), 9, "log")
+        assert regime in regimes(TWO_POINT, 9)
+        assert regime in regimes(WeightSpec.constant(2.0), 9)
+        assert "log" not in regimes(WeightSpec.pareto_shifted(1e6, 1, 0), 9)
 
     def test_unknown_regime(self):
-        with pytest.raises(ValueError):
-            estimate_r_moment(TWO_POINT, 8, 2, 1000, seed=0, regime="warp")
+        # the regimes follow from the law; no argument names one
+        with pytest.raises(TypeError, match="regime"):
+            estimate_r_moment(TWO_POINT, 8, 2, 1000, seed=0, regime="log")
 
 
 class TestLowerTailBound:
@@ -259,6 +263,18 @@ class TestLowerTailBound:
         with pytest.raises(ValueError):
             TailBoundCheck(lambda_frac=0.5, n=4, bound_value=1.5,
                            probability=0.1)
+        with pytest.raises(ValueError):
+            TailBoundCheck(lambda_frac=0.5, n=4, bound_value=-0.1,
+                           probability=0.0)
+
+    def test_check_accepts_the_zero_bound(self):
+        # no variance and no mean square: the sum is n surely, so it never
+        # falls to half of n, and the bound is 0
+        assert lower_tail_bound(0.5, 0.0, 0.0, 8) == 0.0
+        check = check_lower_tail(0.5, 0.0, 0.0, 8, 0.0)
+        assert check.bound_value == 0.0
+        assert check.holds
+        assert not check_lower_tail(0.5, 0.0, 0.0, 8, 0.25).holds
 
     def test_limit_toward_one(self):
         assert lower_tail_bound(0.999999, 1.0, 1.0, 100) > 0.999
