@@ -18,10 +18,11 @@ hand it on whole, and its fields, in order, are the value columns of the
 bounds CSV.  ``BoundReport`` starts with their means over replications.
 
 Three exact evaluation paths exist.  The generic one enumerates the
-candidate set (guarded by a cap) but never a pair of candidates.  With
-``s_F`` and ``q_F`` the sums of ``p_a`` and ``p_a**2`` over the candidates
-``a`` whose edge set contains a nonempty edge set ``F``, Mobius inversion
-over the subsets of each pair's shared edges gives
+candidate set (at most ``cycles.DEFAULT_CANDIDATE_CAP`` cycles) but never a
+pair of candidates.  With ``s_F`` and ``q_F`` the sums of ``p_a`` and
+``p_a**2`` over the candidates ``a`` whose edge set contains a nonempty
+edge set ``F``, Mobius inversion over the subsets of each pair's shared
+edges gives
 
     b1 = sum_F (-1)**(|F|+1) s_F**2
     b2 = sum_F [prod_{e in F} (1/p_e - 1) + (-1)**(|F|+1)] (s_F**2 - q_F)
@@ -69,8 +70,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError, _candidate_rows,
-                     candidate_count)
+from .cycles import _candidate_rows, _capped_count
 from .poisson import poisson_rate
 from .replication import map_replications, replication_seed
 from .weights import WeightSpec, WeightVector, analytic_moments, sample_weights
@@ -273,11 +273,11 @@ def _edge_matrix(weights: WeightVector) -> np.ndarray:
     return P
 
 
-def _candidate_arrays(weights: WeightVector, k: int, cap: int):
+def _candidate_arrays(weights: WeightVector, k: int):
     """Sorted edge-id rows of the candidates, their probabilities and the
     edge probabilities."""
     n = len(weights)
-    cands = _candidate_rows(n, k, cap)
+    cands = _candidate_rows(n, k)
     tails = np.roll(cands, -1, axis=1)
     raw_ids = np.minimum(cands, tails) * n + np.maximum(cands, tails)
     uniq, rows = np.unique(raw_ids, return_inverse=True)
@@ -320,7 +320,6 @@ def _bound_terms(edge_rows, p_cand, p_edge) -> Tuple[float, float]:
 
 
 def exact_bound_terms(weights: WeightVector, k: int,
-                      cap: int = DEFAULT_CANDIDATE_CAP,
                       method: str = "auto") -> BoundTerms:
     """Exact b1, b2 and conditional mean over the full candidate set for
     one weight vector; all zero when it has fewer than k vertices.
@@ -342,12 +341,11 @@ def exact_bound_terms(weights: WeightVector, k: int,
         return BoundTerms(b1, b2, rate)
     if k == 3 and method == "auto":
         return _series_terms(weights)
-    arrays = _candidate_arrays(weights, k, cap)
+    arrays = _candidate_arrays(weights, k)
     return BoundTerms(*_bound_terms(*arrays), float(arrays[1].sum()))
 
 
-def conditional_rate_exact(weights: WeightVector, k: int,
-                           cap: int = DEFAULT_CANDIDATE_CAP) -> float:
+def conditional_rate_exact(weights: WeightVector, k: int) -> float:
     """Exact conditional census mean: sum of all candidate probabilities
     (for k = 3, ``tr(P**3) / 6`` from the series form of P alone); zero
     when there are fewer than k vertices, as in ``exact_bound_terms``."""
@@ -358,7 +356,7 @@ def conditional_rate_exact(weights: WeightVector, k: int,
     if k == 3:
         _, (P,) = _edge_forms(weights, (1,))
         return _trace3(P, P, P) / 6.0
-    return float(_candidate_arrays(weights, k, cap)[1].sum())
+    return float(_candidate_arrays(weights, k)[1].sum())
 
 
 def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
@@ -368,31 +366,23 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
 
 
 def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
-                 cap: int = DEFAULT_CANDIDATE_CAP,
                  workers: int = 1) -> Tuple[BoundReport, List[BoundTerms]]:
     """Monte Carlo bound study over weight replications: the report and
     each replication's terms, in replication order.
 
     b1 and b2 are exact per replication: the series kernel for triangles,
     capped candidate enumeration otherwise (beyond the cap there is no
-    surrogate, so that raises), and so is the conditional rate.  Each
-    replication's weights are drawn once, here, and each replication is one
-    unit of the replication map on ``workers`` processes; the result does
-    not depend on their number.
+    surrogate, so that raises before any weight is drawn), and so is the
+    conditional rate.  Each replication's weights are drawn once, here, and
+    each replication is one unit of the replication map on ``workers``
+    processes; the result does not depend on their number.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    if cap < 1:
-        raise ValueError(f"candidate_cap={cap} is below 1")
-    if k != 3 and n >= k and candidate_count(n, k) > cap:
-        raise CandidateCapError(
-            f"{candidate_count(n, k)} candidates exceed cap {cap}; "
-            "bound terms need the candidate set (or k = 3)")
+    if k != 3 and n >= k:
+        _capped_count(n, k)    # refused past the cap, before any draw
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
     draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
              for rep in range(replications)]
-    terms = map_replications(partial(exact_bound_terms, k=k, cap=cap), draws,
-                             workers)
+    terms = map_replications(partial(exact_bound_terms, k=k), draws, workers)
     mean = BoundTerms(*(float(np.mean(column)) for column in zip(*terms)))
     report = BoundReport(*mean, target_rate=target,
                          gap=abs(mean.conditional_mean - target),

@@ -5,9 +5,9 @@ one INI configuration file (section named after the subcommand) and accepts
 flag overrides; flags win over file values.  Every subcommand takes the same
 flags, one per key of ``experiments.CONFIG_KEYS`` (``output_dir`` becomes
 ``--output-dir``), and writes its files through
-``experiments.write_outputs``.  Exit code 0 on success,
-nonzero with a one-line diagnostic otherwise; with ``GRGCYCLES_DEBUG=1``
-the error is re-raised with its traceback instead.
+``experiments.write_outputs``.  Exit code 0 on success, 2 with a one-line
+``grgcycles <command>: error: ...`` diagnostic otherwise (a bad flag too);
+with ``GRGCYCLES_DEBUG=1`` a command's error is re-raised with its traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ def _debug_requested() -> bool:
     if env not in ("", "0", "1"):
         raise ValueError(f"{DEBUG_ENV}={env!r} is not 0 or 1")
     return env == "1"
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):    # one line, not the usage and the error
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -116,7 +121,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grgcycles",
         description="Cycle censuses and Poisson-approximation diagnostics "
                     "for weighted random graphs")
@@ -129,7 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:    # the subcommand's parser has passed them on
+        parser.exit(2, f"{parser.prog} {args.command}: error: unrecognized "
+                       f"arguments: {' '.join(unknown)}\n")
     debug = _debug_requested()
     try:
         overrides = {key: getattr(args, key) for key in CONFIG_KEYS}

@@ -12,7 +12,7 @@ Triangles and 4-cycles have closed forms over wedges (paths ``y - x - z``):
 a triangle is a wedge whose endpoints are adjacent, and a 4-cycle is a pair
 of wedges with the same endpoints.  Longer cycles are counted by the DFS.
 The candidate rows (every canonical k-cycle on n vertices) feed the exact
-bound sums of :mod:`.chen_stein`.
+bound sums of :mod:`.chen_stein`, at most ``DEFAULT_CANDIDATE_CAP`` of them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ DEFAULT_CANDIDATE_CAP = 200_000
 
 
 class CandidateCapError(ValueError):
-    """Candidate enumeration would exceed the configured cap."""
+    """Candidate enumeration would exceed ``DEFAULT_CANDIDATE_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,16 @@ def candidate_count(n: int, k: int) -> int:
     if rem:
         raise ArithmeticError("falling factorial not divisible by 2k")
     return quotient
+
+
+def _capped_count(n: int, k: int) -> int:
+    """``candidate_count(n, k)``, refused past ``DEFAULT_CANDIDATE_CAP``."""
+    total = candidate_count(n, k)
+    if total > DEFAULT_CANDIDATE_CAP:
+        raise CandidateCapError(
+            f"{total} candidate {k}-cycles on n={n} exceed the cap of "
+            f"{DEFAULT_CANDIDATE_CAP} (k = 3 bound terms need no candidates)")
+    return total
 
 
 def _row_pair_keys(indptr: np.ndarray, indices: np.ndarray,
@@ -152,18 +162,14 @@ def count_triangles(graph: GrgGraph) -> CycleCensus:
     return count_k_cycles(graph, 3)
 
 
-def _candidate_rows(n: int, k: int,
-                    cap: int = DEFAULT_CANDIDATE_CAP) -> np.ndarray:
+def _candidate_rows(n: int, k: int) -> np.ndarray:
     """Every canonical k-cycle on n vertices as one int64 row each.
 
     Vertex sets come in lexicographic order; within a set, its least vertex
     is followed by each order of the rest whose first is below its last, in
-    the order of ``permutations``.  Refused if the count exceeds ``cap``.
+    the order of ``permutations``.  Refused past the cap.
     """
-    total = candidate_count(n, k)
-    if total > cap:
-        raise CandidateCapError(
-            f"{total} candidate cycles exceed the cap {cap}")
+    total = _capped_count(n, k)
     combos = np.fromiter(chain.from_iterable(combinations(range(n), k)),
                          dtype=np.int64, count=comb(n, k) * k).reshape(-1, k)
     orders = [(0,) + order for order in permutations(range(1, k))

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from .chen_stein import BoundTerms, bound_report
-from .cycles import DEFAULT_CANDIDATE_CAP, count_k_cycles
+from .cycles import count_k_cycles
 from .graphs import GrgGraph, sample_grg
 from .poisson import EmpiricalPmf, QqTable, poisson_rate, qq_table, tv_distance
 from .ratios import (estimate_r_moment, estimate_t_moment, exact_t_moment,
@@ -77,7 +77,6 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: Optional[str] = None
     workers: int = 0
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP
     n_grid: tuple = ()
     statistic: str = "t"
     er_lambda: Optional[float] = None
@@ -86,8 +85,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} is negative")
-        if self.candidate_cap < 1:
-            raise ValueError(f"candidate_cap={self.candidate_cap} is below 1")
 
     def weight_spec(self) -> WeightSpec:
         """The weight family, for a study that draws weights."""
@@ -95,13 +92,6 @@ class ExperimentConfig:
             raise ValueError("the configuration does not define a weight "
                              "family")
         return self.spec
-
-    def validated(self) -> "ExperimentConfig":
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.n < max(2, self.k):
-            raise ValueError(f"n={self.n} is too small for k={self.k}")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +123,6 @@ CONFIG_KEYS = {
     "seed": (int, "master seed"),
     "workers": (int, "worker count (0 = env/default)"),
     "output_dir": (str, "output directory"),
-    "candidate_cap": (int, "candidate cycle cap for exact bound sums"),
     "n_grid": (_parse_grid, "comma separated n grid for studies"),
     "statistic": (str, "ratio statistic: t or r"),
     "er_lambda": (float, "per-n constant-weight calibration for bounds"),
@@ -247,12 +236,15 @@ def _fit_record(fit, prefix: str = "") -> dict:
             for name in ("slope", "intercept", "r_squared")}
 
 
-def _grid(cfg: ExperimentConfig, study: str, k: int = 0) -> tuple:
-    """The study's sizes: ``n_grid``, or else ``n``; each at least 1, and
-    at least the cycle length ``k`` if one is given."""
-    if not (cfg.n_grid or cfg.n):
+def _grid(cfg: ExperimentConfig, study: str, k: int = 0,
+          n_only: bool = False) -> tuple:
+    """The study's sizes: ``n_grid`` (unless ``n_only``, as for the census)
+    or else ``n``; each at least 1, and at least the cycle length ``k`` if
+    one is given."""
+    if not (cfg.n_grid or cfg.n or n_only):
         raise ValueError(f"{study} study needs n or n_grid")
-    key, grid = ("n_grid", cfg.n_grid) if cfg.n_grid else ("n", (cfg.n,))
+    key, grid = (("n_grid", cfg.n_grid) if cfg.n_grid and not n_only
+                 else ("n", (cfg.n,)))
     named = f"{key}={','.join(map(str, grid))}"
     if min(grid) < 1:
         raise ValueError(f"{named} holds a size below 1")
@@ -281,7 +273,7 @@ def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
 
 def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
-    cfg = cfg.validated()
+    _grid(cfg, "census", cfg.k, n_only=True)
     # the reference law first: a spec without it fails before any sampling
     spec = cfg.weight_spec()
     model = poisson_rate(analytic_moments(spec).ratio, cfg.k)
@@ -353,8 +345,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     all_rows = []
     for n, spec_n in zip(grid, specs):
         report, terms = bound_report(spec_n, n, cfg.k, cfg.replications,
-                                     cfg.seed, cap=cfg.candidate_cap,
-                                     workers=workers)
+                                     cfg.seed, workers=workers)
         reports.append((n, report))
         all_rows.extend((n, rep, *row) for rep, row in enumerate(terms))
     fit = None
@@ -442,8 +433,7 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     exact_rows = []
     if cfg.statistic == "t" and spec.family == "two_point":
         for n in (2, 5, 10):
-            est = estimate_t_moment(spec, n, cfg.p,
-                                    max(cfg.replications, 1000),
+            est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
                                     replication_seed(cfg.seed, n, 3),
                                     workers=workers)
             exact_rows.append((n, exact_t_moment(spec, n, cfg.p),

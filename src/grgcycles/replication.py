@@ -60,8 +60,11 @@ def map_replications(job: Callable, units: Iterable,
     With one worker or one unit the units run in this process.  Otherwise
     one pool of ``min(workers, len(units))`` processes runs them, handed out
     in chunks of at most eight units; ``job`` and the units must pickle.
+    Every study runs at least one replication, so no units is an error.
     """
     units = list(units)
+    if not units:
+        raise ValueError("replications must be at least 1")
     processes = min(workers, len(units))
     if processes <= 1:
         return [job(unit) for unit in units]

@@ -29,6 +29,9 @@ __all__ = [
     "threshold_report",
 ]
 
+POWER_TOLERANCE = 1e-10     # relative change of the estimate at convergence
+POWER_MAX_ITERS = 10_000
+
 
 @dataclass(frozen=True)
 class ThresholdReport:
@@ -71,12 +74,12 @@ def epidemic_threshold(radius: float) -> float:
     return 1.0 / radius
 
 
-def power_iteration_radius(graph: GrgGraph, tolerance: float = 1e-10,
-                           max_iters: int = 10_000) -> float:
+def power_iteration_radius(graph: GrgGraph) -> float:
     """Dominant adjacency eigenvalue by normalized repeated multiplication.
 
     The estimate is the norm growth factor per step, so graphs whose
-    spectrum is symmetric (bipartite) still converge to the radius.
+    spectrum is symmetric (bipartite) still converge to the radius.  It
+    must settle to ``POWER_TOLERANCE`` within ``POWER_MAX_ITERS`` steps.
     """
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
@@ -86,18 +89,17 @@ def power_iteration_radius(graph: GrgGraph, tolerance: float = 1e-10,
     x = np.ones(graph.n)
     x /= np.linalg.norm(x)
     estimate = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         y = np.bincount(rows, weights=x[graph.indices], minlength=graph.n)
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0
-        new_estimate = norm
         x = y / norm
-        if abs(new_estimate - estimate) <= tolerance * max(1.0, new_estimate):
-            return new_estimate
-        estimate = new_estimate
+        if abs(norm - estimate) <= POWER_TOLERANCE * max(1.0, norm):
+            return norm
+        estimate = norm
     raise RuntimeError(
-        f"power iteration did not converge within {max_iters} iterations")
+        f"power iteration did not converge in {POWER_MAX_ITERS} iterations")
 
 
 def threshold_report(graph: GrgGraph) -> ThresholdReport:

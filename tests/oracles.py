@@ -18,7 +18,7 @@ import numpy as np
 
 from grgcycles.cycles import (DEFAULT_CANDIDATE_CAP, CandidateCapError,
                               CycleCensus, _candidate_rows, _iter_present,
-                              _validate_k)
+                              _validate_k, candidate_count)
 from grgcycles.graphs import GrgGraph
 from grgcycles.weights import WeightSpec, WeightVector
 
@@ -80,7 +80,11 @@ def enumerate_cycles(graph: GrgGraph, k: int, mode: str = "present",
     """
     _validate_k(graph.n, k)
     if mode == "candidates":
-        return map(tuple, _candidate_rows(graph.n, k, cap).tolist())
+        total = candidate_count(graph.n, k)
+        if total > cap:
+            raise CandidateCapError(
+                f"{total} candidate cycles exceed the cap {cap}")
+        return map(tuple, _candidate_rows(graph.n, k).tolist())
     if mode == "present":
         return _iter_present(graph, k)
     raise ValueError(f"unknown enumeration mode {mode!r}")

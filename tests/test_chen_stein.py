@@ -8,6 +8,7 @@ path cannot reach against the second-order expansion of the gap to the
 plug-in rate.
 """
 
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
@@ -185,9 +186,10 @@ class TestExactBoundTerms:
         assert ts.b1 < tl.b1 and ts.b2 < tl.b2
 
     def test_cap_enforced(self):
-        wv = WeightVector.from_values(np.ones(30))
-        with pytest.raises(CandidateCapError):
-            exact_bound_terms(wv, 5, cap=100, method="candidates")
+        # k = 5 at n = 21: 244,188 candidates, past the fixed cap
+        wv = WeightVector.from_values(np.ones(21))
+        with pytest.raises(CandidateCapError, match="244188 candidate"):
+            exact_bound_terms(wv, 5, method="candidates")
 
     @pytest.mark.parametrize("n,k,method", [
         (2, 3, "auto"), (2, 3, "candidates"), (2, 3, "dense"),
@@ -399,9 +401,9 @@ class TestBoundReport:
         assert report.b2 == 0.0
 
     def test_bound_terms_beyond_cap_raise(self):
-        with pytest.raises(CandidateCapError):
-            bound_report(WeightSpec.constant(1.0), 12, 4, replications=1,
-                         seed=0, cap=5)
+        with pytest.raises(CandidateCapError, match="244188 candidate"):
+            bound_report(WeightSpec.constant(1.0), 21, 5, replications=1,
+                         seed=0)
 
     @pytest.mark.parametrize("n,k", [(12, 3), (7, 4)])
     def test_workers_do_not_change_report(self, n, k):
@@ -463,10 +465,12 @@ class TestBoundReport:
         assert (report.b1, report.b2, report.conditional_mean) == (0, 0, 0)
 
     def test_bad_cap_fails_before_weights(self, monkeypatch):
+        # k = 4 at n = 38: 221,445 candidates, past the fixed cap
         monkeypatch.setattr(chen_stein, "sample_weights", None)
-        for k in (3, 4):
-            with pytest.raises(ValueError, match=r"candidate_cap=-5 is below 1"):
-                bound_report(WeightSpec.constant(1.0), 10, k, 1, 0, cap=-5)
+        with pytest.raises(CandidateCapError, match=re.escape(
+                "221445 candidate 4-cycles on n=38 exceed the cap of 200000 "
+                "(k = 3 bound terms need no candidates)")):
+            bound_report(WeightSpec.constant(1.0), 38, 4, 1, 0)
 
 
 UNIT = WeightVector.from_values(np.ones(6))
@@ -474,7 +478,7 @@ UNIT = WeightVector.from_values(np.ones(6))
 
 @pytest.mark.parametrize("call,match", [
     (lambda: bound_report(WeightSpec.constant(1.0), 6, 3, 0, 0),
-     "need at least one replication"),
+     "replications must be at least 1"),
     (lambda: exact_bound_terms(UNIT, 3, method="both"),
      "unknown method 'both'"),
     (lambda: exact_bound_terms(UNIT, 4, method="dense"),

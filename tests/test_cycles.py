@@ -214,6 +214,12 @@ class TestEnumeration:
             list(enumerate_cycles(GrgGraph.complete(30), 5,
                                   mode="candidates", cap=100))
 
+    def test_candidate_rows_stop_at_the_fixed_cap(self):
+        assert _candidate_rows(37, 4).shape == (198_135, 4)
+        with pytest.raises(CandidateCapError,
+                           match="221445 candidate 4-cycles on n=38"):
+            _candidate_rows(38, 4)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             list(enumerate_cycles(GrgGraph.complete(4), 3, mode="nope"))

@@ -108,10 +108,11 @@ class TestConfig:
             load_config(path, "census")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(spec=PARETO, n=2, k=4).validated()
-        with pytest.raises(ValueError):
-            ExperimentConfig(spec=PARETO, n=10, replications=0).validated()
+        with pytest.raises(ValueError, match="n=2 holds a size below k=4"):
+            run_census(ExperimentConfig(spec=PARETO, n=2, k=4))
+        with pytest.raises(ValueError,
+                           match="replications must be at least 1"):
+            run_census(ExperimentConfig(spec=PARETO, n=10, replications=0))
 
     @pytest.mark.parametrize("key,value,kind", [
         ("n", "abc", "an integer"),
@@ -143,7 +144,7 @@ KEY_SETTINGS = {
     "n": {"n": "40"}, "k": {"k": "4"}, "p": {"p": "3"},
     "replications": {"replications": "7"}, "seed": {"seed": "11"},
     "workers": {"workers": "2"}, "output_dir": {"output_dir": "out"},
-    "candidate_cap": {"candidate_cap": "500"}, "n_grid": {"n_grid": "8,16"},
+    "n_grid": {"n_grid": "8,16"},
     "statistic": {"statistic": "r"},
     "er_lambda": {"er_lambda": "1.5"}, "edge_list": {"edge_list": "g.txt"},
 }
@@ -225,8 +226,6 @@ class TestSeeding:
         ("census", "seed", "-1", "seed=-1 is negative"),
         ("sample", "seed", "-1", "seed=-1 is negative"),
         ("threshold", "seed", "-1", "seed=-1 is negative"),
-        ("bounds", "candidate_cap", "-5", "candidate_cap=-5 is below 1"),
-        ("bounds", "candidate_cap", "0", "candidate_cap=0 is below 1"),
     ])
     def test_bad_seed_or_cap_named(self, tmp_path, capsys, command, key,
                                    value, message):
@@ -279,6 +278,13 @@ class TestReplicationMap:
     def test_one_worker_or_one_unit_runs_in_process(self, pool):
         assert map_replications(abs, [-1, -2, -3], 1) == [1, 2, 3]
         assert map_replications(abs, [-4], 8) == [4]
+        assert pool == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_units_rejected(self, pool, workers):
+        with pytest.raises(ValueError,
+                           match="replications must be at least 1"):
+            map_replications(abs, [], workers)
         assert pool == []
 
     def test_pool_returns_unit_order(self):
@@ -608,11 +614,11 @@ class TestCli:
         assert cli.main(BAD_CENSUS) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "too small for k=5" in err
+        assert "n=2 holds a size below k=5" in err
 
     def test_debug_on_reraises(self, monkeypatch):
         monkeypatch.setenv("GRGCYCLES_DEBUG", "1")
-        with pytest.raises(ValueError, match="too small for k=5"):
+        with pytest.raises(ValueError, match="n=2 holds a size below k=5"):
             cli.main(BAD_CENSUS)
 
     def test_bad_debug_env_named(self, monkeypatch):
@@ -645,6 +651,52 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"grgcycles bounds: error: {named}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "2", "--k", "3"], "n=2 holds a size below k=3"),
+        (["--n", "10", "--replications", "0"],
+         "replications must be at least 1"),
+    ], ids=["n_below_k", "no_replications"])
+    def test_census_and_bounds_share_input_rules(self, capsys, flags,
+                                                 message):
+        errors = []
+        for command in ("census", "bounds"):
+            assert cli.main([command, "--family", "constant", "--value", "1",
+                             *flags]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            errors.append(out.err.removeprefix(f"grgcycles {command}: "))
+        assert errors == [f"error: {message}\n"] * 2
+
+    def test_bounds_beyond_the_cap_named(self, capsys):
+        assert cli.main(["bounds", "--family", "pareto_shifted", "--shape",
+                         "9.5", "--scale", "10", "--loc", "1", "--n", "40",
+                         "--k", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "grgcycles bounds: error: 274170 candidate 4-cycles on n=40 "
+            "exceed the cap of 200000 (k = 3 bound terms need no "
+            "candidates)\n")
+
+    @pytest.mark.parametrize("command,flag", [("census", "--bogus"),
+                                              ("bounds", "--candidate-cap")])
+    def test_unknown_flag_is_one_line(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--family", "constant", "--value", "1",
+                      "--n", "10", flag, "500"])
+        assert stop.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"grgcycles {command}: error: unrecognized "
+                           f"arguments: {flag} 500\n")
+
+    def test_candidate_cap_key_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "cap.ini"
+        path.write_text("[bounds]\nfamily = constant\nvalue = 1\n"
+                        "candidate_cap = 500\n")
+        assert cli.main(["bounds", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "grgcycles bounds: error: unknown key 'candidate_cap' in "
+            f"section [bounds] of {path}\n")
 
     def test_moments_fails_before_printing(self):
         proc = run_cli("moments", "--family", "constant", "--value", "1",
@@ -682,8 +734,7 @@ class TestCli:
             "--config", "--family", "--value", "--shape", "--scale", "--loc",
             "--x1", "--x2", "--p1", "--values", "--probs", "--n", "--k",
             "--p", "--replications", "--seed", "--workers", "--output-dir",
-            "--candidate-cap", "--n-grid", "--statistic", "--er-lambda",
-            "--edge-list"]
+            "--n-grid", "--statistic", "--er-lambda", "--edge-list"]
 
     @pytest.mark.parametrize("args,names", [
         (["census", "--family", "constant", "--value", "2", "--n", "12",

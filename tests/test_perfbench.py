@@ -7,6 +7,7 @@ of those names fails here instead of only in a traced benchmark run.
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,3 +37,55 @@ def test_instrument_then_restore(name):
     tracer.restore()
     for owner, attr, raw in patched:
         assert vars(owner)[attr] is raw
+
+
+
+class CallTracer(Tracer):
+    """A tracer that also records which wrapped attributes were called."""
+
+    def __init__(self):
+        super().__init__()
+        self.called = set()
+
+    def wrap(self, owner, attr, name, observe=None):
+        def seen(counts, arguments, result):
+            self.called.add((owner, attr))
+            if observe is not None:
+                observe(counts, arguments, result)
+        super().wrap(owner, attr, name, seen)
+
+
+@pytest.mark.parametrize("name", list(studies.WORKLOADS))
+def test_traced_warm_up_calls_every_wrapped_name(monkeypatch, name):
+    """Each observe callback runs on the package's real arguments (``n``,
+    ``k``, ``replications``), so a renamed parameter fails here, and every
+    span and counter is one the benchmark reports."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = load("workload")
+    workload = studies.WORKLOADS[name]
+    tracer = CallTracer()
+    workload.instrument(tracer)
+    wrapped = {(owner, attr) for owner, attr, _ in tracer._patches}
+    try:
+        workload.warm_up()
+    finally:
+        tracer.restore()
+    assert tracer.called == wrapped
+    assert ({span[0] for span in tracer.spans}
+            <= set(bench.LAYER_SECONDS.values()))
+    assert set(tracer.counts) <= set(bench.LAYER_COUNTS)
+
+
+def test_bounds_ratio_oracles_and_environment(monkeypatch):
+    """The study's oracles, which call ``exact_bound_terms(w, 3,
+    method="dense")`` and ``method="candidates"``, pass, and the
+    environment record, which reads ``grgcycles.USING_NUMBA``, builds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = load("workload")
+    checker = bench.Checker()
+    workload = studies.WORKLOADS["bounds_ratio"]
+    workload.oracles(0, workload.study(0, 1), checker)
+    assert checker.attempted > 0
+    assert checker.failures == []
+    env = bench.environment(SimpleNamespace(workload="bounds_ratio", seed=0))
+    assert env["workload"] == "bounds_ratio"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from grgcycles import spectral
 from grgcycles.graphs import GrgGraph, sample_grg
 from grgcycles.spectral import (ThresholdReport, epidemic_threshold,
                                 power_iteration_radius, spectral_lower_bound,
@@ -81,10 +82,11 @@ class TestPowerIteration:
     def test_empty_graph(self):
         assert power_iteration_radius(GrgGraph.from_edges(4, [])) == 0.0
 
-    def test_non_convergence_raises(self):
-        with pytest.raises(RuntimeError):
-            power_iteration_radius(path_graph(10), tolerance=1e-15,
-                                   max_iters=3)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "POWER_TOLERANCE", 1e-15)
+        monkeypatch.setattr(spectral, "POWER_MAX_ITERS", 3)
+        with pytest.raises(RuntimeError, match="in 3 iterations"):
+            power_iteration_radius(path_graph(10))
 
 
 class TestThresholdReport:
