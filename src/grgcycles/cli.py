@@ -2,9 +2,9 @@
 
 Subcommands: moments, sample, census, bounds, ratio, threshold.  Each reads
 one INI configuration file (section named after the subcommand) and accepts
-flag overrides; flags win over file values.  Every subcommand takes the same
-flags, one per key of ``experiments.CONFIG_KEYS`` (``output_dir`` becomes
-``--output-dir``), and writes its files through
+flag overrides; flags win over file values.  Each subcommand takes one flag
+per key it reads, ``experiments.COMMAND_KEYS[command]`` (``output_dir``
+becomes ``--output-dir``), and writes its files through
 ``experiments.write_outputs``.  Exit code 0 on success, 2 with a one-line
 ``grgcycles <command>: error: ...`` diagnostic otherwise (a bad flag too);
 with ``GRGCYCLES_DEBUG=1`` a command's error is re-raised with its traceback.
@@ -16,8 +16,8 @@ import argparse
 import os
 import sys
 
-from .experiments import (CONFIG_KEYS, ExperimentConfig, draw_graph,
-                          load_config, run_bounds, run_census,
+from .experiments import (COMMAND_KEYS, CONFIG_KEYS, ExperimentConfig,
+                          draw_graph, load_config, run_bounds, run_census,
                           run_ratio_study, run_threshold, write_outputs)
 from .weights import analytic_moments, tail_condition_holds
 
@@ -37,12 +37,6 @@ def _debug_requested() -> bool:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):    # one line, not the usage and the error
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI configuration file")
-    for key, (_, help_text) in CONFIG_KEYS.items():
-        sub.add_argument("--" + key.replace("_", "-"), help=help_text)
 
 
 def _cmd_moments(cfg: ExperimentConfig) -> tuple:
@@ -127,8 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "for weighted random graphs")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub = subs.add_parser(name)
-        _add_common(sub)
+        sub = subs.add_parser(name, allow_abbrev=False)  # --n is not --n-grid
+        sub.add_argument("--config", help="INI configuration file")
+        for key in COMMAND_KEYS[name]:
+            sub.add_argument("--" + key.replace("_", "-"),
+                             help=CONFIG_KEYS[key][1])
     return parser
 
 
@@ -140,8 +137,7 @@ def main(argv=None) -> int:
                        f"arguments: {' '.join(unknown)}\n")
     debug = _debug_requested()
     try:
-        overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
-        cfg = load_config(args.config, args.command, overrides)
+        cfg = load_config(args.config, args.command, vars(args))
         for path in _COMMANDS[args.command](cfg):
             print(f"wrote {path}")
         return 0

@@ -1,8 +1,7 @@
 """Experiment harness: configuration, studies and their output files.
 
 The census, bound and ratio studies run on the one replication map of
-:mod:`.replication`, which this module re-exports with ``replication_seed``
-and ``resolve_workers``.
+:mod:`.replication`, which this module re-exports with ``replication_seed``.
 Reproducibility contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
 for weights and stream 1 for the graph.  The units a study maps are cut so
@@ -12,11 +11,12 @@ process drew once for it; one Monte Carlo chunk of a ratio estimate.  Results co
 in unit order and are aggregated in that order, so the outputs are
 byte-identical for any worker count.
 
-Every config key is listed once, in ``CONFIG_KEYS``: ``load_config``
-converts INI values and flag overrides from it, and the command line builds
-one ``--flag`` per key from it.  Every output file goes through
-``write_outputs``; file names embed the subcommand, size parameters and
-master seed, data goes to CSV and summaries to JSON.
+Every config key is listed once, in ``CONFIG_KEYS``, and each command's
+keys once, in ``COMMAND_KEYS``: ``load_config`` reads and converts exactly
+those keys, and the command line builds one ``--flag`` per key from them.
+Every output file goes through ``write_outputs``; file names embed the
+subcommand, size parameters and master seed, data goes to CSV and summaries
+to JSON.
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ from .graphs import GrgGraph, sample_grg
 from .poisson import EmpiricalPmf, QqTable, poisson_rate, qq_table, tv_distance
 from .ratios import (estimate_r_moment, estimate_t_moment, exact_t_moment,
                      rate_fit, regimes)
-from .replication import map_replications, replication_seed, resolve_workers
+from .replication import map_replications, replication_seed
 from .spectral import ThresholdReport, threshold_report
 from .weights import WeightSpec, analytic_moments, sample_weights
 
 __all__ = [
     "CONFIG_KEYS",
+    "COMMAND_KEYS",
     "ExperimentConfig",
     "replication_seed",
-    "resolve_workers",
     "map_replications",
     "load_config",
     "draw_graph",
@@ -76,7 +76,7 @@ class ExperimentConfig:
     replications: int = 1
     seed: int = 0
     output_dir: Optional[str] = None
-    workers: int = 0
+    workers: int = 1
     n_grid: tuple = ()
     statistic: str = "t"
     er_lambda: Optional[float] = None
@@ -121,22 +121,37 @@ CONFIG_KEYS = {
     "p": (int, "ratio statistic power"),
     "replications": (int, "number of replications"),
     "seed": (int, "master seed"),
-    "workers": (int, "worker count (0 = env/default)"),
+    "workers": (int, "worker processes (at least 1)"),
     "output_dir": (str, "output directory"),
     "n_grid": (_parse_grid, "comma separated n grid for studies"),
     "statistic": (str, "ratio statistic: t or r"),
     "er_lambda": (float, "per-n constant-weight calibration for bounds"),
     "edge_list": (str, "edge-list file for the threshold subcommand"),
 }
+_STUDY_KEYS = ("replications", "seed", "workers", "output_dir")
+# command -> the keys it reads, in flag order: every weight key, then its own
+COMMAND_KEYS = {command: (*(key for key, (convert, _) in CONFIG_KEYS.items()
+                            if convert is None), *own)
+                for command, own in {
+    "moments": ("k",),
+    "sample": ("n", "seed", "output_dir"),
+    "census": ("n", "k", *_STUDY_KEYS),
+    "bounds": ("k", *_STUDY_KEYS, "n_grid", "er_lambda"),
+    "ratio": ("p", *_STUDY_KEYS, "n_grid", "statistic"),
+    "threshold": ("n", "seed", "output_dir", "edge_list"),
+}.items()}
 _KINDS = {int: "an integer", float: "a number",
           _parse_grid: "a comma separated list of integers"}
 
 
 def load_config(path, section: str,
                 overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Read one subcommand section of an INI file, applying overrides."""
+    """Read one command's INI section, applying flag overrides: only the
+    command's keys (an INI key it does not read is an error), and exactly
+    one graph source."""
     import configparser
 
+    keys = COMMAND_KEYS[section]
     merged: dict = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -145,7 +160,7 @@ def load_config(path, section: str,
             raise FileNotFoundError(f"cannot read config file {path}")
         if parser.has_section(section):
             merged.update({k: v for k, v in parser.items(section)})
-        unknown = sorted(set(merged) - set(CONFIG_KEYS))
+        unknown = sorted(set(merged) - set(keys))
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r} in section "
                              f"[{section}] of {path}")
@@ -153,19 +168,26 @@ def load_config(path, section: str,
         if value is not None:
             merged[key] = value
     kwargs = {}
-    for key, (convert, _) in CONFIG_KEYS.items():
+    for key in keys:
+        convert = CONFIG_KEYS[key][0]
         if convert is not None and key in merged:
             try:
                 kwargs[key] = convert(merged[key])
             except ValueError:
                 raise ValueError(f"{key} = {merged[key]!r} in [{section}] "
                                  f"is not {_KINDS[convert]}") from None
-    spec_map = {key: str(merged[key]) for key, (convert, _) in
-                CONFIG_KEYS.items() if convert is None and key in merged}
-    # every study needs weights or a graph: a family, the ER calibration
-    # or an edge list
-    if not (spec_map or "er_lambda" in kwargs or "edge_list" in kwargs):
+    spec_map = {key: str(merged[key]) for key in keys
+                if CONFIG_KEYS[key][0] is None and key in merged}
+    # exactly one graph source: weights (drawn on n vertices), the ER
+    # calibration or an edge list
+    sources = [key for key in ("er_lambda", "edge_list") if key in kwargs]
+    if not (spec_map or sources):
         raise ValueError(f"section [{section}] does not define a weight family")
+    sampled = [*spec_map, "n"] if "n" in kwargs else [*spec_map]
+    sources = sampled[:1] + sources
+    if len(sources) > 1:
+        raise ValueError(f"section [{section}] sets both {sources[0]!r} and "
+                         f"{sources[1]!r}: give one graph source")
     spec = WeightSpec.from_mapping(spec_map) if spec_map else None
     return ExperimentConfig(spec=spec, **kwargs)
 
@@ -236,20 +258,19 @@ def _fit_record(fit, prefix: str = "") -> dict:
             for name in ("slope", "intercept", "r_squared")}
 
 
-def _grid(cfg: ExperimentConfig, study: str, k: int = 0,
-          n_only: bool = False) -> tuple:
-    """The study's sizes: ``n_grid`` (unless ``n_only``, as for the census)
-    or else ``n``; each at least 1, and at least the cycle length ``k`` if
-    one is given."""
-    if not (cfg.n_grid or cfg.n or n_only):
-        raise ValueError(f"{study} study needs n or n_grid")
-    key, grid = (("n_grid", cfg.n_grid) if cfg.n_grid and not n_only
-                 else ("n", (cfg.n,)))
+def _grid(key: str, grid: tuple, k: int = 0) -> tuple:
+    """The study's sizes ``grid``, read from ``key``: each at least 1, at
+    least the cycle length ``k`` if one is given, and none twice."""
+    if not grid:
+        raise ValueError(f"{key} is empty")
     named = f"{key}={','.join(map(str, grid))}"
     if min(grid) < 1:
         raise ValueError(f"{named} holds a size below 1")
     if min(grid) < k:
         raise ValueError(f"{named} holds a size below k={k}")
+    repeated = [n for i, n in enumerate(grid) if n in grid[:i]]
+    if repeated:
+        raise ValueError(f"{named} repeats the size {repeated[0]}")
     return grid
 
 
@@ -273,13 +294,13 @@ def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
 
 def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
-    _grid(cfg, "census", cfg.k, n_only=True)
+    _grid("n", (cfg.n,), cfg.k)
     # the reference law first: a spec without it fails before any sampling
     spec = cfg.weight_spec()
     model = poisson_rate(analytic_moments(spec).ratio, cfg.k)
     job = partial(_census_replication, spec, cfg.n, cfg.k, cfg.seed)
     counts = tuple(map_replications(job, range(cfg.replications),
-                                    resolve_workers(cfg.workers)))
+                                    cfg.workers))
     pmf = EmpiricalPmf.from_samples(counts)
     table = qq_table(pmf, model, DEFAULT_QQ_LEVELS)
     tv_sup = tv_distance(pmf, model)
@@ -336,8 +357,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     to edge probability ``er_lambda / n`` (otherwise the configured weight
     spec is reused unchanged at every n).
     """
-    grid = _grid(cfg, "bound", cfg.k)
-    workers = resolve_workers(cfg.workers)
+    grid = _grid("n_grid", cfg.n_grid, cfg.k)
     # every n's calibration first: a bad er_lambda fails before any bound
     specs = [cfg.weight_spec() if cfg.er_lambda is None
              else er_constant_spec(n, cfg.er_lambda) for n in grid]
@@ -345,7 +365,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     all_rows = []
     for n, spec_n in zip(grid, specs):
         report, terms = bound_report(spec_n, n, cfg.k, cfg.replications,
-                                     cfg.seed, workers=workers)
+                                     cfg.seed, workers=cfg.workers)
         reports.append((n, report))
         all_rows.extend((n, rep, *row) for rep, row in enumerate(terms))
     fit = None
@@ -394,7 +414,7 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     error falls below ten standard errors are below the Monte Carlo noise
     floor: excluded from the fit, reported.
     """
-    grid = _grid(cfg, "ratio")
+    grid = _grid("n_grid", cfg.n_grid)
     if cfg.statistic not in ("t", "r"):
         raise ValueError("statistic must be 't' or 'r'")
     spec = cfg.weight_spec()
@@ -402,7 +422,6 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         limit = analytic_moments(spec).ratio ** cfg.p
     else:
         limit = 0.0
-    workers = resolve_workers(cfg.workers)
     rows = []
     fit_points = []
     floored = []
@@ -410,10 +429,10 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         seed_n = replication_seed(cfg.seed, idx, 2)
         if cfg.statistic == "t":
             est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n, workers=workers)
+                                    seed_n, workers=cfg.workers)
         else:
             est = estimate_r_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n, workers=workers)
+                                    seed_n, workers=cfg.workers)
         abs_error = abs(est.value - limit)
         rows.append((n, est.value, est.std_error, abs_error))
         if abs_error >= NOISE_FLOOR_FACTOR * est.std_error and abs_error > 0:
@@ -435,7 +454,7 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         for n in (2, 5, 10):
             est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
                                     replication_seed(cfg.seed, n, 3),
-                                    workers=workers)
+                                    workers=cfg.workers)
             exact_rows.append((n, exact_t_moment(spec, n, cfg.p),
                                est.value, est.std_error))
     summary = {

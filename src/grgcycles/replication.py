@@ -1,4 +1,4 @@
-"""Seeds, worker counts and the one replication map every study runs on.
+"""Seeds and the one replication map every study runs on.
 
 Reproducibility contract: every random stream of a study comes from
 ``SeedSequence(master_seed, spawn_key=(replication, stream))``, and a study
@@ -10,15 +10,12 @@ bytes whether it ran in this process or on a pool.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, List
 
 import numpy as np
 
-__all__ = ["WORKERS_ENV", "replication_seed", "resolve_workers",
-           "map_replications"]
+__all__ = ["replication_seed", "map_replications"]
 
-WORKERS_ENV = "GRGCYCLES_WORKERS"
 _MAX_CHUNK = 8   # units sent to a pool worker at a time
 
 
@@ -31,28 +28,6 @@ def replication_seed(master_seed: int, replication: int,
                                   spawn_key=(replication, stream))
 
 
-def resolve_workers(requested: int = 0) -> int:
-    """Worker count: explicit request, else environment, else 1.
-
-    0 means "not requested"; a negative count is an error wherever it
-    comes from.
-    """
-    if requested < 0:
-        raise ValueError(f"workers={requested} is negative")
-    if requested:
-        return requested
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"{WORKERS_ENV}={env!r} is negative")
-    return value or 1
-
-
 def map_replications(job: Callable, units: Iterable,
                      workers: int = 1) -> List:
     """``[job(unit) for unit in units]``, on up to ``workers`` processes.
@@ -60,8 +35,11 @@ def map_replications(job: Callable, units: Iterable,
     With one worker or one unit the units run in this process.  Otherwise
     one pool of ``min(workers, len(units))`` processes runs them, handed out
     in chunks of at most eight units; ``job`` and the units must pickle.
-    Every study runs at least one replication, so no units is an error.
+    Every study runs at least one replication on at least one worker, so
+    no units, or fewer than one worker, is an error.
     """
+    if workers < 1:
+        raise ValueError(f"workers={workers} is below 1")
     units = list(units)
     if not units:
         raise ValueError("replications must be at least 1")

@@ -1,6 +1,7 @@
 """Experiment harness: configuration, runners, CLI and determinism."""
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import re
@@ -17,10 +18,10 @@ from grgcycles.chen_stein import BoundTerms, bound_report
 from grgcycles.cycles import candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    load_config, map_replications,
-                                   replication_seed, resolve_workers,
-                                   run_bounds, run_census, run_ratio_study,
-                                   run_threshold)
+                                   replication_seed, run_bounds, run_census,
+                                   run_ratio_study, run_threshold)
 from grgcycles.graphs import GrgGraph
+from grgcycles.ratios import estimate_t_moment
 from grgcycles.weights import InfiniteMomentError, WeightSpec
 
 PARETO = WeightSpec.pareto_shifted(9.5, 10, 1)
@@ -48,8 +49,6 @@ n_grid = 8, 16, 32, 64
 statistic = t
 
 [bounds]
-family = constant
-value = 1
 k = 3
 replications = 2
 seed = 9
@@ -89,8 +88,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("source", [{"edge_list": "g.txt"},
                                         {"er_lambda": "6"}])
-    def test_graph_source_stands_in_for_family(self, config_file, source):
-        cfg = load_config(config_file, "threshold", source)
+    def test_graph_source_stands_in_for_family(self, source):
+        command = "threshold" if "edge_list" in source else "bounds"
+        cfg = load_config(None, command, source)
         assert cfg.spec is None
         # a study that draws weights still needs the family
         with pytest.raises(ValueError, match="does not define a weight family"):
@@ -121,14 +121,18 @@ class TestConfig:
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value,
                                      kind):
-        match = re.escape(f"{key} = {value!r} in [census] is not {kind}")
+        # the first command that reads the key; the value fails to convert
+        # before the graph sources are counted
+        command = next(command for command, keys
+                       in experiments.COMMAND_KEYS.items() if key in keys)
+        match = re.escape(f"{key} = {value!r} in [{command}] is not {kind}")
         path = tmp_path / "bad.ini"
-        path.write_text(f"[census]\nfamily = constant\nvalue = 1\n"
+        path.write_text(f"[{command}]\nfamily = constant\nvalue = 1\n"
                         f"{key} = {value}\n")
         with pytest.raises(ValueError, match=match):
-            load_config(path, "census")
+            load_config(path, command)
         flag = "--" + key.replace("_", "-")
-        assert cli.main(["census", "--family", "constant", "--value", "1",
+        assert cli.main([command, "--family", "constant", "--value", "1",
                          flag, value]) == 2
         assert re.search(match, capsys.readouterr().err)
 
@@ -156,28 +160,71 @@ KEY_SETTINGS["probs"] = KEY_SETTINGS["values"]
 
 
 class TestConfigKeys:
-    """Every key of the one key table works as an INI key and as a flag."""
+    """Every (command, key) pair of the command key table works as an INI
+    key and as a flag, and each command reads exactly its keys."""
 
     @pytest.mark.parametrize("key", list(experiments.CONFIG_KEYS))
     def test_ini_key_and_flag_agree(self, tmp_path, monkeypatch, key):
-        settings = {"family": "constant", "value": "2", **KEY_SETTINGS[key]}
-        path = tmp_path / "all.ini"
-        path.write_text("[census]\n" + "".join(
-            f"{k} = {v}\n" for k, v in settings.items()))
-        flags = ["census"]
-        for k, v in settings.items():
-            flags += ["--" + k.replace("_", "-"), v]
-        seen = []
-        monkeypatch.setitem(cli._COMMANDS, "census",
-                            lambda cfg: seen.append(cfg) or ())
-        assert cli.main(flags) == 0
-        from_ini = load_config(path, "census")
-        assert seen == [from_ini]
-        if experiments.CONFIG_KEYS[key][0] is None:
-            assert key in from_ini.spec.to_mapping()
-        else:
-            default = ExperimentConfig(spec=from_ini.spec)
-            assert getattr(from_ini, key) != getattr(default, key)
+        # er_lambda and edge_list are graph sources in place of the weights
+        weights = ({} if key in ("er_lambda", "edge_list")
+                   else {"family": "constant", "value": "2"})
+        settings = {**weights, **KEY_SETTINGS[key]}
+        commands = [command for command, keys
+                    in experiments.COMMAND_KEYS.items() if key in keys]
+        assert commands
+        for command in commands:
+            path = tmp_path / f"{command}.ini"
+            path.write_text(f"[{command}]\n" + "".join(
+                f"{k} = {v}\n" for k, v in settings.items()))
+            flags = [command]
+            for k, v in settings.items():
+                flags += ["--" + k.replace("_", "-"), v]
+            seen = []
+            monkeypatch.setitem(cli._COMMANDS, command,
+                                lambda cfg: seen.append(cfg) or ())
+            assert cli.main(flags) == 0
+            from_ini = load_config(path, command)
+            assert seen == [from_ini], command
+            if experiments.CONFIG_KEYS[key][0] is None:
+                assert key in from_ini.spec.to_mapping()
+            else:
+                default = ExperimentConfig(spec=from_ini.spec)
+                assert getattr(from_ini, key) != getattr(default, key)
+
+    @pytest.mark.parametrize("command,settings,untaken", [
+        ("moments", dict(spec=PARETO, k=4), set()),
+        ("sample", dict(spec=PARETO, n=8, seed=1), set()),
+        ("census", dict(spec=PARETO, n=10, replications=2), set()),
+        ("bounds", dict(spec=PARETO, n_grid=(8,)), set()),
+        ("bounds", dict(spec=None, n_grid=(8,), er_lambda=2.0), {"spec"}),
+        ("ratio", dict(spec=PARETO, n_grid=(8, 16), replications=1000),
+         set()),
+        ("threshold", dict(spec=PARETO, n=8), set()),
+        ("threshold", dict(spec=None, edge_list="EDGES"), {"spec", "n"}),
+    ], ids=["moments", "sample", "census", "bounds-family", "bounds-er",
+            "ratio", "threshold-sampled", "threshold-edge-list"])
+    def test_each_command_reads_its_keys(self, tmp_path, command, settings,
+                                         untaken):
+        """The fields a command reads are its keys, with ``spec`` for the
+        weight keys, less those of the graph source it did not take."""
+        if settings.get("edge_list"):
+            path = tmp_path / "k4.txt"
+            path.write_text(GrgGraph.complete(4).to_edge_text())
+            settings = {**settings, "edge_list": str(path)}
+        read = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        cfg = Recording(**settings)
+        read.clear()
+        cli._COMMANDS[command](cfg)
+        fields = {field.name for field in dataclasses.fields(cfg)}
+        own = {key for key in experiments.COMMAND_KEYS[command]
+               if experiments.CONFIG_KEYS[key][0] is not None}
+        assert read & fields == (own | {"spec"}) - untaken
 
 
 class TestSeeding:
@@ -190,31 +237,36 @@ class TestSeeding:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_worker_resolution(self, monkeypatch):
-        monkeypatch.delenv("GRGCYCLES_WORKERS", raising=False)
-        assert resolve_workers(0) == 1
-        assert resolve_workers(3) == 3
+    def test_worker_resolution(self, monkeypatch, config_file):
+        """The workers key is the one channel: 1 unless it is set, and the
+        GRGCYCLES_WORKERS environment variable is ignored."""
         monkeypatch.setenv("GRGCYCLES_WORKERS", "7")
-        assert resolve_workers(0) == 7
-        assert resolve_workers(2) == 2
+        assert ExperimentConfig(spec=PARETO).workers == 1
+        assert load_config(config_file, "census").workers == 1
+        assert load_config(config_file, "census",
+                           {"workers": "3"}).workers == 3
+        RecordingPool.requests = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        run_census(ExperimentConfig(spec=PARETO, n=12, replications=3))
+        assert RecordingPool.requests == []
 
-    def test_bad_worker_env_named(self, monkeypatch):
-        monkeypatch.setenv("GRGCYCLES_WORKERS", "four")
-        with pytest.raises(ValueError, match="GRGCYCLES_WORKERS='four'"):
-            resolve_workers(0)
+    def test_bad_worker_env_named(self, monkeypatch, capsys):
+        """A value the variable once rejected is not read at all."""
+        for value in ("four", "-1", "0"):
+            monkeypatch.setenv("GRGCYCLES_WORKERS", value)
+            assert cli.main(["census", "--family", "constant", "--value",
+                             "2", "--n", "12", "--replications", "3"]) == 0
+            assert capsys.readouterr().err == ""
 
-    def test_negative_workers_rejected(self, monkeypatch, config_file):
-        monkeypatch.setenv("GRGCYCLES_WORKERS", "0")
-        assert resolve_workers(0) == 1
-        with pytest.raises(ValueError, match="workers=-2 is negative"):
-            resolve_workers(-2)
+    def test_negative_workers_rejected(self, config_file):
         cfg = load_config(config_file, "census", {"workers": "-2"})
-        with pytest.raises(ValueError, match="workers=-2 is negative"):
+        with pytest.raises(ValueError, match="^workers=-2 is below 1$"):
             run_census(cfg)
-        monkeypatch.setenv("GRGCYCLES_WORKERS", "-1")
-        with pytest.raises(ValueError,
-                           match="GRGCYCLES_WORKERS='-1' is negative"):
-            resolve_workers(0)
+        with pytest.raises(ValueError, match="^workers=-3 is below 1$"):
+            bound_report(PARETO, 8, 3, 1, 0, workers=-3)
+        with pytest.raises(ValueError, match="^workers=0 is below 1$"):
+            estimate_t_moment(PARETO, 8, 2, 1000, 0, workers=0)
 
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed=-1 is negative"):
@@ -229,8 +281,7 @@ class TestSeeding:
     ])
     def test_bad_seed_or_cap_named(self, tmp_path, capsys, command, key,
                                    value, message):
-        settings = {"family": "constant", "value": "1", "n": "10", "k": "4",
-                    key: value}
+        settings = {"family": "constant", "value": "1", "n": "10", key: value}
         path = tmp_path / "bad.ini"
         path.write_text(f"[{command}]\n" + "".join(
             f"{k} = {v}\n" for k, v in settings.items()))
@@ -285,6 +336,13 @@ class TestReplicationMap:
         with pytest.raises(ValueError,
                            match="replications must be at least 1"):
             map_replications(abs, [], workers)
+        assert pool == []
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, pool, workers):
+        with pytest.raises(ValueError, match=f"^workers={workers} is below "
+                                             "1$"):
+            map_replications(abs, [-1, -2], workers)
         assert pool == []
 
     def test_pool_returns_unit_order(self):
@@ -553,9 +611,9 @@ class TestCli:
         assert "radius_estimate" in proc2.stdout
 
     def test_sample_needs_family(self, capsys):
-        assert cli.main(["sample", "--edge-list", "g.txt", "--n", "12"]) == 2
+        assert cli.main(["sample", "--n", "12"]) == 2
         assert capsys.readouterr().err == (
-            "grgcycles sample: error: the configuration does not define a "
+            "grgcycles sample: error: section [sample] does not define a "
             "weight family\n")
 
     def test_census_subcommand(self, config_file, tmp_path):
@@ -629,8 +687,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["ratio", "bounds"])
     @pytest.mark.parametrize("flag,named", [
         ("--n-grid=0,8", "n_grid=0,8"), ("--n-grid=-4,8", "n_grid=-4,8"),
-        ("--n=-4", "n=-4"),
-    ], ids=["zero", "negative", "n"])
+    ], ids=["zero", "negative"])
     def test_grid_sizes_below_one_named(self, capsys, command, flag, named):
         assert cli.main([command, "--family", "constant", "--value", "1",
                          flag, "--replications", "1000"]) == 2
@@ -643,8 +700,7 @@ class TestCli:
         (["--k", "3", "--n-grid", "2"], "n_grid=2 holds a size below k=3"),
         (["--k", "4", "--n-grid", "4,3"],
          "n_grid=4,3 holds a size below k=4"),
-        (["--k", "4", "--n", "3"], "n=3 holds a size below k=4"),
-    ], ids=["k3", "k4", "n"])
+    ], ids=["k3", "k4"])
     def test_bounds_sizes_below_k_named(self, capsys, flags, named):
         assert cli.main(["bounds", "--family", "constant", "--value", "1",
                          *flags]) == 2
@@ -652,26 +708,29 @@ class TestCli:
         assert out.out == ""
         assert out.err == f"grgcycles bounds: error: {named}\n"
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--n", "2", "--k", "3"], "n=2 holds a size below k=3"),
-        (["--n", "10", "--replications", "0"],
-         "replications must be at least 1"),
+    @pytest.mark.parametrize("size,flags,message", [
+        ("2", ["--k", "3"], "=2 holds a size below k=3"),
+        ("10", ["--replications", "0"], "replications must be at least 1"),
     ], ids=["n_below_k", "no_replications"])
-    def test_census_and_bounds_share_input_rules(self, capsys, flags,
+    def test_census_and_bounds_share_input_rules(self, capsys, size, flags,
                                                  message):
+        """The same text after the size key: census reads n, bounds
+        n_grid."""
         errors = []
-        for command in ("census", "bounds"):
+        for command, key in (("census", "n"), ("bounds", "n_grid")):
             assert cli.main([command, "--family", "constant", "--value", "1",
+                             "--" + key.replace("_", "-"), size,
                              *flags]) == 2
             out = capsys.readouterr()
             assert out.out == ""
-            errors.append(out.err.removeprefix(f"grgcycles {command}: "))
-        assert errors == [f"error: {message}\n"] * 2
+            errors.append(out.err.removeprefix(f"grgcycles {command}: error: ")
+                          .removeprefix(key))
+        assert errors == [f"{message}\n"] * 2
 
     def test_bounds_beyond_the_cap_named(self, capsys):
         assert cli.main(["bounds", "--family", "pareto_shifted", "--shape",
-                         "9.5", "--scale", "10", "--loc", "1", "--n", "40",
-                         "--k", "4"]) == 2
+                         "9.5", "--scale", "10", "--loc", "1", "--n-grid",
+                         "40", "--k", "4"]) == 2
         assert capsys.readouterr().err == (
             "grgcycles bounds: error: 274170 candidate 4-cycles on n=40 "
             "exceed the cap of 200000 (k = 3 bound terms need no "
@@ -682,7 +741,7 @@ class TestCli:
     def test_unknown_flag_is_one_line(self, capsys, command, flag):
         with pytest.raises(SystemExit) as stop:
             cli.main([command, "--family", "constant", "--value", "1",
-                      "--n", "10", flag, "500"])
+                      flag, "500"])
         assert stop.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
@@ -730,11 +789,84 @@ class TestCli:
             cli.main([command, "--help"])
         flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out,
                            flags=re.M)
+        study = ["--replications", "--seed", "--workers", "--output-dir"]
         assert flags == [
             "--config", "--family", "--value", "--shape", "--scale", "--loc",
-            "--x1", "--x2", "--p1", "--values", "--probs", "--n", "--k",
-            "--p", "--replications", "--seed", "--workers", "--output-dir",
-            "--n-grid", "--statistic", "--er-lambda", "--edge-list"]
+            "--x1", "--x2", "--p1", "--values", "--probs",
+            *{"moments": ["--k"],
+              "sample": ["--n", "--seed", "--output-dir"],
+              "census": ["--n", "--k", *study],
+              "bounds": ["--k", *study, "--n-grid", "--er-lambda"],
+              "ratio": ["--p", *study, "--n-grid", "--statistic"],
+              "threshold": ["--n", "--seed", "--output-dir", "--edge-list"],
+              }[command]]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_unread_key_is_rejected(self, tmp_path, capsys, command):
+        """The first key the command does not read fails as a flag and as
+        an INI key: exit 2, one stderr line, nothing on stdout."""
+        key = next(key for key in experiments.CONFIG_KEYS
+                   if key not in experiments.COMMAND_KEYS[command])
+        value = KEY_SETTINGS[key][key]
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--family", "constant", "--value", "1",
+                      flag, value])
+        assert stop.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles {command}: error: unrecognized arguments: "
+                f"{flag} {value}\n")
+        path = tmp_path / "unread.ini"
+        path.write_text(f"[{command}]\nfamily = constant\nvalue = 1\n"
+                        f"{key} = {value}\n")
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles {command}: error: unknown key {key!r} in "
+                f"section [{command}] of {path}\n")
+
+    def test_default_section_keys_belong_to_every_section(self, tmp_path):
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nseed = 3\n"
+                        "[moments]\nfamily = constant\nvalue = 1\n"
+                        "[sample]\nfamily = constant\nvalue = 1\n")
+        assert load_config(path, "sample").seed == 3
+        with pytest.raises(ValueError, match="unknown key 'seed' in section "
+                                             r"\[moments\]"):
+            load_config(path, "moments")
+
+    @pytest.mark.parametrize("command,flags,named", [
+        ("bounds", ["--family", "constant", "--value", "1", "--er-lambda",
+                    "6", "--n-grid", "10,20"], "'family' and 'er_lambda'"),
+        ("threshold", ["--family", "constant", "--value", "1",
+                       "--edge-list", "g.txt"], "'family' and 'edge_list'"),
+        ("threshold", ["--edge-list", "g.txt", "--n", "5"],
+         "'n' and 'edge_list'"),
+    ], ids=["bounds", "threshold-weights", "threshold-n"])
+    def test_two_graph_sources_named(self, capsys, command, flags, named):
+        assert cli.main([command, *flags]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles {command}: error: section [{command}] sets both "
+                f"{named}: give one graph source\n")
+
+    @pytest.mark.parametrize("command", ["bounds", "ratio"])
+    def test_repeated_size_named(self, capsys, command):
+        assert cli.main([command, "--family", "constant", "--value", "1",
+                         "--n-grid", "10,10,20,40",
+                         "--replications", "1000"]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles {command}: error: n_grid=10,10,20,40 repeats the "
+                "size 10\n")
+
+    @pytest.mark.parametrize("command,size", [
+        ("census", ["--n", "10"]), ("bounds", ["--n-grid", "10"]),
+        ("ratio", ["--n-grid", "10"])])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_named(self, capsys, command, size, workers):
+        assert cli.main([command, "--family", "constant", "--value", "1",
+                         *size, "--replications", "1000",
+                         "--workers", workers]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles {command}: error: workers={workers} is below 1\n")
 
     @pytest.mark.parametrize("args,names", [
         (["census", "--family", "constant", "--value", "2", "--n", "12",

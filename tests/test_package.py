@@ -8,7 +8,7 @@ from itertools import chain
 from pathlib import Path
 
 import grgcycles
-from grgcycles.experiments import CONFIG_KEYS, ExperimentConfig
+from grgcycles.experiments import COMMAND_KEYS, CONFIG_KEYS, ExperimentConfig
 from grgcycles.weights import _PARAMETERS
 
 PACKAGE = Path(grgcycles.__file__).parent
@@ -47,7 +47,9 @@ def test_package_imports_only_listed_names():
 def test_every_config_key_has_one_owner():
     """Each config key is an ``ExperimentConfig`` field or a weight
     parameter, and each field but ``spec`` is a key, so a deleted option
-    leaves no orphan flag or field behind."""
+    leaves no orphan flag or field behind.  Each command reads config keys
+    only, every weight key among them, and each field key is read by some
+    command."""
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
     weight_keys = {"family", *chain.from_iterable(_PARAMETERS.values())}
     keys = set(CONFIG_KEYS)
@@ -56,3 +58,8 @@ def test_every_config_key_has_one_owner():
     assert fields - {"spec"} <= keys
     for key, (convert, _) in CONFIG_KEYS.items():
         assert (convert is None) is (key in weight_keys), key
+    for command, read in COMMAND_KEYS.items():
+        assert len(set(read)) == len(read), command
+        assert weight_keys <= set(read) <= keys, command
+    assert keys - weight_keys <= set(chain.from_iterable(
+        COMMAND_KEYS.values()))
