@@ -7,7 +7,7 @@ from .chen_stein import (BoundReport, BoundTerms, bound_report,
                          exact_bound_terms)
 from .cycles import (CandidateCapError, CycleCensus, DEFAULT_CANDIDATE_CAP,
                      candidate_count, count_k_cycles, count_triangles)
-from .graphs import GrgGraph, sample_chung_lu, sample_grg
+from .graphs import GrgGraph, sample_grg
 from .poisson import (EmpiricalPmf, PoissonModel, QqTable, mixed_poisson_pmf,
                       poisson_pmf, poisson_rate, qq_table, tv_distance)
 from .ratios import (MCEstimate, RateFit, TailBoundCheck, check_lower_tail,

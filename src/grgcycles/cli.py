@@ -137,7 +137,9 @@ def main(argv=None) -> int:
                        f"arguments: {' '.join(unknown)}\n")
     debug = _debug_requested()
     try:
-        cfg = load_config(args.config, args.command, vars(args))
+        cfg = load_config(args.config, args.command,
+                          {key: getattr(args, key)
+                           for key in COMMAND_KEYS[args.command]})
         for path in _COMMANDS[args.command](cfg):
             print(f"wrote {path}")
         return 0

@@ -147,8 +147,8 @@ _KINDS = {int: "an integer", float: "a number",
 def load_config(path, section: str,
                 overrides: Optional[dict] = None) -> ExperimentConfig:
     """Read one command's INI section, applying flag overrides: only the
-    command's keys (an INI key it does not read is an error), and exactly
-    one graph source."""
+    command's keys (an INI key or override it does not read is an error),
+    and exactly one graph source."""
     import configparser
 
     keys = COMMAND_KEYS[section]
@@ -165,6 +165,8 @@ def load_config(path, section: str,
             raise ValueError(f"unknown key {unknown[0]!r} in section "
                              f"[{section}] of {path}")
     for key, value in (overrides or {}).items():
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} for command {section}")
         if value is not None:
             merged[key] = value
     kwargs = {}

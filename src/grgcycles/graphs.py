@@ -1,10 +1,10 @@
 """Random graph sampling from vertex weights.
 
-The main edge law connects vertices ``i`` and ``j`` independently with
-probability ``w_i * w_j / (total + w_i * w_j)``; the Chung-Lu variant uses
-``w_i * w_j / total`` and requires ``w_i**2 <= total`` for every vertex.
-Graphs are stored as CSR adjacency (strictly sorted neighbor lists, no
-self-loops) so the cycle census kernels can run directly on the arrays.
+The edge law connects vertices ``i`` and ``j`` independently with
+probability ``w_i * w_j / (total + w_i * w_j)``, the generalized random
+graph of Britton, Deijfen and Martin-Löf.  Graphs are stored as CSR
+adjacency (strictly sorted neighbor lists, no self-loops) so the cycle
+census kernels can run directly on the arrays.
 
 Sampling consumes exactly one uniform variate per vertex pair, visiting
 pairs in lexicographic order, so a fixed seed pins the whole bit stream.
@@ -13,26 +13,27 @@ variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and the
 chunking does not move a draw.  A pre-filter bounds ``p_ij`` over each run of
 columns by the edge law at the run's largest weight, times ``1 + 1e-12``;
 only pairs whose uniform falls below that bound get the exact test
-``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` (or
-``prod / total``) from ``prod = w_i * w_j``.  Both laws increase with the
-product and rounding moves each value by a few ulps, far less than the
-slack, so the bound never falls below ``p_ij`` and the pre-filter cannot
-change an edge (for weights whose products and total stay finite).
+``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` from
+``prod = w_i * w_j``.  The law increases with the product and rounding
+moves each value by a few ulps, far less than the slack, so the bound never
+falls below ``p_ij`` and the pre-filter cannot change an edge (for weights
+whose products and total stay finite).
 
 Graphs exchange as whitespace edge lists: an ``n m`` header, then one
 ``u v`` line per edge with 1-based ids.  Both directions work on ASCII bytes
 in a few NumPy passes.  The writer counts each id's digits, places the
 separators by one running sum and fills in the digits from right to left.
 The reader finds the fields where digits meet whitespace, checks two fields
-per line, and adds up each field's digits from right to left.  Any other
-text (signs, ``1_0``, non-ASCII digits, fields over 18 digits, or a line
-with the wrong number of fields) goes down the token path: a line-by-line
-check, ``str.split`` and ``int`` per token, so every error names the same
-line or field either way.
+per line, and adds up each field's digits from right to left.  It reads
+nothing else: a field that is not a run of at most 18 ASCII digits (a sign,
+``1_0``, a non-ASCII digit or space), or a line with the wrong number of
+fields, is refused with a message that names the header, the line or the
+field.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -43,7 +44,6 @@ from .weights import WeightVector
 __all__ = [
     "GrgGraph",
     "sample_grg",
-    "sample_chung_lu",
 ]
 
 
@@ -120,33 +120,27 @@ class GrgGraph:
     def from_edge_text(cls, text: str) -> "GrgGraph":
         fields = _digit_fields(text)
         if fields is None:
-            # signs, underscores, non-ASCII digits, long fields or a
-            # malformed text: check line by line and parse token by token
             _check_lines(text)
-            fields = text.split()
-            n, m = _header(fields[:2])
-        else:
-            n, m = int(fields[0]), int(fields[1])
-        if len(fields) // 2 - 1 != m:
+        n, m = int(fields[0]), int(fields[1])
+        if fields.size // 2 - 1 != m:
             raise ValueError(
-                f"header declares {m} edges, found {len(fields) // 2 - 1}")
-        if isinstance(fields, list):
-            fields = _int64_fields(fields)
+                f"header declares {m} edges, found {fields.size // 2 - 1}")
         pairs = fields[2:].reshape(-1, 2)
         indptr, indices = _csr_from_pairs(n, pairs[:, 0] - 1, pairs[:, 1] - 1,
                                           base=1)
         return cls(n=n, indptr=indptr, indices=indices)
 
 
-# ASCII codes that ``str.split()`` treats as whitespace, and those of them
-# that ``str.splitlines()`` ends a line at.
+# The ASCII characters that ``str.split()`` treats as whitespace, and those
+# of them that ``str.splitlines()`` ends a line at: the reader's separators.
+_SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_LINE_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 _SPACE = np.zeros(128, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f")] = True
+_SPACE[list(_SPACES.encode("ascii"))] = True
 _LINE_END = np.zeros(128, dtype=bool)
-_LINE_END[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = True
-# Longest field the byte parser reads; 10**18 - 1 < 2**63.
+_LINE_END[list(_LINE_ENDS.encode("ascii"))] = True
+# Longest field the reader takes; 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
-_INT64 = np.iinfo(np.int64)
 
 
 def _digit_fields(text: str) -> Optional[np.ndarray]:
@@ -187,40 +181,29 @@ def _digit_fields(text: str) -> Optional[np.ndarray]:
     return values
 
 
-def _int64_fields(tokens: list) -> np.ndarray:
-    """``tokens`` as an int64 array, naming the first one out of range."""
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except OverflowError:
-        field = next(t for t in tokens
-                     if not _INT64.min <= int(t) <= _INT64.max)
-        raise ValueError(
-            f"edge list field {field!r} is outside int64") from None
-
-
-def _header(fields) -> tuple:
-    """``n`` and ``m`` from the two fields of an edge list header."""
-    for name, field in zip("nm", fields):
-        if not (field.isascii() and field.isdigit()):
-            raise ValueError(f"edge list header '{' '.join(fields)}': "
-                             f"{name} = {field!r} is not a nonnegative "
-                             "integer")
-        if int(field) > _INT64.max:
-            raise ValueError(f"edge list header '{' '.join(fields)}': "
-                             f"{name} = {field!r} is outside int64")
-    return int(fields[0]), int(fields[1])
-
-
 def _check_lines(text: str) -> None:
-    """Line by line: raise naming the header or the first edge line that
-    does not hold exactly two fields."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not rows or len(rows[0]) != 2:
+    """Raise naming the header, the edge line or the field of ``text`` that
+    ``_digit_fields`` refuses.  Lines and fields are cut at the reader's
+    ASCII separators only, so any other character stays in a field."""
+    rows = [re.findall(f"[^{_SPACES}]+", line)
+            for line in re.split(f"[{_LINE_ENDS}]", text)]
+    rows = [row for row in rows if row]
+    if not rows:
         raise ValueError("edge list must start with an 'n m' header")
-    _header(rows[0])
-    for ln in rows[1:]:
-        if len(ln) != 2:
-            raise ValueError(f"malformed edge line: {' '.join(ln)}")
+    for r, row in enumerate(rows):
+        line = " ".join(row)
+        for name, field in zip("uv" if r else "nm", row):
+            if not (field.isascii() and field.isdigit()):
+                problem = "is not a nonnegative integer"
+            elif len(field) > _MAX_DIGITS:
+                problem = f"has more than {_MAX_DIGITS} digits"
+            else:
+                continue
+            raise ValueError(f"edge list {'line' if r else 'header'} "
+                             f"'{line}': {name} = {field!r} {problem}")
+        if len(row) != 2:
+            raise ValueError(f"malformed edge line: {line}" if r else
+                             "edge list must start with an 'n m' header")
 
 
 def _csr_from_pairs(n: int, us: np.ndarray, vs: np.ndarray,
@@ -280,7 +263,9 @@ def _column_segments(w: np.ndarray) -> tuple:
     return edges, np.maximum.reduceat(w, edges[:-1])
 
 
-def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
+def sample_grg(weights: WeightVector, seed) -> GrgGraph:
+    """Sample the graph that joins each pair ``i < j`` independently with
+    probability ``w_i w_j / (total + w_i w_j)``."""
     w = weights.values
     n = w.size
     if n < 2:
@@ -306,7 +291,7 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
         # largest weight; segments left of the row get length 0
         k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
         x = w[i0:i1, None] * seg_max[k0:]
-        bound = (x / total if chung_lu else x / (total + x)) * _SLACK
+        bound = x / (total + x) * _SLACK
         clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
         lens = clipped[:, 1:] - clipped[:, :-1]
         cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
@@ -317,8 +302,7 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
         rows = ids[i0:i1].repeat(firsts[1:] - firsts[:-1])
         cols = pos + col_shift[rows]
         prod = w[rows] * w[cols]
-        p = prod / total if chung_lu else prod / (total + prod)
-        keep = u[cand] < p
+        keep = u[cand] < prod / (total + prod)
         heads.append(rows[keep])
         tails.append(cols[keep])
         i0 = i1
@@ -327,19 +311,3 @@ def _sample_pairwise(weights: WeightVector, seed, chung_lu: bool) -> GrgGraph:
     indptr, indices = _csr_from_pairs(n, heads[0], tails[0])
     return GrgGraph(n=n, indptr=indptr, indices=indices)
 
-
-def sample_grg(weights: WeightVector, seed) -> GrgGraph:
-    """Sample the weighted graph under the main edge law."""
-    return _sample_pairwise(weights, seed, chung_lu=False)
-
-
-def sample_chung_lu(weights: WeightVector, seed) -> GrgGraph:
-    """Sample the Chung-Lu variant (edge probability ``w_i w_j / total``)."""
-    w = weights.values
-    bad = np.nonzero(w * w > weights.total)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"Chung-Lu requires W_i^2 <= total weight; vertex {i + 1} "
-            f"(1-based) has W^2 = {w[i] * w[i]:g} > {weights.total:g}")
-    return _sample_pairwise(weights, seed, chung_lu=True)

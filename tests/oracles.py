@@ -2,8 +2,9 @@
 
 None of these runs in a study: each is a literal, slow evaluation of a
 definition (every ordered vertex tuple, every 2**n outcome, every
-candidate neighbor), kept here so that a refactor of the package cannot
-edit the oracle together with the code it checks.
+candidate neighbor, every token of an edge list), kept here so that a
+refactor of the package cannot edit the oracle together with the code it
+checks.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import perm
-from typing import Iterator, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -123,6 +124,45 @@ def cycle_probability(weights: WeightVector, cycle: Sequence[int]) -> float:
     for a, b in zip(verts, verts[1:] + verts[:1]):
         prob *= edge_probability(w[a], w[b], total)
     return prob
+
+
+# ---------------------------------------------------------------------------
+# Edge-list text
+# ---------------------------------------------------------------------------
+
+def token_edge_list(text: str) -> Tuple[int, List[Tuple[int, int]]]:
+    """``n`` and the sorted 0-based edges ``(u, v)``, ``u < v``, of an edge
+    list, read token by token: ``str.split`` on each line and ``int`` on
+    each token.
+
+    It takes Python's integer syntax (signs, ``1_0``, non-ASCII digits and
+    spaces), a superset of what ``GrgGraph.from_edge_text`` reads.  On text
+    of ASCII digits and whitespace, with at most 18 digits per field, it
+    raises the package's messages.
+    """
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows or len(rows[0]) != 2:
+        raise ValueError("edge list must start with an 'n m' header")
+    n, m = (int(field) for field in rows[0])
+    if n < 0 or m < 0:
+        raise ValueError(f"negative header {n} {m}")
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"malformed edge line: {' '.join(row)}")
+    if len(rows) - 1 != m:
+        raise ValueError(f"header declares {m} edges, found {len(rows) - 1}")
+    pairs = [(int(u), int(v)) for u, v in rows[1:]]
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+    for u, v in pairs:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+    edges = sorted((min(u, v) - 1, max(u, v) - 1) for u, v in pairs)
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            raise ValueError(f"repeated edge ({a[0] + 1},{a[1] + 1})")
+    return n, edges
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -95,6 +96,12 @@ class TestConfig:
         # a study that draws weights still needs the family
         with pytest.raises(ValueError, match="does not define a weight family"):
             cfg.weight_spec()
+
+    def test_unread_override_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^unknown key 'p' for command census$"):
+            load_config(None, "census", {"family": "constant", "value": "2",
+                                         "n": "12", "p": "7"})
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -898,3 +905,33 @@ class TestCli:
         wrote = [line.split()[1] for line in out.splitlines()
                  if line.startswith("wrote ")]
         assert wrote == [str(outdir / name) for name in names]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(lang):
+    """The bodies of the README's fenced ``lang`` code blocks."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
+                      re.M | re.S)
+
+
+class TestReadme:
+    """The README's examples stay in step with the command line."""
+
+    def test_command_examples_parse(self):
+        lines = "".join(readme_blocks("bash")).replace("\\\n", " ")
+        examples = [shlex.split(line)[1:] for line in lines.splitlines()
+                    if line.startswith("grgcycles ")]
+        assert {argv[0] for argv in examples} == set(cli._COMMANDS)
+        for argv in examples:
+            _, unknown = cli.build_parser().parse_known_args(argv)
+            assert unknown == [], argv
+
+    def test_config_example_loads(self, tmp_path):
+        (block,) = [b for b in readme_blocks("ini")
+                    if b.startswith("# experiments.ini")]
+        path = tmp_path / "experiments.ini"
+        path.write_text(block)
+        cfg = load_config(path, "census")
+        assert (cfg.spec, cfg.n, cfg.replications) == (PARETO, 2000, 400)

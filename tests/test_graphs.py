@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grgcycles import graphs
-from grgcycles.graphs import GrgGraph, sample_chung_lu, sample_grg
+from grgcycles.graphs import GrgGraph, sample_grg
 from grgcycles.weights import WeightSpec, WeightVector, sample_weights
-from oracles import cycle_probability, edge_probability
+from oracles import cycle_probability, edge_probability, token_edge_list
 
 
 def er_weight(n, lam):
@@ -71,10 +71,11 @@ MALFORMED_EDGE_TEXT = {
     "3 x\n": "edge list header '3 x': m = 'x' is not a nonnegative",
     "3 -2\n": "edge list header '3 -2': m = '-2' is not a nonnegative",
     "3 1\n1 99999999999999999999\n":
-        "edge list field '99999999999999999999' is outside int64",
+        "edge list line '1 99999999999999999999': "
+        "v = '99999999999999999999' has more than 18 digits",
     "99999999999999999999 0\n":
         "edge list header '99999999999999999999 0': "
-        "n = '99999999999999999999' is outside int64",
+        "n = '99999999999999999999' has more than 18 digits",
 }
 
 
@@ -140,12 +141,12 @@ def reference_edge_text(graph):
     return f"{graph.n} {graph.m}\n" + "".join(map("{} {}\n".format, us, vs))
 
 
-def token_parse(monkeypatch, text):
-    """``from_edge_text`` on its token path, which splits the text and
-    parses each token with ``int``."""
-    with monkeypatch.context() as patch:
-        patch.setattr(graphs, "_digit_fields", lambda text: None)
-        return GrgGraph.from_edge_text(text)
+def assert_token_graph(graph, text):
+    """``graph`` is the graph the token reader of ``oracles`` reads from
+    ``text``."""
+    n, edges = token_edge_list(text)
+    assert graph.n == n
+    assert graph.edge_array().tolist() == [list(e) for e in edges]
 
 
 def assert_same_graph(a, b):
@@ -189,9 +190,35 @@ def styled_edge_text(graph, style, rng):
     return text.rstrip("\n") if style == "no_final_newline" else text
 
 
+# characters that the edits of ``edge_texts`` insert: the reader's
+# separators, a no-break space, digits and what ``int`` also takes or refuses
+_INSERTS = graphs._SPACES + "\xa0" + "0123456789+-_\x00\u0661"
+
+
+@st.composite
+def edge_texts(draw):
+    """A small edge list, valid or not (loops, repeats), with up to three
+    characters inserted before or after its fields.  No field grows past
+    four characters, so no header declares more than 9999 vertices (the
+    reader allocates a row pointer per vertex)."""
+    n = draw(st.integers(2, 6))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    edges = draw(st.lists(ends, max_size=4))
+    fields = [str(x) for pair in [(n, len(edges)), *edges] for x in pair]
+    seps = [" ", "\n"] * (len(edges) + 1)
+    for at, char, after in draw(st.lists(st.tuples(
+            st.integers(0, len(fields) - 1), st.sampled_from(_INSERTS),
+            st.booleans()), max_size=3)):
+        if after:
+            seps[at] = char + seps[at]
+        else:
+            fields[at] = char + fields[at]
+    return "".join(f + s for f, s in zip(fields, seps))
+
+
 class TestEdgeText:
-    """The byte-level writer and parser against ``str.format`` and the token
-    path."""
+    """The byte-level writer and reader against ``str.format`` and the token
+    reader of ``oracles``."""
 
     @pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 255, 256,
                                    1000, 10001, 65536])
@@ -219,45 +246,47 @@ class TestEdgeText:
                                        "leading_zeros", "no_final_newline",
                                        "mixed"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_parser_matches_token_path(self, monkeypatch, style, seed):
+    def test_parser_matches_token_path(self, style, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.choice([2, 9, 10, 11, 120, 1500]))
         graph = random_graph(n, int(rng.integers(0, 3 * n)), rng)
         text = styled_edge_text(graph, style, rng)
         assert graphs._digit_fields(text) is not None
         parsed = GrgGraph.from_edge_text(text)
-        assert_same_graph(parsed, token_parse(monkeypatch, text))
+        assert_token_graph(parsed, text)
         assert_same_graph(parsed, graph)
 
     @pytest.mark.parametrize("text", ["7 0", "7 0\r\n", "\n\t7\t0 \n\n",
                                       "007 000\n"])
-    def test_header_only_text(self, monkeypatch, text):
+    def test_header_only_text(self, text):
         assert graphs._digit_fields(text) is not None
         parsed = GrgGraph.from_edge_text(text)
         assert parsed.n == 7 and parsed.m == 0
-        assert_same_graph(parsed, token_parse(monkeypatch, text))
+        assert_token_graph(parsed, text)
 
     def test_eighteen_digit_field_is_parsed(self):
         text = "3 1\n000000000000000001 003\n"
         assert list(graphs._digit_fields(text)) == [3, 1, 1, 3]
         assert GrgGraph.from_edge_text(text).has_edge(0, 2)
 
-    @pytest.mark.parametrize("text,edge", [
-        ("3 1\n+1 2\n", (0, 1)),
-        ("3 1\n2 \u0661\n", (0, 1)),        # ARABIC-INDIC DIGIT ONE
-        ("3 1\n0000000000000000001 3\n", (0, 2)),
-        ("+3 1\n1 2\n", None),
-        ("3 1\n1_0 2\n", None),
-        ("3 1\n1 99999999999999999999\n", None),
-        ("3 1\n1 9999999999999999999\n", None),
+    @pytest.mark.parametrize("text,message", [
+        ("3 1\n+1 2\n", "line '+1 2': u = '+1' is not a nonnegative"),
+        ("3 1\n2 \u0661\n",                 # ARABIC-INDIC DIGIT ONE
+         "line '2 \u0661': v = '\u0661' is not a nonnegative"),
+        ("3 1\n1\xa02\n",                   # NO-BREAK SPACE
+         "line '1\xa02': u = '1\\xa02' is not a nonnegative"),
+        ("3 1\n1 2\x00\n", "v = '2\\x00' is not a nonnegative"),
+        ("3 1\n1_0 2\n", "line '1_0 2': u = '1_0' is not a nonnegative"),
+        ("+3 1\n1 2\n", "header '+3 1': n = '+3' is not a nonnegative"),
+        ("3 1\n0000000000000000001 3\n",
+         "u = '0000000000000000001' has more than 18 digits"),
+        ("3 1\n1 9999999999999999999\n",
+         "v = '9999999999999999999' has more than 18 digits"),
     ])
-    def test_other_fields_take_the_token_path(self, monkeypatch, text, edge):
+    def test_other_fields_are_refused_by_name(self, text, message):
         assert graphs._digit_fields(text) is None
-        if edge is None:
-            with pytest.raises(ValueError):
-                GrgGraph.from_edge_text(text)
-        else:
-            assert GrgGraph.from_edge_text(text).has_edge(*edge)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GrgGraph.from_edge_text(text)
 
     @pytest.mark.parametrize("text", [
         "3\n", "3 1 1\n", "3 1\n1\n2\n", "3 1\n1 2 3\n", "3 1\n1 2\n3\n",
@@ -265,12 +294,32 @@ class TestEdgeText:
         "3 1\n1 4\n", "3 2\n1 2\n02 001\n", " \n\t\n", "3 1 1 2\n",
         "3 2\n1 2 2 3\n", "3 2\n1 2\r\n2\r\n3\r\n",
     ])
-    def test_digit_texts_fail_as_on_token_path(self, monkeypatch, text):
+    def test_digit_texts_fail_as_on_token_path(self, text):
         with pytest.raises(ValueError) as token_error:
-            token_parse(monkeypatch, text)
+            token_edge_list(text)
         with pytest.raises(ValueError) as byte_error:
             GrgGraph.from_edge_text(text)
         assert str(byte_error.value) == str(token_error.value)
+
+    @given(text=edge_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_reads_the_token_graph_or_refuses(self, text):
+        """The reader takes a subset of what the token reader takes: it
+        returns the token reader's graph or raises ValueError, and takes
+        every text of ASCII digits and whitespace that the token reader
+        takes."""
+        try:
+            expected = token_edge_list(text)
+        except ValueError:
+            expected = None
+        try:
+            graph = GrgGraph.from_edge_text(text)
+        except ValueError:
+            assert expected is None or re.search(f"[^0-9{graphs._SPACES}]",
+                                                 text)
+            return
+        assert expected is not None
+        assert_token_graph(graph, text)
 
 
 class TestSampling:
@@ -327,7 +376,7 @@ class TestSampling:
             sample_grg(WeightVector.from_values([1.0]), seed=0)
 
 
-def reference_sample(weights, seed, chung_lu):
+def reference_sample(weights, seed):
     """CSR arrays from a per-row loop, the reference for the sampler: one
     ``rng.random`` call per row and every pair tested exactly."""
     w = weights.values
@@ -338,8 +387,7 @@ def reference_sample(weights, seed, chung_lu):
     for i in range(n - 1):
         u = rng.random(n - 1 - i)
         prod = w[i] * w[i + 1:]
-        p = prod / total if chung_lu else prod / (total + prod)
-        cols = np.nonzero(u < p)[0] + i + 1
+        cols = np.nonzero(u < prod / (total + prod))[0] + i + 1
         heads.append(np.full(cols.size, i))
         tails.append(cols)
     rows = np.concatenate(heads + tails)
@@ -347,12 +395,6 @@ def reference_sample(weights, seed, chung_lu):
     order = np.lexsort((cols, rows))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return indptr, cols[order]
-
-
-def chung_lu_ready(values):
-    """Scale weights down until every ``w_i**2 <= total``."""
-    w = np.asarray(values, dtype=np.float64)
-    return w * min(1.0, 0.5 * w.sum() / (w.max() ** 2))
 
 
 def parity_weights(n, seed):
@@ -372,99 +414,42 @@ class TestSamplerStream:
     graphs are pinned by the seed; the digests were recorded from the per-row
     loop of ``reference_sample``."""
 
-    @pytest.mark.parametrize("shape,n,wseed,seed,chung_lu,digest", [
-        (9.5, 2000, 0, 0, False,
+    @pytest.mark.parametrize("shape,n,wseed,seed,digest", [
+        (9.5, 2000, 0, 0,
          "52331bbbb616fec26aefe79e7189e4249a04a15735865a3e3f5540f0fccdc1e8"),
-        (9.5, 2000, 0, 1, False,
+        (9.5, 2000, 0, 1,
          "d7be0e80e34f79329ad239e8f98ffc1df533a3632f1f3ef899b31719c5f0bebc"),
-        (1.5, 500, 0, 2, False,
+        (1.5, 500, 0, 2,
          "cbf9d59f65a3efe17fa8696519632ed03ccf70d88e9b9e434801c79e7e3bb30d"),
-        (None, 1000, None, 3, True,
-         "cb9f20c54359701109093463a5dbfb9ea1db846b611f3dae5b65df9b3ccdd15c"),
     ])
-    def test_pinned_edge_text(self, shape, n, wseed, seed, chung_lu, digest):
-        if chung_lu:
-            graph = sample_chung_lu(
-                WeightVector.from_values(np.full(n, 5.0)), seed)
-        else:
-            graph = sample_grg(sample_weights(
-                WeightSpec.pareto_shifted(shape, 10, 1), n, wseed), seed)
+    def test_pinned_edge_text(self, shape, n, wseed, seed, digest):
+        graph = sample_grg(sample_weights(
+            WeightSpec.pareto_shifted(shape, 10, 1), n, wseed), seed)
         text = graph.to_edge_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @staticmethod
-    def assert_parity(weights, seed, chung_lu):
-        sample = sample_chung_lu if chung_lu else sample_grg
-        graph = sample(weights, seed)
-        indptr, indices = reference_sample(weights, seed, chung_lu)
+    def assert_parity(weights, seed):
+        graph = sample_grg(weights, seed)
+        indptr, indices = reference_sample(weights, seed)
         assert np.array_equal(graph.indptr, indptr)
         assert np.array_equal(graph.indices, indices)
 
-    @staticmethod
-    def shrink_constants(monkeypatch, chunk=7, block=5):
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 300])
+    def test_matches_row_loop_with_small_chunks(self, monkeypatch, n):
         # chunks of up to 7 pairs and 5-column blocks that end mid-row; the
         # pre-filter runs on every chunk, down to a single pair
-        monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
-        monkeypatch.setattr(graphs, "_BLOCK", block)
-
-    @pytest.mark.parametrize("chung_lu", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 5, 40, 300])
-    def test_matches_row_loop_with_small_chunks(self, monkeypatch, n,
-                                                chung_lu):
-        self.shrink_constants(monkeypatch)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(graphs, "_BLOCK", 5)
         for values in parity_weights(n, seed=n).values():
-            if chung_lu:
-                values = chung_lu_ready(values)
             weights = WeightVector.from_values(values)
             for seed in range(3):
-                self.assert_parity(weights, seed, chung_lu)
+                self.assert_parity(weights, seed)
 
-    @pytest.mark.parametrize("chung_lu", [False, True])
-    def test_matches_row_loop_at_default_chunks(self, chung_lu):
+    def test_matches_row_loop_at_default_chunks(self):
         n = 700                 # 244,650 pairs: four chunks, ten hub columns
         for values in parity_weights(n, seed=11).values():
-            if chung_lu:
-                values = chung_lu_ready(values)
-            self.assert_parity(WeightVector.from_values(values), 4, chung_lu)
-
-    @pytest.mark.parametrize("values", [
-        [2.0, 2.0],                      # the one pair has p = 1
-        [4.0, 4.0, 2.0, 2.0, 2.0, 2.0],  # total = 16 = w_0**2 = w_1**2
-        [6.0] * 6,                       # complete graph
-    ])
-    def test_chung_lu_at_equality(self, monkeypatch, values):
-        weights = WeightVector.from_values(values)
-        assert weights.values.max() ** 2 == weights.total
-        for seed in range(20):
-            self.assert_parity(weights, seed, chung_lu=True)
-        self.shrink_constants(monkeypatch, chunk=3, block=2)
-        for seed in range(20):
-            self.assert_parity(weights, seed, chung_lu=True)
-        assert sample_chung_lu(WeightVector.from_values([6.0] * 6), 0).m == 15
-
-
-class TestChungLu:
-    def test_unit_pair(self):
-        wv = WeightVector.from_values([1.0, 1.0])
-        reps = 4000
-        hits = sum(sample_chung_lu(wv, s).m for s in range(reps))
-        se = np.sqrt(0.25 / reps)
-        assert abs(hits / reps - 0.5) < 4 * se
-
-    def test_small_probabilities(self):
-        wv = WeightVector.from_values([2.0, 1.0, 1.0])
-        reps = 10**4
-        hits = np.zeros((3, 3))
-        for seed in range(reps):
-            for u, v in sample_chung_lu(wv, seed).edge_array():
-                hits[u, v] += 1
-        assert abs(hits[0, 1] / reps - 0.5) < 4 * np.sqrt(0.25 / reps)
-        assert abs(hits[1, 2] / reps - 0.25) < 4 * np.sqrt(0.1875 / reps)
-
-    def test_precondition_names_vertex(self):
-        wv = WeightVector.from_values([3.0, 1.0])
-        with pytest.raises(ValueError, match="vertex 1"):
-            sample_chung_lu(wv, seed=0)
+            self.assert_parity(WeightVector.from_values(values), 4)
 
 
 class TestCycleProbability:
