@@ -282,6 +282,8 @@ class TestEdgeText:
          "u = '0000000000000000001' has more than 18 digits"),
         ("3 1\n1 9999999999999999999\n",
          "v = '9999999999999999999' has more than 18 digits"),
+        ("3 1\n1 99999999999999999999\n",
+         "v = '99999999999999999999' has more than 18 digits"),
     ])
     def test_other_fields_are_refused_by_name(self, text, message):
         assert graphs._digit_fields(text) is None
