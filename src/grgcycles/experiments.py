@@ -491,11 +491,23 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
 # Threshold utility
 # ---------------------------------------------------------------------------
 
+def _ascii_text(path: Path) -> str:
+    """The text of an edge-list file, which holds ASCII only."""
+    data = path.read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    line = data.count(b"\n", 0, bad) + 1
+    raise ValueError(f"edge list {path}: line {line} holds the byte "
+                     f"0x{data[bad]:02x}, which is not ASCII")
+
+
 def run_threshold(cfg: ExperimentConfig) -> Tuple[ThresholdReport, tuple]:
     """Threshold report for an edge-list file or one sampled graph, and the
     files written."""
     if cfg.edge_list:
-        graph = GrgGraph.from_edge_text(Path(cfg.edge_list).read_text())
+        graph = GrgGraph.from_edge_text(_ascii_text(Path(cfg.edge_list)))
     else:
         graph = draw_graph(cfg.weight_spec(), cfg.n, cfg.seed)
     report = threshold_report(graph)

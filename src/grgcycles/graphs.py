@@ -9,15 +9,21 @@ census kernels can run directly on the arrays.
 Sampling consumes exactly one uniform variate per vertex pair, visiting
 pairs in lexicographic order, so a fixed seed pins the whole bit stream.
 The uniforms are drawn in chunks of whole rows; PCG64 yields one double per
-variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and the
-chunking does not move a draw.  A pre-filter bounds ``p_ij`` over each run of
-columns by the edge law at the run's largest weight, times ``1 + 1e-12``;
-only pairs whose uniform falls below that bound get the exact test
-``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` from
-``prod = w_i * w_j``.  The law increases with the product and rounding
-moves each value by a few ulps, far less than the slack, so the bound never
-falls below ``p_ij`` and the pre-filter cannot change an edge (for weights
-whose products and total stay finite).
+variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and
+the chunking does not move a draw.  The stream is also cut at row boundaries
+into one contiguous part per CPU the process may use (one in a pool worker
+of the replication map, and no more parts than chunks), balanced by pair
+count.  Each part rebuilds the generator from the seed and advances it past
+the draws of the rows before its own, so the graph is byte-identical for any
+part count.  The calling thread samples part 0 and helper threads the rest,
+all joined before the sampler returns.  A pre-filter bounds ``p_ij`` over
+each run of columns by the edge law at the run's largest weight, times
+``1 + 1e-12``; only pairs whose uniform falls below that bound get the exact
+test ``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` from
+``prod = w_i * w_j``.  The law increases with the product and rounding moves
+each value by a few ulps, far less than the slack, so the bound never falls
+below ``p_ij`` and the pre-filter cannot change an edge (for weights whose
+products and total stay finite).
 
 Graphs exchange as whitespace edge lists: an ``n m`` header, then one
 ``u v`` line per edge with 1-based ids.  Both directions work on ASCII bytes
@@ -28,14 +34,18 @@ per line, and adds up each field's digits from right to left.  It reads
 nothing else: a field that is not a run of at most 18 ASCII digits (a sign,
 ``1_0``, a non-ASCII digit or space), or a line with the wrong number of
 fields, is refused with a message that names the header, the line or the
-field.
+field.  So is a header whose n is too large for the CSR builder's int64
+sort key, before anything is allocated.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +132,10 @@ class GrgGraph:
         if fields is None:
             _check_lines(text)
         n, m = int(fields[0]), int(fields[1])
+        if n > _MAX_VERTICES:
+            raise ValueError(f"edge list header '{n} {m}': n = {n} is above "
+                             f"{_MAX_VERTICES}, the most vertices whose "
+                             f"pair keys fit in int64")
         if fields.size // 2 - 1 != m:
             raise ValueError(
                 f"header declares {m} edges, found {fields.size // 2 - 1}")
@@ -141,6 +155,9 @@ _LINE_END = np.zeros(128, dtype=bool)
 _LINE_END[list(_LINE_ENDS.encode("ascii"))] = True
 # Longest field the reader takes; 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
+# Most vertices the CSR builder takes: its sort key u * n + v, at most
+# n**2 - 1, must fit in int64.
+_MAX_VERTICES = math.isqrt(2 ** 63 - 1)
 
 
 def _digit_fields(text: str) -> Optional[np.ndarray]:
@@ -263,15 +280,47 @@ def _column_segments(w: np.ndarray) -> tuple:
     return edges, np.maximum.reduceat(w, edges[:-1])
 
 
+def _part_count() -> int:
+    """Parts the sampler cuts a graph's pair stream into, at most: one per
+    CPU this process may use, but one in a pool worker of the replication
+    map, so that workers x parts <= CPUs."""
+    # a process that never loaded multiprocessing is no pool worker, and
+    # need not pay the import (about 12 ms)
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(job: Callable, parts: int) -> list:
+    """``[job(k) for k in range(parts)]``, part 0 on this thread and each
+    other part on a helper thread.  Every helper is joined before this
+    returns, and a helper's exception is raised here."""
+    if parts == 1:
+        return [job(0)]
+    # imported here: it costs about 10 ms, and a graph of one chunk never
+    # needs it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(parts - 1) as helpers:
+        rest = [helpers.submit(job, k) for k in range(1, parts)]
+        return [job(0)] + [future.result() for future in rest]
+
+
 def sample_grg(weights: WeightVector, seed) -> GrgGraph:
     """Sample the graph that joins each pair ``i < j`` independently with
     probability ``w_i w_j / (total + w_i w_j)``."""
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError("seed must be an int or a SeedSequence: each part "
+                        "rebuilds its generator from it")
     w = weights.values
     n = w.size
     if n < 2:
         raise ValueError("need at least two vertices")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)   # None draws its entropy once
     total = weights.total
-    rng = np.random.default_rng(seed)
     # pair (i, j) sits at flat index starts[i] + j - i - 1 of the stream,
     # so adding col_shift[i] to a flat index of row i gives its column
     ids = np.arange(n + 1)
@@ -279,35 +328,57 @@ def sample_grg(weights: WeightVector, seed) -> GrgGraph:
     np.add.accumulate(ids[n - 1:0:-1], out=starts[1:])
     col_shift = ids[1:] - starts
     edges, seg_max = _column_segments(w)
-    heads, tails = [], []
-    i0 = 0
-    while i0 < n - 1:
-        # rows i0..i1-1, at most _PAIR_CHUNK pairs unless one row is longer
-        a = int(starts[i0])
-        i1 = int(starts.searchsorted(a + _PAIR_CHUNK, "right")) - 1
-        i1 = max(i0 + 1, i1)
-        u = rng.random(int(starts[i1]) - a)
-        # bound p_ij over row i's columns in segment k by the segment's
-        # largest weight; segments left of the row get length 0
-        k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
-        x = w[i0:i1, None] * seg_max[k0:]
-        bound = x / (total + x) * _SLACK
-        clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
-        lens = clipped[:, 1:] - clipped[:, :-1]
-        cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
-        # exact test of the candidates; row i0 + r holds candidates
-        # firsts[r] up to firsts[r + 1]
-        pos = cand + a
-        firsts = pos.searchsorted(starts[i0:i1 + 1])
-        rows = ids[i0:i1].repeat(firsts[1:] - firsts[:-1])
-        cols = pos + col_shift[rows]
-        prod = w[rows] * w[cols]
-        keep = u[cand] < prod / (total + prod)
-        heads.append(rows[keep])
-        tails.append(cols[keep])
-        i0 = i1
+    # part k takes rows cuts[k]..cuts[k + 1] - 1, about pairs / parts pairs;
+    # there are no more parts than chunks, so a graph of one chunk starts no
+    # thread
+    pairs = int(starts[-1])
+    parts = min(_part_count(), -(-pairs // _PAIR_CHUNK))
+    cuts = np.append(starts.searchsorted(np.arange(parts) * pairs // parts),
+                     n - 1)
+
+    def sample_part(part):
+        # this part's rows, from the generator advanced past every draw of
+        # the rows before them
+        i0, stop = int(cuts[part]), int(cuts[part + 1])
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(int(starts[i0]))
+        heads, tails = [], []
+        # every chunk's uniforms go to one buffer: a fresh 512 kB array per
+        # chunk lets malloc hand the pages back and fault them in again
+        # (about 1,300 page faults per graph at n = 2000, 4 with it)
+        buf = np.empty(max(_PAIR_CHUNK, n - 1))
+        while i0 < stop:
+            # rows i0..i1-1, at most _PAIR_CHUNK pairs unless one row is
+            # longer
+            a = int(starts[i0])
+            i1 = int(starts.searchsorted(a + _PAIR_CHUNK, "right")) - 1
+            i1 = max(i0 + 1, min(i1, stop))
+            u = rng.random(out=buf[:int(starts[i1]) - a])
+            # bound p_ij over row i's columns in segment k by the segment's
+            # largest weight; segments left of the row get length 0
+            k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
+            x = w[i0:i1, None] * seg_max[k0:]
+            bound = x / (total + x) * _SLACK
+            clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
+            lens = clipped[:, 1:] - clipped[:, :-1]
+            cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
+            # exact test of the candidates; row i0 + r holds candidates
+            # firsts[r] up to firsts[r + 1]
+            pos = cand + a
+            firsts = pos.searchsorted(starts[i0:i1 + 1])
+            rows = ids[i0:i1].repeat(firsts[1:] - firsts[:-1])
+            cols = pos + col_shift[rows]
+            prod = w[rows] * w[cols]
+            keep = u[cand] < prod / (total + prod)
+            heads.append(rows[keep])
+            tails.append(cols[keep])
+            i0 = i1
+        return heads, tails
+
+    found = _on_threads(sample_part, parts)
+    heads = [chunk for part_heads, _ in found for chunk in part_heads]
+    tails = [chunk for _, part_tails in found for chunk in part_tails]
     if len(heads) > 1:
         heads, tails = [np.concatenate(heads)], [np.concatenate(tails)]
     indptr, indices = _csr_from_pairs(n, heads[0], tails[0])
     return GrgGraph(n=n, indptr=indptr, indices=indices)
-

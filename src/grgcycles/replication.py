@@ -5,7 +5,9 @@ Reproducibility contract: every random stream of a study comes from
 cuts its work into units whose results do not depend on which process runs
 them.  ``map_replications`` returns the results in unit order for any
 worker count, so a study that aggregates them in that order writes the same
-bytes whether it ran in this process or on a pool.
+bytes whether it ran in this process or on a pool.  A pool worker samples
+each graph in one part, while this process cuts a graph's pair stream into
+one part per CPU (see ``graphs``), so that workers x parts <= CPUs.
 """
 
 from __future__ import annotations

@@ -617,6 +617,15 @@ class TestCli:
         assert proc2.returncode == 0, proc2.stderr
         assert "radius_estimate" in proc2.stdout
 
+    def test_non_ascii_edge_list_named(self, tmp_path, capsys):
+        # a Latin-1 no-break space: not UTF-8, and not the reader's ASCII
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"3 1\n1\xa02\n")
+        assert cli.main(["threshold", "--edge-list", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles threshold: error: edge list {path}: line 2 "
+                "holds the byte 0xa0, which is not ASCII\n")
+
     def test_sample_needs_family(self, capsys):
         assert cli.main(["sample", "--n", "12"]) == 2
         assert capsys.readouterr().err == (

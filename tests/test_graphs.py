@@ -1,7 +1,10 @@
 """Edge law, graph sampling and the adjacency representation."""
 
+import dataclasses
 import hashlib
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grgcycles import graphs
+from grgcycles.experiments import ExperimentConfig, run_census
 from grgcycles.graphs import GrgGraph, sample_grg
+from grgcycles.replication import map_replications
 from grgcycles.weights import WeightSpec, WeightVector, sample_weights
 from oracles import cycle_probability, edge_probability, token_edge_list
 
@@ -127,6 +132,15 @@ class TestGraphRepresentation:
             GrgGraph.from_edge_text("2 2\n1 2\n2 1\n")
         with pytest.raises(ValueError, match=r"edge \(1,3\) outside 1\.\.2"):
             GrgGraph.from_edge_text("2 1\n1 3\n")
+
+    def test_header_above_int64_keys_named(self):
+        # the pair key u * n + v reaches n**2 - 1, which must fit in int64
+        limit = 3_037_000_499
+        assert limit ** 2 - 1 < 2 ** 63 - 1 < (limit + 1) ** 2 - 1
+        for n in (limit + 1, 10 ** 15):
+            with pytest.raises(ValueError, match=(
+                    f"^edge list header '{n} 0': n = {n} is above {limit}, ")):
+                GrgGraph.from_edge_text(f"{n} 0\n")
 
     def test_edge_text_names_bad_header_field(self):
         with pytest.raises(ValueError, match=r"header '-1 0': n = '-1'"):
@@ -411,6 +425,27 @@ def parity_weights(n, seed):
     return cases
 
 
+def force_parts(monkeypatch, cpus):
+    """Let the sampler see ``cpus`` CPUs; returns the list that records the
+    part count of each graph it samples in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
+                        raising=False)
+    used = []
+    on_threads = graphs._on_threads
+
+    def record(job, parts):
+        used.append(parts)
+        return on_threads(job, parts)
+
+    monkeypatch.setattr(graphs, "_on_threads", record)
+    return used
+
+
+def part_count(unit):
+    """The sampler's part count in the process that runs ``unit``."""
+    return graphs._part_count()
+
+
 class TestSamplerStream:
     """The sampler draws one uniform per pair in lexicographic order, so its
     graphs are pinned by the seed; the digests were recorded from the per-row
@@ -452,6 +487,86 @@ class TestSamplerStream:
         n = 700                 # 244,650 pairs: four chunks, ten hub columns
         for values in parity_weights(n, seed=11).values():
             self.assert_parity(WeightVector.from_values(values), 4)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_matches_row_loop_in_parts_with_small_chunks(self, monkeypatch,
+                                                         n, cpus):
+        # each part cuts its rows into chunks of its own of up to 7 pairs,
+        # and a graph takes no more parts than it has chunks
+        used = force_parts(monkeypatch, cpus)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(graphs, "_BLOCK", 5)
+        for values in parity_weights(n, seed=n).values():
+            weights = WeightVector.from_values(values)
+            for seed in range(3):
+                self.assert_parity(weights, seed)
+        assert set(used) == {min(cpus, -(-n * (n - 1) // 2 // 7))}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_matches_row_loop_in_parts_at_default_chunks(self, monkeypatch,
+                                                         cpus):
+        used = force_parts(monkeypatch, cpus)
+        n = 700                 # four chunks: five CPUs take four parts
+        for values in parity_weights(n, seed=11).values():
+            self.assert_parity(WeightVector.from_values(values), 4)
+        assert set(used) == {min(cpus, 4)}
+
+    def test_matches_row_loop_under_fast_thread_switching(self, monkeypatch):
+        # eight parts on fewer CPUs, switching threads every microsecond
+        used = force_parts(monkeypatch, 8)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                self.assert_parity(WeightVector.from_values(
+                    parity_weights(200, seed=seed)["pareto1.5"]), seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert used == [8] * 3
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        used = force_parts(monkeypatch, 5)
+        n = 362                 # 65,341 pairs, under one chunk of 65,536
+        weights = WeightVector.from_values(np.full(n, 3.0))
+        self.assert_parity(weights, 0)
+        assert used == [1]
+
+    def test_pool_worker_samples_in_one_part(self, monkeypatch):
+        force_parts(monkeypatch, 5)
+        assert part_count(0) == 5
+        assert map_replications(part_count, range(2), workers=2) == [1, 1]
+
+    def test_census_does_not_depend_on_workers(self, monkeypatch):
+        used = force_parts(monkeypatch, 3)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 1000)
+        cfg = ExperimentConfig(spec=WeightSpec.pareto_shifted(2.5, 10, 1),
+                               n=120, k=3, replications=4, seed=8)
+        counts = [run_census(cfg).counts
+                  for cfg in (cfg, dataclasses.replace(cfg, workers=2))]
+        assert used == [3] * 4      # the pool's graphs are sampled there
+        assert counts[0] == counts[1] and sum(counts[0]) > 0
+
+    def test_helper_error_is_raised_in_the_caller(self):
+        def job(part):
+            if part == 2:
+                raise KeyError(part)
+            return part
+
+        assert graphs._on_threads(job, 2) == [0, 1]
+        with pytest.raises(KeyError):
+            graphs._on_threads(job, 4)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(3),
+                                      np.random.PCG64(3)],
+                             ids=["Generator", "BitGenerator"])
+    def test_generator_seed_refused(self, seed):
+        weights = WeightVector.from_values(np.full(10, 3.0))
+        with pytest.raises(TypeError, match="^seed must be an int or a "
+                           "SeedSequence: each part rebuilds its generator "
+                           "from it$"):
+            sample_grg(weights, seed)
 
 
 class TestCycleProbability:
