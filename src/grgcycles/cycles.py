@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import GrgGraph
+from .graphs import GrgGraph, _row_pointers
 
 __all__ = [
     "CandidateCapError",
@@ -116,9 +116,10 @@ def _count_triangles(graph: GrgGraph) -> int:
     tails = rank[np.repeat(np.arange(n), degree)]
     heads = rank[graph.indices]
     forward = tails < heads
-    edges = tails[forward] * n + heads[forward]
+    tails = tails[forward]
+    edges = tails * n + heads[forward]
     edges.sort()
-    out_ptr = np.searchsorted(edges, np.arange(0, n * n + 1, n))
+    out_ptr = _row_pointers(tails, n)
     wedges = _row_pair_keys(out_ptr, edges % n, n)
     if not wedges.size:
         return 0

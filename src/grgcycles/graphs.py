@@ -11,12 +11,13 @@ pairs in lexicographic order, so a fixed seed pins the whole bit stream.
 The uniforms are drawn in chunks of whole rows; PCG64 yields one double per
 variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and
 the chunking does not move a draw.  The stream is also cut at row boundaries
-into one contiguous part per CPU the process may use (one in a pool worker
-of the replication map, and no more parts than chunks), balanced by pair
-count.  Each part rebuilds the generator from the seed and advances it past
-the draws of the rows before its own, so the graph is byte-identical for any
-part count.  The calling thread samples part 0 and helper threads the rest,
-all joined before the sampler returns.  A pre-filter bounds ``p_ij`` over
+into contiguous parts, balanced by pair count: as many as the replication
+map's ``_part_count`` allows (one per CPU the process may use, one in a pool
+worker), but no more than chunks.  Each part rebuilds the generator from the
+seed and advances it past the draws of the rows before its own, so the graph
+is byte-identical for any part count.  ``replication._on_threads`` samples
+part 0 on the calling thread and the rest on helper threads, all joined
+before the sampler returns.  A pre-filter bounds ``p_ij`` over
 each run of columns by the edge law at the run's largest weight, times
 ``1 + 1e-12``; only pairs whose uniform falls below that bound get the exact
 test ``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` from
@@ -35,20 +36,20 @@ nothing else: a field that is not a run of at most 18 ASCII digits (a sign,
 ``1_0``, a non-ASCII digit or space), or a line with the wrong number of
 fields, is refused with a message that names the header, the line or the
 field.  So is a header whose n is too large for the CSR builder's int64
-sort key, before anything is allocated.
+sort key, before anything is allocated, and one whose graph does not fit in
+memory: the builder's one array of size n + 1 is its row pointers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
-import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .replication import _on_threads, _part_count
 from .weights import WeightVector
 
 __all__ = [
@@ -140,8 +141,13 @@ class GrgGraph:
             raise ValueError(
                 f"header declares {m} edges, found {fields.size // 2 - 1}")
         pairs = fields[2:].reshape(-1, 2)
-        indptr, indices = _csr_from_pairs(n, pairs[:, 0] - 1, pairs[:, 1] - 1,
-                                          base=1)
+        try:
+            indptr, indices = _csr_from_pairs(n, pairs[:, 0] - 1,
+                                              pairs[:, 1] - 1, base=1)
+        except MemoryError:
+            raise ValueError(f"edge list header '{n} {m}': the arrays of a "
+                             f"graph of n = {n} vertices do not fit in "
+                             f"memory") from None
         return cls(n=n, indptr=indptr, indices=indices)
 
 
@@ -242,16 +248,24 @@ def _csr_from_pairs(n: int, us: np.ndarray, vs: np.ndarray,
         raise ValueError(f"edge ({us[t] + base},{vs[t] + base}) outside "
                          f"{base}..{n - 1 + base}")
     # key row * n + col for both directions of every edge, sorted
-    keys = np.concatenate((us, vs))
-    keys *= n
+    rows = np.concatenate((us, vs))
+    keys = rows * n
     keys += np.concatenate((vs, us))
     keys.sort()
     repeated = (keys[1:] == keys[:-1]).nonzero()[0]
     if repeated.size:
         u, v = sorted(divmod(int(keys[repeated[0]]), n))
         raise ValueError(f"repeated edge ({u + base},{v + base})")
-    indptr = keys.searchsorted(np.arange(n + 1) * n)
-    return indptr, keys % n
+    return _row_pointers(rows, n), keys % n
+
+
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of ``n`` rows for entries in rows ``rows``, in any
+    order: each row's entry count accumulated into the one array of size
+    ``n + 1``, so a large n costs one such array and no other."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr[1:], rows, 1)
+    return np.cumsum(indptr, out=indptr)
 
 
 # Most uniforms drawn per ``rng.random`` call (512 kB of doubles), unless a
@@ -278,34 +292,6 @@ def _column_segments(w: np.ndarray) -> tuple:
     cut[1:][hubs] = True
     edges = cut.nonzero()[0]
     return edges, np.maximum.reduceat(w, edges[:-1])
-
-
-def _part_count() -> int:
-    """Parts the sampler cuts a graph's pair stream into, at most: one per
-    CPU this process may use, but one in a pool worker of the replication
-    map, so that workers x parts <= CPUs."""
-    # a process that never loaded multiprocessing is no pool worker, and
-    # need not pay the import (about 12 ms)
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_threads(job: Callable, parts: int) -> list:
-    """``[job(k) for k in range(parts)]``, part 0 on this thread and each
-    other part on a helper thread.  Every helper is joined before this
-    returns, and a helper's exception is raised here."""
-    if parts == 1:
-        return [job(0)]
-    # imported here: it costs about 10 ms, and a graph of one chunk never
-    # needs it
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(parts - 1) as helpers:
-        rest = [helpers.submit(job, k) for k in range(1, parts)]
-        return [job(0)] + [future.result() for future in rest]
 
 
 def sample_grg(weights: WeightVector, seed) -> GrgGraph:

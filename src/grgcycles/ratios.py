@@ -9,9 +9,9 @@ For a positive sample ``x_1..x_n`` the two statistics are
 when the tail of X decays faster than x**-(p+1), and ``E r`` vanishes at a
 rate governed by the tail: ``regimes(spec, p)`` names the decay regimes
 that the law's tail index (``WeightSpec.tail_index``) admits.  The module
-provides Monte Carlo estimators with standard errors, exact finite-n values
-for two-point laws (the outcome of ``t`` depends only on how many draws hit
-the larger atom, so a single binomial sum is exact for any n), an
+provides Monte Carlo estimators with standard errors, finite-n values for
+two-point laws (the outcome of ``t`` depends only on how many draws hit the
+larger atom, so a single binomial sum gives ``E t**p`` for any n), an
 exponential lower-tail bound for sums of independent nonnegative variables,
 and least-squares rate fitting on log-log error points.
 
@@ -19,23 +19,26 @@ A Monte Carlo estimate is cut into chunks of whole replications, and the
 chunk that starts at replication ``start`` rebuilds the generator from the
 seed and advances it past the ``start * n`` variates before it.  Every
 weight family draws exactly one PCG64 output per variate, so each chunk
-sees the same draws as one sequentially consumed generator would.  The
-chunks run on the replication map and their sums are added in chunk order,
-so an estimate is bit-identical for any worker count.
+sees the same draws as one sequentially consumed generator would.  On
+several workers the chunks run on the replication map's pool, one chunk per
+unit.  On one worker the chunk list is cut into contiguous parts, balanced
+by chunk count, as many as the map's ``_part_count`` allows (one per CPU,
+one in a pool worker) and no more than chunks; ``_on_threads`` runs part 0
+on the calling thread and the rest on helper threads, and each part draws
+its chunks into one buffer of its own.  Either way the chunk sums are added
+in chunk order, so an estimate is bit-identical for any worker or CPU count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from math import comb
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .replication import map_replications
+from .replication import _on_threads, _part_count, map_replications
 from .weights import WeightSpec, WeightVector, analytic_moments, draw
 
 __all__ = [
@@ -53,7 +56,11 @@ __all__ = [
     "regimes",
 ]
 
-_CHUNK_BUDGET = 262_144  # variates per Monte Carlo chunk: 2 MB, stays in cache
+# Variates per Monte Carlo chunk: 2 MB, which stays in cache.  Each part of
+# an estimate draws its chunks into one buffer of this size, allocated before
+# the parts start; a fresh array per chunk leaves each helper thread's malloc
+# arena holding the pages of its own chunk, which shows in the peak RSS.
+_CHUNK_BUDGET = 262_144
 
 
 @dataclass(frozen=True)
@@ -133,15 +140,16 @@ def regimes(spec: WeightSpec, p: int) -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exact finite-n values for two-point laws
+# Finite-n values for two-point laws
 # ---------------------------------------------------------------------------
 
 def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
-    """Exact ``E t**p`` for a two-point (or constant) law.
+    """``E t**p`` for a two-point (or constant) law, to about 1e-12.
 
     Exchangeability reduces the 2^n outcomes to a binomial sum over the
-    count of draws hitting the second atom; evaluated in exact rational
-    arithmetic.
+    count of draws hitting the second atom, summed in floating point from
+    ``lgamma`` log-probabilities (the exact rational sum is the test
+    oracle ``oracles.exact_t_moment_fraction``).
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -149,15 +157,17 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
         return spec.value ** p
     if spec.family != "two_point":
         raise ValueError("exact evaluation covers two_point and constant laws")
-    x1 = Fraction(spec.x1)
-    x2 = Fraction(spec.x2)
-    q = 1 - Fraction(spec.p1)        # probability of the x2 atom
-    total = Fraction(0)
-    for j in range(n + 1):
-        weight = comb(n, j) * q ** j * (1 - q) ** (n - j)
+    x1, x2 = spec.x1, spec.x2
+    # log P(x1) and log P(x2) = log(1 - p1)
+    log1, log2 = math.log(spec.p1), math.log1p(-spec.p1)
+    log_n = math.lgamma(n + 1)
+    terms = []
+    for j in range(n + 1):        # j draws hit x2
+        log_pmf = (log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                   + j * log2 + (n - j) * log1)
         t = (j * x2 * x2 + (n - j) * x1 * x1) / (j * x2 + (n - j) * x1)
-        total += weight * t ** p
-    return float(total)
+        terms.append(math.exp(log_pmf) * t ** p)
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +175,16 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
-                unit: Tuple[int, int]) -> Tuple[float, float]:
+                unit: Tuple[int, int], buf: np.ndarray = None
+                ) -> Tuple[float, float]:
     """Sums of the statistic and of its square over the ``size``
-    replications of the chunk ``unit = (start, size)``."""
+    replications of the chunk ``unit = (start, size)``, drawn into the
+    front of ``buf`` (at least ``size * n`` doubles) if one is given."""
     start, size = unit
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start * n)
-    v = _row_statistics(draw(spec, rng, (size, n)), p, statistic)
+    out = None if buf is None else buf[:size * n].reshape(size, n)
+    v = _row_statistics(draw(spec, rng, (size, n), out), p, statistic)
     return float(v.sum()), float((v * v).sum())
 
 
@@ -187,8 +200,20 @@ def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
     units = [(start, min(chunk, replications - start))
              for start in range(0, replications, chunk)]
     job = partial(_chunk_sums, spec, n, p, seed, statistic)
+    if workers == 1:
+        # part k takes units cuts[k]..cuts[k + 1] - 1, drawn into bufs[k]
+        parts = min(_part_count(), len(units))
+        cuts = [k * len(units) // parts for k in range(parts + 1)]
+        bufs = [np.empty(units[0][1] * n) for _ in range(parts)]
+
+        def run_part(k):
+            return [job(unit, bufs[k]) for unit in units[cuts[k]:cuts[k + 1]]]
+
+        sums = [pair for part in _on_threads(run_part, parts) for pair in part]
+    else:
+        sums = map_replications(job, units, workers)
     acc1 = acc2 = 0.0
-    for sum1, sum2 in map_replications(job, units, workers):
+    for sum1, sum2 in sums:
         acc1 += sum1
         acc2 += sum2
     return _finish(acc1, acc2, replications)
@@ -205,7 +230,7 @@ def _finish(acc1: float, acc2: float, replications: int) -> MCEstimate:
 def estimate_t_moment(spec: WeightSpec, n: int, p: int, replications: int,
                       seed, workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of ``t**p`` with standard error, its chunks run on
-    ``workers`` processes."""
+    ``workers`` processes (one: on every CPU of this one)."""
     if p < 1:
         raise ValueError("p must be positive")
     analytic_moments(spec)   # rejects laws without a finite second moment
@@ -215,7 +240,7 @@ def estimate_t_moment(spec: WeightSpec, n: int, p: int, replications: int,
 def estimate_r_moment(spec: WeightSpec, n: int, p: int, replications: int,
                       seed, workers: int = 1) -> MCEstimate:
     """Monte Carlo mean of ``r`` with standard error, its chunks run on
-    ``workers`` processes."""
+    ``workers`` processes (one: on every CPU of this one)."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
     return _mc_estimate(spec, n, p, replications, seed, "r", workers)

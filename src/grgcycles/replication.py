@@ -5,13 +5,19 @@ Reproducibility contract: every random stream of a study comes from
 cuts its work into units whose results do not depend on which process runs
 them.  ``map_replications`` returns the results in unit order for any
 worker count, so a study that aggregates them in that order writes the same
-bytes whether it ran in this process or on a pool.  A pool worker samples
-each graph in one part, while this process cuts a graph's pair stream into
-one part per CPU (see ``graphs``), so that workers x parts <= CPUs.
+bytes whether it ran in this process or on a pool.
+
+This module also owns the package's threads.  A study on one worker cuts
+its work within a unit (a graph's pair stream, a Monte Carlo estimate's
+chunks) into ``_part_count()`` parts, one per CPU the process may use, and
+runs them with ``_on_threads``; a pool worker runs one part, so that
+workers x parts <= CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from typing import Callable, Iterable, List
 
 import numpy as np
@@ -54,3 +60,30 @@ def map_replications(job: Callable, units: Iterable,
     chunksize = min(_MAX_CHUNK, -(-len(units) // processes))
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(job, units, chunksize=chunksize))
+
+
+def _part_count() -> int:
+    """Parts to cut one unit of work into, at most: one per CPU this
+    process may use, but one in a pool worker of the replication map, so
+    that workers x parts <= CPUs."""
+    # a process that never loaded multiprocessing is no pool worker, and
+    # need not pay the import (about 12 ms)
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(job: Callable, parts: int) -> list:
+    """``[job(k) for k in range(parts)]``, part 0 on this thread and each
+    other part on a helper thread.  Every helper is joined before this
+    returns, and a helper's exception is raised here."""
+    if parts == 1:
+        return [job(0)]
+    # imported here: it costs about 10 ms, and one part never needs it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(parts - 1) as helpers:
+        rest = [helpers.submit(job, k) for k in range(1, parts)]
+        return [job(0)] + [future.result() for future in rest]

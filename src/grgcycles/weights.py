@@ -207,29 +207,41 @@ class MomentSummary:
                 f"mean {self.mean ** 2}, which violates Jensen's inequality")
 
 
-def draw(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:
+def draw(spec: WeightSpec, rng: np.random.Generator, size,
+         out: np.ndarray = None) -> np.ndarray:
     """Draw i.i.d. variates of any shape from an existing generator.
 
     Every family but ``constant`` consumes exactly one double, one PCG64
     output, per variate; the chunked Monte Carlo estimators of
-    :mod:`.ratios` rely on this to skip ahead with ``advance``.
+    :mod:`.ratios` rely on this to skip ahead with ``advance``.  Given
+    ``out``, a float64 array of shape ``size``, the variates are written
+    into it and it is returned; they are the same bytes either way.
     """
+    if out is None:
+        out = np.empty(size)
+    elif out.dtype != np.float64 or out.shape != (
+            (size,) if np.ndim(size) == 0 else tuple(size)):
+        raise ValueError(f"out must be a float64 array of shape {size}")
     if spec.family == "constant":
-        return np.full(size, spec.value, dtype=np.float64)
-    if spec.family == "pareto_shifted":
-        u = 1.0 - rng.random(size)       # in (0, 1], keeps the transform finite
-        return spec.scale * u ** (-1.0 / spec.shape) + spec.loc
-    if spec.family == "two_point":
+        out.fill(spec.value)
+    elif spec.family == "pareto_shifted":
+        u = rng.random(out=out)
+        np.subtract(1.0, u, out=u)    # in (0, 1], keeps the transform finite
+        u **= -1.0 / spec.shape
+        u *= spec.scale
+        u += spec.loc
+    elif spec.family == "two_point":
         # select between the atoms' bit patterns without a branch:
         # x2 ^ ((u < p1) * (x1 ^ x2)), written over u's own buffer
-        u = rng.random(size)
+        u = rng.random(out=out)
         x1, x2 = np.array([spec.x1, spec.x2]).view(np.int64)
         bits = u.view(np.int64)
         np.multiply(u < spec.p1, x1 ^ x2, out=bits)
         bits ^= x2
-        return u
-    return rng.choice(np.asarray(spec.values), size=size,
-                      p=np.asarray(spec.probs))
+    else:
+        out[...] = rng.choice(np.asarray(spec.values), size=size,
+                              p=np.asarray(spec.probs))
+    return out
 
 
 def sample_weights(spec: WeightSpec, n: int, seed) -> WeightVector:

@@ -1,10 +1,10 @@
 """Independent reference implementations that the tests compare against.
 
 None of these runs in a study: each is a literal, slow evaluation of a
-definition (every ordered vertex tuple, every 2**n outcome, every
-candidate neighbor, every token of an edge list), kept here so that a
-refactor of the package cannot edit the oracle together with the code it
-checks.
+definition (every ordered vertex tuple, every 2**n outcome or their exact
+rational sum, every candidate neighbor, every token of an edge list), kept
+here so that a refactor of the package cannot edit the oracle together with
+the code it checks.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import perm
+from math import comb, perm
 from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -217,6 +217,22 @@ def pair_probability(weights: WeightVector, alpha: Sequence[int],
 # ---------------------------------------------------------------------------
 # Ratio statistics
 # ---------------------------------------------------------------------------
+
+def exact_t_moment_fraction(spec: WeightSpec, n: int, p: int) -> float:
+    """First-tier oracle: the binomial sum over the count of draws hitting
+    the second atom, in exact rational arithmetic (about n**2 time)."""
+    if spec.family != "two_point":
+        raise ValueError("the binomial sum covers two_point laws only")
+    x1 = Fraction(spec.x1)
+    x2 = Fraction(spec.x2)
+    q = 1 - Fraction(spec.p1)        # probability of the x2 atom
+    total = Fraction(0)
+    for j in range(n + 1):
+        weight = comb(n, j) * q ** j * (1 - q) ** (n - j)
+        t = (j * x2 * x2 + (n - j) * x1 * x1) / (j * x2 + (n - j) * x1)
+        total += weight * t ** p
+    return float(total)
+
 
 def exact_t_moment_bruteforce(spec: WeightSpec, n: int, p: int) -> float:
     """Second-tier oracle: full 2^n enumeration, guarded to n <= 12."""

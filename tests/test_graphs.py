@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import os
 import re
 import sys
 
@@ -12,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grgcycles import graphs
+from grgcycles import graphs, replication
 from grgcycles.experiments import ExperimentConfig, run_census
 from grgcycles.graphs import GrgGraph, sample_grg
 from grgcycles.replication import map_replications
 from grgcycles.weights import WeightSpec, WeightVector, sample_weights
+from cpu_parts import force_parts, part_count
 from oracles import cycle_probability, edge_probability, token_edge_list
 
 
@@ -141,6 +141,25 @@ class TestGraphRepresentation:
             with pytest.raises(ValueError, match=(
                     f"^edge list header '{n} 0': n = {n} is above {limit}, ")):
                 GrgGraph.from_edge_text(f"{n} 0\n")
+
+    def test_header_above_memory_named(self, monkeypatch):
+        # the row pointers are the reader's one array of size n + 1; make
+        # every allocation of a million or more zeros fail, as the 24 GB of
+        # row pointers at the int64 bound would, so nothing large is made
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            if np.prod(shape) >= 10 ** 6:
+                raise MemoryError(f"Unable to allocate an array of {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        n = 3_037_000_499
+        with pytest.raises(ValueError, match=(
+                f"^edge list header '{n} 1': the arrays of a graph of n = "
+                f"{n} vertices do not fit in memory$")):
+            GrgGraph.from_edge_text(f"{n} 1\n1 {n}\n")
+        assert GrgGraph.from_edge_text("3 1\n1 3\n").m == 1
 
     def test_edge_text_names_bad_header_field(self):
         with pytest.raises(ValueError, match=r"header '-1 0': n = '-1'"):
@@ -425,27 +444,6 @@ def parity_weights(n, seed):
     return cases
 
 
-def force_parts(monkeypatch, cpus):
-    """Let the sampler see ``cpus`` CPUs; returns the list that records the
-    part count of each graph it samples in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
-                        raising=False)
-    used = []
-    on_threads = graphs._on_threads
-
-    def record(job, parts):
-        used.append(parts)
-        return on_threads(job, parts)
-
-    monkeypatch.setattr(graphs, "_on_threads", record)
-    return used
-
-
-def part_count(unit):
-    """The sampler's part count in the process that runs ``unit``."""
-    return graphs._part_count()
-
-
 class TestSamplerStream:
     """The sampler draws one uniform per pair in lexicographic order, so its
     graphs are pinned by the seed; the digests were recorded from the per-row
@@ -554,9 +552,9 @@ class TestSamplerStream:
                 raise KeyError(part)
             return part
 
-        assert graphs._on_threads(job, 2) == [0, 1]
+        assert replication._on_threads(job, 2) == [0, 1]
         with pytest.raises(KeyError):
-            graphs._on_threads(job, 4)
+            replication._on_threads(job, 4)
 
     @pytest.mark.parametrize("seed", [np.random.default_rng(3),
                                       np.random.PCG64(3)],

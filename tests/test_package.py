@@ -63,3 +63,36 @@ def test_every_config_key_has_one_owner():
         assert weight_keys <= set(read) <= keys, command
     assert keys - weight_keys <= set(chain.from_iterable(
         COMMAND_KEYS.values()))
+
+
+def test_replication_alone_runs_threads_and_processes():
+    """``replication`` is the one owner of the package's parallelism: no
+    other file imports ``concurrent.futures``, ``threading`` or
+    ``multiprocessing`` (by statement or by name) or reads
+    ``os.sched_getaffinity``, so a second thread or process map cannot
+    come back unseen."""
+    modules = {"concurrent", "threading", "multiprocessing"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [f"os.{node.attr}"]
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                names = [node.value]
+            else:
+                continue
+            found.update((path.name, name) for name in names
+                         if name.split(".")[0] in modules
+                         or name == "os.sched_getaffinity")
+    outside = sorted(item for item in found if item[0] != "replication.py")
+    assert not outside, f"only replication.py may use {outside}"
+    # the owner's own uses are seen, so the check is not blind
+    assert {("replication.py", name) for name in (
+        "concurrent.futures", "multiprocessing", "os.sched_getaffinity")
+    } <= found

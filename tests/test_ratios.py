@@ -1,6 +1,7 @@
 """Ratio statistics, exact oracles, Monte Carlo estimators, rate fits."""
 
 import math
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -10,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grgcycles import ratios
 from grgcycles.ratios import (TailBoundCheck, _chunk_sums, _row_statistics,
                               check_lower_tail, estimate_r_moment,
                               estimate_t_moment, exact_t_moment,
                               lower_tail_bound, r_statistic, rate_fit,
                               regimes, t_statistic)
+from grgcycles.replication import map_replications
 from grgcycles.weights import InfiniteMomentError, WeightSpec, draw
-from oracles import exact_t_moment_bruteforce
+from cpu_parts import force_parts
+from oracles import exact_t_moment_bruteforce, exact_t_moment_fraction
 
 TWO_POINT = WeightSpec.two_point(1, 2, 0.5)
 
@@ -107,6 +111,18 @@ class TestExactMoment:
     def test_constant_law(self):
         assert exact_t_moment(WeightSpec.constant(3.0), 17, 2) == 9.0
 
+    @pytest.mark.parametrize("spec", [TWO_POINT,
+                                      WeightSpec.two_point(1, 60, 0.9),
+                                      WeightSpec.two_point(3, 0.5, 0.01)],
+                             ids=["1-2", "1-60", "3-0.5"])
+    def test_matches_fraction_oracle(self, spec):
+        # the float sum's error grows with n through lgamma's magnitude
+        for n, rel in ((1, 1e-15), (2, 1e-15), (5, 1e-14), (10, 1e-14),
+                       (64, 1e-13), (200, 1e-12)):
+            for p in (1, 3):
+                assert exact_t_moment(spec, n, p) == pytest.approx(
+                    exact_t_moment_fraction(spec, n, p), rel=rel, abs=0)
+
     def test_matches_bruteforce_oracle(self):
         for n in (2, 5, 10):
             for p in (2, 3):
@@ -166,6 +182,16 @@ FAMILIES = [WeightSpec.constant(2.0), WeightSpec.pareto_shifted(3.5, 2, 1),
             TWO_POINT, WeightSpec.empirical([1, 2, 5], [0.2, 0.5, 0.3])]
 
 
+def estimate_parts(unit):
+    """The part count of each thread map that one estimate of ten chunks
+    runs on five CPUs, in the process that runs ``unit``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        used = force_parts(monkeypatch, 5)
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
+        estimate_t_moment(TWO_POINT, 64, 2, 1000, unit)
+    return used
+
+
 class TestChunkedStreams:
     @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
     def test_advanced_chunks_equal_one_sequential_generator(self, spec):
@@ -188,6 +214,68 @@ class TestChunkedStreams:
                           estimate_r_moment(spec, 64, 3, 5000, seed, workers=w)))
                     for w in (1, 2))
         assert one == two
+
+    @pytest.mark.parametrize("cpus", [2, 3, 5])
+    @pytest.mark.parametrize("rows", [7, 400])
+    def test_estimates_do_not_depend_on_cpus(self, monkeypatch, rows, cpus):
+        # chunks of 7 rows make 143 units, of 400 rows three: fewer than
+        # five parts
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * rows)
+        seed = np.random.SeedSequence(6)
+
+        def estimates():
+            return [(est.value.hex(), est.std_error.hex())
+                    for spec in FAMILIES
+                    for est in (estimate_t_moment(spec, 64, 2, 1000, seed),
+                                estimate_r_moment(spec, 64, 3, 1000, seed))]
+
+        assert force_parts(monkeypatch, 1) == []
+        one = estimates()
+        used = force_parts(monkeypatch, cpus)
+        assert estimates() == one
+        assert used == [min(cpus, -(-1000 // rows))] * 2 * len(FAMILIES)
+
+    def test_estimates_do_not_depend_on_thread_switching(self, monkeypatch):
+        # eight parts on fewer CPUs, switching threads every microsecond;
+        # each part must draw into its own buffer only
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 7)
+        spec = WeightSpec.pareto_shifted(3.5, 2, 1)
+        one = estimate_r_moment(spec, 64, 3, 1000, 4)
+        used = force_parts(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = [estimate_r_moment(spec, 64, 3, 1000, 4) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == [one] * 3 and used == [8] * 3
+
+    def test_pool_worker_runs_its_chunks_in_one_part(self, monkeypatch):
+        assert estimate_parts(0) == [5]
+        assert map_replications(estimate_parts, range(2), workers=2) == [
+            [1], [1]]
+        # on two workers the chunks run on the pool, with no thread map
+        used = force_parts(monkeypatch, 5)
+        seed = np.random.SeedSequence(6)
+        two = estimate_t_moment(TWO_POINT, 1000, 2, 1000, seed, workers=2)
+        assert used == []
+        assert two == estimate_t_moment(TWO_POINT, 1000, 2, 1000, seed)
+        assert used == [4]      # four chunks of 262 rows
+
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        used = force_parts(monkeypatch, 3)
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
+        chunk_sums = ratios._chunk_sums
+
+        def fail_late(*args):
+            if args[5][0] >= 900:      # the last unit, in part 2
+                raise KeyError(args[5])
+            return chunk_sums(*args)
+
+        monkeypatch.setattr(ratios, "_chunk_sums", fail_late)
+        with pytest.raises(KeyError, match="900"):
+            estimate_t_moment(TWO_POINT, 64, 2, 1000, 0)
+        assert used == [3]
 
     def test_generator_seed_rejected(self):
         with pytest.raises(TypeError, match="SeedSequence"):

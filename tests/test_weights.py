@@ -171,6 +171,40 @@ class TestSampling:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+    @pytest.mark.parametrize("shape", [1.0, 2.0, 3.5, 9.5])
+    def test_pareto_draw_is_the_inverse_transform(self, shape):
+        spec = WeightSpec.pareto_shifted(shape, 10, 1)
+        u = np.random.default_rng(12).random((64, 100))
+        want = 10 * (1.0 - u) ** (-1.0 / shape) + 1
+        got = draw(spec, np.random.default_rng(12), (64, 100))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("spec", [
+        WeightSpec.constant(2.0), WeightSpec.pareto_shifted(3.5, 2, 1),
+        WeightSpec.two_point(1, 2, 0.5),
+        WeightSpec.empirical([1, 2, 5], [0.2, 0.5, 0.3])],
+        ids=lambda spec: spec.family)
+    @pytest.mark.parametrize("size", [17, (6, 50)], ids=["1d", "2d"])
+    def test_draw_into_out_is_the_allocating_draw(self, spec, size):
+        rng = np.random.default_rng(13)
+        want = draw(spec, rng, size)
+        rng_out = np.random.default_rng(13)
+        buf = np.full(size, np.nan)
+        got = draw(spec, rng_out, size, out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+        assert rng_out.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("buf", [np.empty(16), np.empty((17, 1)),
+                                     np.empty(17, dtype=np.float32)],
+                             ids=["short", "2d", "float32"])
+    def test_draw_refuses_a_mismatched_out(self, buf):
+        with pytest.raises(ValueError, match="^out must be a float64 array "
+                           "of shape 17$"):
+            draw(WeightSpec.constant(2.0), np.random.default_rng(0), 17,
+                 out=buf)
+
+
 class TestWeightVector:
     def test_total_is_sum(self):
         wv = WeightVector.from_values([1.5, 2.5, 3.0])
