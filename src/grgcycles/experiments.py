@@ -1,15 +1,17 @@
 """Experiment harness: configuration, studies and their output files.
 
-The census, bound and ratio studies run on the one replication map of
+The census and bound studies run on the one replication map of
 :mod:`.replication`, which this module re-exports with ``replication_seed``.
 Reproducibility contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
 for weights and stream 1 for the graph.  The units a study maps are cut so
 that no result depends on the process that computes it: one census
 replication; one bound replication, carrying the weights the calling
-process drew once for it; one Monte Carlo chunk of a ratio estimate.  Results come back
-in unit order and are aggregated in that order, so the outputs are
-byte-identical for any worker count.
+process drew once for it.  Results come back in unit order and are
+aggregated in that order, so the outputs are byte-identical for any worker
+count.  The ratio study takes no worker count: each Monte Carlo estimate
+runs its chunks on every CPU of this process (:mod:`.ratios`), with the
+same bytes for any CPU count.
 
 Every config key is listed once, in ``CONFIG_KEYS``, and each command's
 keys once, in ``COMMAND_KEYS``: ``load_config`` reads and converts exactly
@@ -137,7 +139,8 @@ COMMAND_KEYS = {command: (*(key for key, (convert, _) in CONFIG_KEYS.items()
     "sample": ("n", "seed", "output_dir"),
     "census": ("n", "k", *_STUDY_KEYS),
     "bounds": ("k", *_STUDY_KEYS, "n_grid", "er_lambda"),
-    "ratio": ("p", *_STUDY_KEYS, "n_grid", "statistic"),
+    "ratio": ("p", "replications", "seed", "output_dir", "n_grid",
+              "statistic"),
     "threshold": ("n", "seed", "output_dir", "edge_list"),
 }.items()}
 _KINDS = {int: "an integer", float: "a number",
@@ -431,10 +434,10 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         seed_n = replication_seed(cfg.seed, idx, 2)
         if cfg.statistic == "t":
             est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n, workers=cfg.workers)
+                                    seed_n)
         else:
             est = estimate_r_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n, workers=cfg.workers)
+                                    seed_n)
         abs_error = abs(est.value - limit)
         rows.append((n, est.value, est.std_error, abs_error))
         if abs_error >= NOISE_FLOOR_FACTOR * est.std_error and abs_error > 0:
@@ -455,8 +458,7 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     if cfg.statistic == "t" and spec.family == "two_point":
         for n in (2, 5, 10):
             est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
-                                    replication_seed(cfg.seed, n, 3),
-                                    workers=cfg.workers)
+                                    replication_seed(cfg.seed, n, 3))
             exact_rows.append((n, exact_t_moment(spec, n, cfg.p),
                                est.value, est.std_error))
     summary = {

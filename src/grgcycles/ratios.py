@@ -19,26 +19,24 @@ A Monte Carlo estimate is cut into chunks of whole replications, and the
 chunk that starts at replication ``start`` rebuilds the generator from the
 seed and advances it past the ``start * n`` variates before it.  Every
 weight family draws exactly one PCG64 output per variate, so each chunk
-sees the same draws as one sequentially consumed generator would.  On
-several workers the chunks run on the replication map's pool, one chunk per
-unit.  On one worker the chunk list is cut into contiguous parts, balanced
-by chunk count, as many as the map's ``_part_count`` allows (one per CPU,
-one in a pool worker) and no more than chunks; ``_on_threads`` runs part 0
+sees the same draws as one sequentially consumed generator would.  The
+chunk list is cut into contiguous parts, balanced by chunk count, as many
+as ``replication._part_count`` allows (one per CPU, one in a pool worker of
+the replication map) and no more than chunks; ``_on_threads`` runs part 0
 on the calling thread and the rest on helper threads, and each part draws
-its chunks into one buffer of its own.  Either way the chunk sums are added
-in chunk order, so an estimate is bit-identical for any worker or CPU count.
+its chunks into one buffer of its own.  The chunk sums are added in chunk
+order, so an estimate is bit-identical for any CPU count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .replication import _on_threads, _part_count, map_replications
+from .replication import _on_threads, _part_count
 from .weights import WeightSpec, WeightVector, analytic_moments, draw
 
 __all__ = [
@@ -189,7 +187,7 @@ def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
 
 
 def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
-                 statistic: str, workers: int) -> MCEstimate:
+                 statistic: str) -> MCEstimate:
     """Mean and standard error of the statistic over chunked replications."""
     if replications < 1000:
         raise ValueError("need at least 1000 replications")
@@ -199,23 +197,20 @@ def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
     chunk = max(1, _CHUNK_BUDGET // max(n, 1))
     units = [(start, min(chunk, replications - start))
              for start in range(0, replications, chunk)]
-    job = partial(_chunk_sums, spec, n, p, seed, statistic)
-    if workers == 1:
-        # part k takes units cuts[k]..cuts[k + 1] - 1, drawn into bufs[k]
-        parts = min(_part_count(), len(units))
-        cuts = [k * len(units) // parts for k in range(parts + 1)]
-        bufs = [np.empty(units[0][1] * n) for _ in range(parts)]
+    # part k takes units cuts[k]..cuts[k + 1] - 1, drawn into bufs[k]
+    parts = min(_part_count(), len(units))
+    cuts = [k * len(units) // parts for k in range(parts + 1)]
+    bufs = [np.empty(units[0][1] * n) for _ in range(parts)]
 
-        def run_part(k):
-            return [job(unit, bufs[k]) for unit in units[cuts[k]:cuts[k + 1]]]
+    def run_part(k):
+        return [_chunk_sums(spec, n, p, seed, statistic, unit, bufs[k])
+                for unit in units[cuts[k]:cuts[k + 1]]]
 
-        sums = [pair for part in _on_threads(run_part, parts) for pair in part]
-    else:
-        sums = map_replications(job, units, workers)
     acc1 = acc2 = 0.0
-    for sum1, sum2 in sums:
-        acc1 += sum1
-        acc2 += sum2
+    for part in _on_threads(run_part, parts):
+        for sum1, sum2 in part:
+            acc1 += sum1
+            acc2 += sum2
     return _finish(acc1, acc2, replications)
 
 
@@ -228,22 +223,22 @@ def _finish(acc1: float, acc2: float, replications: int) -> MCEstimate:
 
 
 def estimate_t_moment(spec: WeightSpec, n: int, p: int, replications: int,
-                      seed, workers: int = 1) -> MCEstimate:
-    """Monte Carlo mean of ``t**p`` with standard error, its chunks run on
-    ``workers`` processes (one: on every CPU of this one)."""
+                      seed) -> MCEstimate:
+    """Monte Carlo mean of ``t**p`` with standard error, its chunks run in
+    one part per CPU (see the module docstring)."""
     if p < 1:
         raise ValueError("p must be positive")
     analytic_moments(spec)   # rejects laws without a finite second moment
-    return _mc_estimate(spec, n, p, replications, seed, "t", workers)
+    return _mc_estimate(spec, n, p, replications, seed, "t")
 
 
 def estimate_r_moment(spec: WeightSpec, n: int, p: int, replications: int,
-                      seed, workers: int = 1) -> MCEstimate:
-    """Monte Carlo mean of ``r`` with standard error, its chunks run on
-    ``workers`` processes (one: on every CPU of this one)."""
+                      seed) -> MCEstimate:
+    """Monte Carlo mean of ``r`` with standard error, its chunks run in
+    one part per CPU (see the module docstring)."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    return _mc_estimate(spec, n, p, replications, seed, "r", workers)
+    return _mc_estimate(spec, n, p, replications, seed, "r")
 
 
 # ---------------------------------------------------------------------------

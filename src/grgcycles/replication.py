@@ -1,4 +1,4 @@
-"""Seeds and the one replication map every study runs on.
+"""Seeds and the one replication map the census and bound studies run on.
 
 Reproducibility contract: every random stream of a study comes from
 ``SeedSequence(master_seed, spawn_key=(replication, stream))``, and a study
@@ -7,9 +7,9 @@ them.  ``map_replications`` returns the results in unit order for any
 worker count, so a study that aggregates them in that order writes the same
 bytes whether it ran in this process or on a pool.
 
-This module also owns the package's threads.  A study on one worker cuts
-its work within a unit (a graph's pair stream, a Monte Carlo estimate's
-chunks) into ``_part_count()`` parts, one per CPU the process may use, and
+This module also owns the package's threads.  The graph sampler cuts a
+graph's pair stream, and the ratio estimator a Monte Carlo estimate's chunk
+list, into ``_part_count()`` parts, one per CPU the process may use, and
 runs them with ``_on_threads``; a pool worker runs one part, so that
 workers x parts <= CPUs.
 """

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grgcycles import cli, experiments
+from grgcycles import cli, experiments, ratios
 from grgcycles.chen_stein import BoundTerms, bound_report
 from grgcycles.cycles import candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
@@ -22,8 +22,8 @@ from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    replication_seed, run_bounds, run_census,
                                    run_ratio_study, run_threshold)
 from grgcycles.graphs import GrgGraph
-from grgcycles.ratios import estimate_t_moment
 from grgcycles.weights import InfiniteMomentError, WeightSpec
+from cpu_parts import force_parts
 
 PARETO = WeightSpec.pareto_shifted(9.5, 10, 1)
 
@@ -272,8 +272,6 @@ class TestSeeding:
             run_census(cfg)
         with pytest.raises(ValueError, match="^workers=-3 is below 1$"):
             bound_report(PARETO, 8, 3, 1, 0, workers=-3)
-        with pytest.raises(ValueError, match="^workers=0 is below 1$"):
-            estimate_t_moment(PARETO, 8, 2, 1000, 0, workers=0)
 
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed=-1 is negative"):
@@ -320,14 +318,17 @@ class RecordingPool:
         return map(job, units)
 
 
-class TestReplicationMap:
-    @pytest.fixture()
-    def pool(self, monkeypatch):
-        RecordingPool.requests = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
-        return RecordingPool.requests
+@pytest.fixture()
+def pool(monkeypatch):
+    """The requests of every process pool built during the test, each run
+    in-process by a ``RecordingPool``."""
+    RecordingPool.requests = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return RecordingPool.requests
 
+
+class TestReplicationMap:
     def test_never_more_processes_than_units(self, pool):
         assert map_replications(abs, [-1, -2], 64) == [1, 2]
         assert map_replications(abs, range(-20, 0), 3) == list(range(20, 0, -1))
@@ -511,6 +512,18 @@ class TestRatioRunner:
         assert "ratio_t_p2_seed3_estimates.csv" in files
         assert "ratio_t_p2_seed3_exact.csv" in files
 
+    def test_starts_no_process_pool(self, config_file, pool, monkeypatch):
+        """The estimates run on this process's CPUs only, also when the
+        configuration carries a worker count for the other studies."""
+        # chunks of 100 rows at n = 64: every estimate has several chunks
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
+        t_cfg = dataclasses.replace(load_config(config_file, "ratio"),
+                                    workers=2)
+        r_cfg = dataclasses.replace(t_cfg, spec=PARETO, p=3, statistic="r")
+        assert run_ratio_study(t_cfg).exact_rows
+        assert run_ratio_study(r_cfg).summary["regimes"] == ["sqrt"]
+        assert pool == []
+
     def test_constant_spec_reports_noise_floor(self):
         cfg = ExperimentConfig(spec=WeightSpec.constant(1.0), p=2,
                                replications=1000, seed=0,
@@ -644,13 +657,21 @@ class TestCli:
         ("ratio", ("--n-grid", "64,4096", "--statistic", "r", "--p", "3")),
     ])
     def test_outputs_do_not_depend_on_workers(self, config_file, tmp_path,
-                                              section, extra):
+                                              monkeypatch, section, extra):
+        """The same bytes on one worker and on three; the ratio study takes
+        no worker count, so it gives them on one CPU and on three."""
         outputs = []
-        for workers in ("1", "3"):
-            outdir = tmp_path / f"w{workers}"
-            proc = run_cli(section, "--config", str(config_file), *extra,
-                           "--workers", workers, "--output-dir", str(outdir))
-            assert proc.returncode == 0, proc.stderr
+        for count in ("1", "3"):
+            outdir = tmp_path / f"w{count}"
+            args = (section, "--config", str(config_file), *extra,
+                    "--output-dir", str(outdir))
+            if section == "ratio":
+                used = force_parts(monkeypatch, int(count))
+                assert cli.main(list(args)) == 0
+                assert max(used) == int(count)
+            else:
+                proc = run_cli(*args, "--workers", count)
+                assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(outdir.iterdir())})
         assert len(outputs[0]) >= 2
@@ -813,7 +834,8 @@ class TestCli:
               "sample": ["--n", "--seed", "--output-dir"],
               "census": ["--n", "--k", *study],
               "bounds": ["--k", *study, "--n-grid", "--er-lambda"],
-              "ratio": ["--p", *study, "--n-grid", "--statistic"],
+              "ratio": ["--p", "--replications", "--seed", "--output-dir",
+                        "--n-grid", "--statistic"],
               "threshold": ["--n", "--seed", "--output-dir", "--edge-list"],
               }[command]]
 
@@ -874,8 +896,7 @@ class TestCli:
                 "size 10\n")
 
     @pytest.mark.parametrize("command,size", [
-        ("census", ["--n", "10"]), ("bounds", ["--n-grid", "10"]),
-        ("ratio", ["--n-grid", "10"])])
+        ("census", ["--n", "10"]), ("bounds", ["--n-grid", "10"])])
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_named(self, capsys, command, size, workers):
         assert cli.main([command, "--family", "constant", "--value", "1",
@@ -883,6 +904,27 @@ class TestCli:
                          "--workers", workers]) == 2
         assert capsys.readouterr() == (
             "", f"grgcycles {command}: error: workers={workers} is below 1\n")
+
+    def test_ratio_workers_flag_refused(self, capsys):
+        """The ratio study runs on every CPU at any setting, so it reads no
+        workers key."""
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["ratio", "--family", "constant", "--value", "1",
+                      "--n-grid", "10", "--replications", "1000",
+                      "--workers", "2"])
+        assert stop.value.code == 2
+        assert capsys.readouterr() == (
+            "", "grgcycles ratio: error: unrecognized arguments: "
+                "--workers 2\n")
+
+    def test_ratio_workers_ini_key_refused(self, tmp_path, capsys):
+        path = tmp_path / "ratio.ini"
+        path.write_text("[ratio]\nfamily = constant\nvalue = 1\n"
+                        "n_grid = 10\nreplications = 1000\nworkers = 2\n")
+        assert cli.main(["ratio", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles ratio: error: unknown key 'workers' in section "
+                f"[ratio] of {path}\n")
 
     @pytest.mark.parametrize("args,names", [
         (["census", "--family", "constant", "--value", "2", "--n", "12",

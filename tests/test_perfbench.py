@@ -89,3 +89,11 @@ def test_bounds_ratio_oracles_and_environment(monkeypatch):
     assert checker.failures == []
     env = bench.environment(SimpleNamespace(workload="bounds_ratio", seed=0))
     assert env["workload"] == "bounds_ratio"
+
+
+def test_bounds_ratio_two_workers_give_the_one_worker_digest():
+    """The workload's timed study at workers=2, which the benchmark times as
+    ``study_w2_s``, runs through every name it reaches and gives exactly
+    the digest of workers=1."""
+    workload = studies.WORKLOADS["bounds_ratio"]
+    assert workload.study(0, 2) == workload.study(0, 1)

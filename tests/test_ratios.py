@@ -183,13 +183,15 @@ FAMILIES = [WeightSpec.constant(2.0), WeightSpec.pareto_shifted(3.5, 2, 1),
 
 
 def estimate_parts(unit):
-    """The part count of each thread map that one estimate of ten chunks
-    runs on five CPUs, in the process that runs ``unit``."""
+    """A t and an r estimate of ten chunks each, seeded by ``unit``, on
+    five CPUs, and the part count of each thread map they ran on, in the
+    process that runs ``unit``."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         used = force_parts(monkeypatch, 5)
         monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
-        estimate_t_moment(TWO_POINT, 64, 2, 1000, unit)
-    return used
+        estimates = (estimate_t_moment(TWO_POINT, 64, 2, 1000, unit),
+                     estimate_r_moment(TWO_POINT, 64, 3, 1000, unit))
+    return estimates, used
 
 
 class TestChunkedStreams:
@@ -204,16 +206,6 @@ class TestChunkedStreams:
             chunk_rng.bit_generator.advance(start * n)
             assert np.array_equal(draw(spec, chunk_rng, (size, n)), want)
             start += size
-
-    @pytest.mark.parametrize("spec", FAMILIES[1:], ids=lambda s: s.family)
-    def test_estimates_do_not_depend_on_workers(self, spec, monkeypatch):
-        import grgcycles.ratios as ratios
-        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 500)  # ten chunks
-        seed = np.random.SeedSequence(6)
-        one, two = (repr((estimate_t_moment(spec, 64, 2, 5000, seed, workers=w),
-                          estimate_r_moment(spec, 64, 3, 5000, seed, workers=w)))
-                    for w in (1, 2))
-        assert one == two
 
     @pytest.mark.parametrize("cpus", [2, 3, 5])
     @pytest.mark.parametrize("rows", [7, 400])
@@ -250,17 +242,16 @@ class TestChunkedStreams:
             sys.setswitchinterval(interval)
         assert many == [one] * 3 and used == [8] * 3
 
-    def test_pool_worker_runs_its_chunks_in_one_part(self, monkeypatch):
-        assert estimate_parts(0) == [5]
-        assert map_replications(estimate_parts, range(2), workers=2) == [
-            [1], [1]]
-        # on two workers the chunks run on the pool, with no thread map
-        used = force_parts(monkeypatch, 5)
-        seed = np.random.SeedSequence(6)
-        two = estimate_t_moment(TWO_POINT, 1000, 2, 1000, seed, workers=2)
-        assert used == []
-        assert two == estimate_t_moment(TWO_POINT, 1000, 2, 1000, seed)
-        assert used == [4]      # four chunks of 262 rows
+    def test_pool_worker_runs_its_chunks_in_one_part(self):
+        assert estimate_parts(0)[1] == [5, 5]
+        assert [used for _, used in map_replications(
+            estimate_parts, range(2), workers=2)] == [[1, 1], [1, 1]]
+
+    def test_pool_worker_estimates_equal_this_process(self):
+        # one part in each pool worker, five here: the same bytes
+        assert ([est for est, _ in map_replications(
+                    estimate_parts, range(2), workers=2)]
+                == [estimate_parts(0)[0], estimate_parts(1)[0]])
 
     def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
         used = force_parts(monkeypatch, 3)
