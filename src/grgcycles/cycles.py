@@ -10,7 +10,13 @@ and the total over the complete graph matches the falling-factorial count
 
 Triangles and 4-cycles have closed forms over wedges (paths ``y - x - z``):
 a triangle is a wedge whose endpoints are adjacent, and a 4-cycle is a pair
-of wedges with the same endpoints.  Longer cycles are counted by the DFS.
+of wedges with the same endpoints.  Both run on one CSR of the graph with
+every vertex renamed by its (degree, id) rank (Chiba & Nishizeki 1985), and
+each cycle is counted once, at the wedges whose ends outrank their centre: a
+triangle at its lowest-ranked vertex, a 4-cycle at its top-ranked vertex.
+One generator emits the wedge keys ``y * n + z`` of both, in ``uint32`` when
+n**2 <= 2**32 and in ``int64`` otherwise.  Longer cycles are counted by the
+DFS.
 The candidate rows (every canonical k-cycle on n vertices) feed the exact
 bound sums of :mod:`.chen_stein`, at most ``DEFAULT_CANDIDATE_CAP`` of them.
 """
@@ -24,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import GrgGraph, _row_pointers
+from .graphs import GrgGraph, _csr_keys, _key_dtype
 
 __all__ = [
     "CandidateCapError",
@@ -81,57 +87,90 @@ def _capped_count(n: int, k: int) -> int:
     return total
 
 
-def _row_pair_keys(indptr: np.ndarray, indices: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Keys ``y * n + z`` of every pair ``y < z`` sharing a CSR row.
+def _ranked_csr(graph: GrgGraph) -> tuple:
+    """The graph with each vertex renamed by its (degree, id) rank, as the
+    row pointers and sorted keys of ``graphs._csr_keys``, the columns in
+    the keys' type and each row's first position of a higher rank."""
+    n = graph.n
+    degree = np.diff(graph.indptr)
+    # a stable sort of keys of 16 bits or fewer is a radix sort
+    by_degree = np.argsort(
+        degree.astype(np.min_scalar_type(degree.max(initial=0))),
+        kind="stable")
+    rank = np.empty(n, dtype=_key_dtype(n))
+    rank[by_degree] = np.arange(n, dtype=rank.dtype)
+    indptr, keys = _csr_keys(n, np.repeat(rank, degree), rank[graph.indices])
+    cols = keys - keys // n * n     # faster than %, see _csr_from_pairs
+    # row v's higher ranks start at its first key above v * n + v
+    upper = keys.searchsorted(np.arange(n, dtype=keys.dtype) * (n + 1))
+    return indptr, keys, cols, upper
 
-    Rows must be sorted.  Pairs are emitted by their distance within the
-    row, so every step works only on the positions that still have a
-    partner that far ahead and no per-pair index arrays are built.
+
+def _pair_keys(indptr: np.ndarray, cols: np.ndarray, y_from: np.ndarray,
+               z_from: np.ndarray) -> np.ndarray:
+    """Keys ``cols[p] * n + cols[q]`` of every pair of positions p < q in
+    one row v of a sorted CSR with ``p >= y_from[v]`` and
+    ``q >= z_from[v]``, in the type of ``cols``.
+
+    Step r pairs every position with its r-th partner, so each step works
+    only on the positions that still have r partners, and no per-pair
+    index arrays are built.
     """
-    ahead = (np.repeat(indptr[1:], np.diff(indptr))
-             - np.arange(indices.size) - 1)
-    by_ahead = np.argsort(-ahead, kind="stable")
-    at_least = np.cumsum(np.bincount(ahead)[::-1])[::-1]
-    keys = np.empty(int(ahead.sum()), dtype=np.int64)
+    n = y_from.size
+    lens = indptr[1:] - y_from
+    ends = np.cumsum(lens)
+    # the positions p, row by row, and each one's first partner
+    pos = np.arange(lens.sum())
+    pos += np.repeat(y_from - (ends - lens), lens)
+    first_z = np.maximum(pos + 1, np.repeat(z_from, lens))
+    partners = np.repeat(indptr[1:], lens)
+    partners -= first_z
+    most = int(partners.max(initial=0))
+    # lack puts the positions with the most partners first; a stable sort
+    # of keys of 16 bits or fewer is a radix sort
+    lack = (most - partners).astype(np.min_scalar_type(most))
+    by_partners = np.argsort(lack, kind="stable")
+    # at_least[r] positions have r partners or more
+    at_least = lack[by_partners].searchsorted(
+        np.arange(most, -1, -1, dtype=lack.dtype), "right")
+    keys = np.empty(int(at_least[1:].sum()), dtype=cols.dtype)
+    by_partners = by_partners[:at_least[1] if most else 0]
+    ys = cols[pos[by_partners]] * n
+    zs = first_z[by_partners]
     filled = 0
-    for gap in range(1, at_least.size):
-        pos = by_ahead[:at_least[gap]]
-        keys[filled:filled + pos.size] = indices[pos] * n + indices[pos + gap]
-        filled += pos.size
+    for r in range(most):
+        size = int(at_least[r + 1])
+        np.add(ys[:size], cols[r:][zs[:size]], out=keys[filled:filled + size])
+        filled += size
     return keys
 
 
-def _count_triangles(graph: GrgGraph) -> int:
-    """Forward algorithm (Chiba & Nishizeki 1985; Schank & Wagner 2005).
-
-    Each edge points from its lower to its higher (degree, id) rank, so a
-    triangle is exactly one wedge of out-edges at its lowest vertex whose
-    endpoints are joined.  Ranking by degree keeps a hub's wedges few.
-    """
-    n = graph.n
-    degree = np.diff(graph.indptr)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(degree, kind="stable")] = np.arange(n)
-    tails = rank[np.repeat(np.arange(n), degree)]
-    heads = rank[graph.indices]
-    forward = tails < heads
-    tails = tails[forward]
-    edges = tails * n + heads[forward]
-    edges.sort()
-    out_ptr = _row_pointers(tails, n)
-    wedges = _row_pair_keys(out_ptr, edges % n, n)
-    if not wedges.size:
+def _count_triangles(indptr: np.ndarray, keys: np.ndarray, cols: np.ndarray,
+                     upper: np.ndarray) -> int:
+    """Forward algorithm (Chiba & Nishizeki 1985; Schank & Wagner 2005) on
+    the ranked CSR: a triangle is exactly one pair of higher-ranked
+    neighbors of its lowest-ranked vertex that are joined.  Ranking by
+    degree keeps a hub's pairs few."""
+    wedges = _pair_keys(indptr, cols, upper, upper)
+    # a pair's c wedges and its edge, if it has one, sort into one run of
+    # equal keys, which then holds c adjacent repeats, one per triangle;
+    # the repeats of pairs that are not edges are dropped below.  Sorting
+    # both beats a binary search for every wedge.
+    both = np.concatenate((keys, wedges))
+    both.sort()
+    repeated = both[1:][both[1:] == both[:-1]]
+    if not repeated.size:
         return 0
-    wedges.sort()     # ordered probes keep the lookup cache-friendly
-    hit = np.minimum(np.searchsorted(edges, wedges), edges.size - 1)
-    return int(np.count_nonzero(edges[hit] == wedges))
+    hit = np.minimum(keys.searchsorted(repeated), keys.size - 1)
+    return int(np.count_nonzero(keys[hit] == repeated))
 
 
-def _count_squares(graph: GrgGraph) -> int:
-    """``sum over y < z of C(c_yz, 2) / 2``, with ``c_yz`` the common
-    neighbors of y and z: each 4-cycle is two wedges on each diagonal."""
-    keys = _row_pair_keys(graph.indptr, graph.indices, graph.n)
+def _count_squares(indptr: np.ndarray, cols: np.ndarray,
+                   upper: np.ndarray) -> int:
+    """``sum over y < z of C(c_yz, 2)`` on the ranked CSR, with ``c_yz``
+    the common neighbors of y and z that z outranks: each 4-cycle is
+    counted once, at its top-ranked vertex z and the vertex y opposite."""
+    keys = _pair_keys(indptr, cols, indptr[:-1], upper)
     keys.sort()
     # a run of c equal keys holds c - 1 adjacent repeats and C(c, 2) pairs
     repeats = np.flatnonzero(keys[1:] == keys[:-1])
@@ -139,7 +178,7 @@ def _count_squares(graph: GrgGraph) -> int:
         return 0
     breaks = np.flatnonzero(np.diff(repeats) != 1) + 1
     runs = np.diff(np.concatenate(([0], breaks, [repeats.size])))
-    return int((runs * (runs + 1) // 2).sum()) // 2
+    return int((runs * (runs + 1) // 2).sum())
 
 
 def count_k_cycles(graph: GrgGraph, k: int) -> CycleCensus:
@@ -149,12 +188,13 @@ def count_k_cycles(graph: GrgGraph, k: int) -> CycleCensus:
     by walking the canonical DFS.
     """
     _validate_k(graph.n, k)
+    if k > 4:
+        return CycleCensus(k=k, count=sum(1 for _ in _iter_present(graph, k)))
+    indptr, keys, cols, upper = _ranked_csr(graph)
     if k == 3:
-        count = _count_triangles(graph)
-    elif k == 4:
-        count = _count_squares(graph)
+        count = _count_triangles(indptr, keys, cols, upper)
     else:
-        count = sum(1 for _ in _iter_present(graph, k))
+        count = _count_squares(indptr, cols, upper)
     return CycleCensus(k=k, count=count)
 
 

@@ -3,8 +3,10 @@
 The edge law connects vertices ``i`` and ``j`` independently with
 probability ``w_i * w_j / (total + w_i * w_j)``, the generalized random
 graph of Britton, Deijfen and Martin-Löf.  Graphs are stored as CSR
-adjacency (strictly sorted neighbor lists, no self-loops) so the cycle
-census kernels can run directly on the arrays.
+adjacency (strictly sorted neighbor lists, no self-loops, ``int64`` ids).
+One builder makes every CSR, here and in the cycle census: it sorts the keys
+``row * n + col`` of the entries, in ``uint32`` when n**2 <= 2**32 and in
+``int64`` otherwise, since the narrower keys sort and compare faster.
 
 Sampling consumes exactly one uniform variate per vertex pair, visiting
 pairs in lexicographic order, so a fixed seed pins the whole bit stream.
@@ -247,16 +249,34 @@ def _csr_from_pairs(n: int, us: np.ndarray, vs: np.ndarray,
         t = outside[0]
         raise ValueError(f"edge ({us[t] + base},{vs[t] + base}) outside "
                          f"{base}..{n - 1 + base}")
-    # key row * n + col for both directions of every edge, sorted
-    rows = np.concatenate((us, vs))
-    keys = rows * n
-    keys += np.concatenate((vs, us))
-    keys.sort()
+    # both directions of every edge
+    indptr, keys = _csr_keys(n, np.concatenate((us, vs)),
+                             np.concatenate((vs, us)))
     repeated = (keys[1:] == keys[:-1]).nonzero()[0]
     if repeated.size:
         u, v = sorted(divmod(int(keys[repeated[0]]), n))
         raise ValueError(f"repeated edge ({u + base},{v + base})")
-    return _row_pointers(rows, n), keys % n
+    # keys % n: NumPy's // by a scalar multiplies and shifts, its % divides
+    indices = np.empty(keys.size, dtype=np.int64)
+    return indptr, np.subtract(keys, keys // n * n, out=indices)
+
+
+def _key_dtype(n: int) -> type:
+    """Type of the pair keys ``row * n + col`` of an n-vertex graph: the
+    keys run up to n**2 - 1, so ``uint32`` holds them while n**2 <= 2**32,
+    and it sorts and compares faster than ``int64``."""
+    return np.uint32 if n * n <= 2 ** 32 else np.int64
+
+
+def _csr_keys(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Row pointers of the entries ``(rows[t], cols[t])``, ids in ``0..n-1``,
+    and their keys ``rows * n + cols`` in ``_key_dtype(n)``, sorted: the
+    key order is the CSR order, by row and then by column."""
+    keys = rows.astype(_key_dtype(n))
+    keys *= n
+    np.add(keys, cols, out=keys, casting="unsafe")
+    keys.sort()
+    return _row_pointers(rows, n), keys
 
 
 def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:

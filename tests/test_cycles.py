@@ -5,12 +5,12 @@ import pytest
 from itertools import combinations, permutations
 from math import factorial
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grgcycles.cycles import (CandidateCapError, _candidate_rows,
-                              candidate_count, count_k_cycles,
-                              count_triangles)
+                              _pair_keys, _ranked_csr, candidate_count,
+                              count_k_cycles, count_triangles)
 from grgcycles.graphs import GrgGraph
 from grgcycles.weights import WeightSpec, sample_weights
 from grgcycles.graphs import sample_grg
@@ -137,21 +137,116 @@ class TestClosedForms:
             assert count_k_cycles(graph, k).count == \
                 len(list(enumerate_cycles(graph, k)))
 
-    @pytest.mark.parametrize("shape", [2.0, 3.0])
+    @pytest.mark.parametrize("shape", [1.5, 2.0, 3.0])
     def test_heavy_tailed_weights(self, shape):
         wv = sample_weights(WeightSpec.pareto_shifted(shape, 3, 1), 150, seed=5)
         graph = sample_grg(wv, seed=6)
         assert np.diff(graph.indptr).max() >= 15
         self.assert_walker_agrees(graph)
 
-    def test_hub_joined_to_clique(self):
+    def assert_hub_joined_to_clique(self, n):
         # vertex 0 has the smallest id but the largest degree; with the
-        # clique 1..8 it forms K9, the leaves 9..39 close no cycle
+        # clique 1..8 it forms K9, the leaves 9..n-1 close no cycle
         clique = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]
-        graph = GrgGraph.from_edges(40, clique + [(0, v) for v in range(1, 40)])
+        graph = GrgGraph.from_edges(n, clique + [(0, v) for v in range(1, n)])
         assert count_k_cycles(graph, 3).count == candidate_count(9, 3)
         assert count_k_cycles(graph, 4).count == candidate_count(9, 4)
         self.assert_walker_agrees(graph)
+
+    def test_hub_joined_to_clique(self):
+        self.assert_hub_joined_to_clique(40)
+
+    def test_hub_of_degree_299_joined_to_clique(self):
+        # the hub outranks all its 299 neighbors, so its row pairs none
+        self.assert_hub_joined_to_clique(300)
+
+
+def reference_pair_keys(indptr, cols, whole_rows):
+    """Keys y * n + z of the pairs y < z of each ranked row v with z above
+    v, and y above v too unless ``whole_rows``, from itertools."""
+    n = indptr.size - 1
+    keys = []
+    for v in range(n):
+        row = cols[indptr[v]:indptr[v + 1]].tolist()
+        for y, z in combinations(row if whole_rows else
+                                 [c for c in row if c > v], 2):
+            if z > v:
+                keys.append(y * n + z)
+    return sorted(keys)
+
+
+class TestPairKeys:
+    """The one pair-key generator of both closed forms: y over the higher
+    ranks of a row for triangles, over the whole row for 4-cycles."""
+
+    @staticmethod
+    def assert_both_modes(graph):
+        indptr, keys, cols, upper = _ranked_csr(graph)
+        assert keys.dtype == cols.dtype == np.uint32
+        for whole_rows in (False, True):
+            got = _pair_keys(indptr, cols,
+                             indptr[:-1] if whole_rows else upper, upper)
+            assert got.dtype == np.uint32
+            assert sorted(got.tolist()) == \
+                reference_pair_keys(indptr, cols, whole_rows)
+
+    @given(n=st.integers(1, 12), picks=st.lists(st.booleans(), max_size=66))
+    @example(n=1, picks=[])
+    @example(n=6, picks=[])
+    @example(n=7, picks=[True] * 3)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_combinations(self, n, picks):
+        # pick pairs in lexicographic order; later vertices stay isolated
+        pairs = [pair for pair, pick in zip(combinations(range(n), 2), picks)
+                 if pick]
+        self.assert_both_modes(GrgGraph.from_edges(n, pairs))
+
+    def test_row_of_300_positions(self):
+        # row 0 holds 1..300, the other rows are empty: the first position
+        # has 299 partners, which takes a 16-bit sort key
+        n = 301
+        cols = np.arange(1, n, dtype=np.uint32)
+        indptr = np.full(n + 1, n - 1)
+        indptr[0] = 0
+        keys = _pair_keys(indptr, cols, indptr[:-1], indptr[:-1])
+        assert keys.dtype == np.uint32
+        assert sorted(keys.tolist()) == \
+            [y * n + z for y, z in combinations(range(1, n), 2)]
+
+    def test_ranking_prunes_heavy_tail_pairs(self):
+        # Pareto shape 1.5: the 4-cycle pairs, whose larger end outranks
+        # the row, are at most half of all sum C(d, 2) pairs of a row
+        wv = sample_weights(WeightSpec.pareto_shifted(1.5, 10, 1), 2000,
+                            seed=0)
+        graph = sample_grg(wv, seed=1)
+        degree = np.diff(graph.indptr)
+        indptr, _, cols, upper = _ranked_csr(graph)
+        kept = _pair_keys(indptr, cols, indptr[:-1], upper).size
+        assert 2 * kept <= int((degree * (degree - 1) // 2).sum())
+
+
+class TestKeyWidth:
+    """Keys are uint32 while n**2 <= 2**32, int64 above: K5 and a separate
+    4-cycle on the highest ids, on either side of n = 2**16."""
+
+    @pytest.mark.parametrize("n,key_type", [(65536, np.uint32),
+                                            (65537, np.int64)])
+    def test_census_and_text_at_the_boundary(self, n, key_type):
+        k5 = list(combinations(range(n - 5, n), 2))
+        square = [(n - 9, n - 8), (n - 8, n - 7), (n - 7, n - 6),
+                  (n - 6, n - 9)]
+        graph = GrgGraph.from_edges(n, k5 + square)
+        assert graph.indices.dtype == np.int64
+        assert _ranked_csr(graph)[1].dtype == key_type
+        assert count_k_cycles(graph, 3).count == candidate_count(5, 3) == \
+            len(list(enumerate_cycles(graph, 3)))
+        assert count_k_cycles(graph, 4).count == candidate_count(5, 4) + 1 \
+            == len(list(enumerate_cycles(graph, 4)))
+        back = GrgGraph.from_edge_text(graph.to_edge_text())
+        assert back.n == n
+        assert back.indices.dtype == np.int64
+        assert np.array_equal(back.indptr, graph.indptr)
+        assert np.array_equal(back.indices, graph.indices)
 
 
 class TestMonotonicity:
