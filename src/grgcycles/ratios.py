@@ -26,6 +26,16 @@ the replication map) and no more than chunks; ``_on_threads`` runs part 0
 on the calling thread and the rest on helper threads, and each part draws
 its chunks into one buffer of its own.  The chunk sums are added in chunk
 order, so an estimate is bit-identical for any CPU count.
+
+A two-point chunk draws the same uniforms but is reduced to atom counts:
+per replication, the number of draws with ``u < p1`` (the ``x1`` hits,
+decided as :func:`.weights.draw` decides them) gives the sums, the maximum
+and so the statistic through ``_two_point_values``, the formula that
+``exact_t_moment`` evaluates over every count.  Where the atom sums are
+exact in binary the estimate has the bytes of the value path
+(``draw`` and ``_row_statistics``); otherwise it may differ in its last
+bits, as a count times an atom rounds once and a pairwise sum of n terms
+more often.
 """
 
 from __future__ import annotations
@@ -54,10 +64,12 @@ __all__ = [
     "regimes",
 ]
 
-# Variates per Monte Carlo chunk: 2 MB, which stays in cache.  Each part of
-# an estimate draws its chunks into one buffer of this size, allocated before
-# the parts start; a fresh array per chunk leaves each helper thread's malloc
-# arena holding the pages of its own chunk, which shows in the peak RSS.
+# Variates per Monte Carlo chunk: 2 MB of uniforms, which stays in cache.
+# Each part of an estimate draws its chunks into one buffer of this size, and
+# a two-point part compares them into one bool buffer of as many entries,
+# both allocated before the parts start; a fresh array per chunk leaves each
+# helper thread's malloc arena holding the pages of its own chunk, which
+# shows in the peak RSS.
 _CHUNK_BUDGET = 262_144
 
 
@@ -141,13 +153,35 @@ def regimes(spec: WeightSpec, p: int) -> Tuple[str, ...]:
 # Finite-n values for two-point laws
 # ---------------------------------------------------------------------------
 
+def _two_point_values(spec: WeightSpec, n: int, hits, p: int,
+                      statistic: str):
+    """``t**p`` (statistic ``"t"``) or ``r`` of a two-point sample of ``n``
+    draws of which ``hits`` take ``x1`` and the rest ``x2``; ``hits`` is an
+    int or an integer array, and the value has its shape.
+
+    The sums are those of the drawn values, counted: ``hits * x1 + misses *
+    x2`` and the same over the squared atoms.
+    """
+    x1, x2 = spec.x1, spec.x2
+    misses = n - hits
+    s1 = hits * x1 + misses * x2
+    v = ((hits * (x1 * x1) + misses * (x2 * x2)) / s1) ** p
+    if statistic == "r":
+        # the larger atom that was hit
+        mx = np.where(hits == 0, x2, np.where(misses == 0, x1, max(x1, x2)))
+        v = v * mx * mx / s1
+    return v
+
+
 def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
     """``E t**p`` for a two-point (or constant) law, to about 1e-12.
 
     Exchangeability reduces the 2^n outcomes to a binomial sum over the
     count of draws hitting the second atom, summed in floating point from
     ``lgamma`` log-probabilities (the exact rational sum is the test
-    oracle ``oracles.exact_t_moment_fraction``).
+    oracle ``oracles.exact_t_moment_fraction``).  Each count's ``t**p``
+    comes from ``_two_point_values``, the formula of the Monte Carlo
+    estimator.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -155,7 +189,6 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
         return spec.value ** p
     if spec.family != "two_point":
         raise ValueError("exact evaluation covers two_point and constant laws")
-    x1, x2 = spec.x1, spec.x2
     # log P(x1) and log P(x2) = log(1 - p1)
     log1, log2 = math.log(spec.p1), math.log1p(-spec.p1)
     log_n = math.lgamma(n + 1)
@@ -163,8 +196,8 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
     for j in range(n + 1):        # j draws hit x2
         log_pmf = (log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
                    + j * log2 + (n - j) * log1)
-        t = (j * x2 * x2 + (n - j) * x1 * x1) / (j * x2 + (n - j) * x1)
-        terms.append(math.exp(log_pmf) * t ** p)
+        terms.append(math.exp(log_pmf)
+                     * _two_point_values(spec, n, n - j, p, "t"))
     return math.fsum(terms)
 
 
@@ -173,37 +206,56 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
-                unit: Tuple[int, int], buf: np.ndarray = None
-                ) -> Tuple[float, float]:
+                unit: Tuple[int, int], buf: np.ndarray = None,
+                mask: np.ndarray = None) -> Tuple[float, float]:
     """Sums of the statistic and of its square over the ``size``
     replications of the chunk ``unit = (start, size)``, drawn into the
-    front of ``buf`` (at least ``size * n`` doubles) if one is given."""
+    front of ``buf`` (at least ``size * n`` doubles) if one is given.  A
+    two-point chunk compares its uniforms into the front of ``mask`` (as
+    many bools) if one is given, and counts each replication's hits."""
     start, size = unit
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start * n)
     out = None if buf is None else buf[:size * n].reshape(size, n)
-    v = _row_statistics(draw(spec, rng, (size, n), out), p, statistic)
+    if spec.family == "two_point":
+        u = rng.random((size, n), out=out)
+        below = None if mask is None else mask[:size * n].reshape(size, n)
+        below = np.less(u, spec.p1, out=below)
+        # summing the mask's bytes in the narrowest type that holds n is
+        # several times faster than count_nonzero along rows
+        hits = np.add.reduce(below.view(np.uint8), axis=1,
+                             dtype=np.min_scalar_type(n))
+        v = _two_point_values(spec, n, hits, p, statistic)
+    else:
+        v = _row_statistics(draw(spec, rng, (size, n), out), p, statistic)
     return float(v.sum()), float((v * v).sum())
 
 
 def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
                  statistic: str) -> MCEstimate:
     """Mean and standard error of the statistic over chunked replications."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if replications < 1000:
         raise ValueError("need at least 1000 replications")
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise TypeError("seed must be an int or a SeedSequence: each chunk "
                         "rebuilds its generator from it")
-    chunk = max(1, _CHUNK_BUDGET // max(n, 1))
+    chunk = max(1, _CHUNK_BUDGET // n)
     units = [(start, min(chunk, replications - start))
              for start in range(0, replications, chunk)]
-    # part k takes units cuts[k]..cuts[k + 1] - 1, drawn into bufs[k]
+    # part k takes units cuts[k]..cuts[k + 1] - 1, drawn into bufs[k] (and
+    # compared into masks[k] for a two-point law)
     parts = min(_part_count(), len(units))
     cuts = [k * len(units) // parts for k in range(parts + 1)]
-    bufs = [np.empty(units[0][1] * n) for _ in range(parts)]
+    length = units[0][1] * n
+    bufs = [np.empty(length) for _ in range(parts)]
+    masks = [np.empty(length, dtype=bool) if spec.family == "two_point"
+             else None for _ in range(parts)]
 
     def run_part(k):
-        return [_chunk_sums(spec, n, p, seed, statistic, unit, bufs[k])
+        return [_chunk_sums(spec, n, p, seed, statistic, unit, bufs[k],
+                            masks[k])
                 for unit in units[cuts[k]:cuts[k + 1]]]
 
     acc1 = acc2 = 0.0

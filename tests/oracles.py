@@ -253,3 +253,24 @@ def exact_t_moment_bruteforce(spec: WeightSpec, n: int, p: int) -> float:
             sq += x * x
         total += prob * (sq / ssum) ** p
     return float(total)
+
+
+def exact_r_moment_bruteforce(spec: WeightSpec, n: int, p: int) -> float:
+    """``E r`` by full 2^n enumeration of a two-point law, where
+    ``r = t**p * max**2 / sum``, guarded to n <= 12."""
+    if spec.family != "two_point":
+        raise ValueError("brute force covers two_point laws only")
+    if n > 12:
+        raise ValueError("brute force enumeration is limited to n <= 12")
+    atoms = ((Fraction(spec.x1), Fraction(spec.p1)),
+             (Fraction(spec.x2), 1 - Fraction(spec.p1)))
+    total = Fraction(0)
+    for outcome in product(atoms, repeat=n):
+        prob = Fraction(1)
+        for _, pr in outcome:
+            prob *= pr
+        xs = [x for x, _ in outcome]
+        ssum = sum(xs)
+        t = sum(x * x for x in xs) / ssum
+        total += prob * t ** p * max(xs) ** 2 / ssum
+    return float(total)

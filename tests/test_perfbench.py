@@ -6,6 +6,7 @@ of those names fails here instead of only in a traced benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -97,3 +98,18 @@ def test_bounds_ratio_two_workers_give_the_one_worker_digest():
     the digest of workers=1."""
     workload = studies.WORKLOADS["bounds_ratio"]
     assert workload.study(0, 2) == workload.study(0, 1)
+
+
+@pytest.mark.parametrize("name", list(studies.WORKLOADS))
+def test_study_matches_the_recorded_reference(monkeypatch, name):
+    """Each workload's seed-0 study at one worker gives the digest recorded
+    in ``reference.json``, by the benchmark's own rule, so a change that
+    moves a benchmark result fails here and not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = load("workload")
+    reference = json.loads(bench.REFERENCE.read_text())[name]["0"]
+    checker = bench.Checker()
+    checker.compare("reference", studies.WORKLOADS[name].study(0, 1),
+                    reference, rel=bench.REFERENCE_REL_TOL)
+    assert checker.attempted > 0
+    assert checker.failures == []

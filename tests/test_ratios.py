@@ -20,7 +20,8 @@ from grgcycles.ratios import (TailBoundCheck, _chunk_sums, _row_statistics,
 from grgcycles.replication import map_replications
 from grgcycles.weights import InfiniteMomentError, WeightSpec, draw
 from cpu_parts import force_parts
-from oracles import exact_t_moment_bruteforce, exact_t_moment_fraction
+from oracles import (exact_r_moment_bruteforce, exact_t_moment_bruteforce,
+                     exact_t_moment_fraction)
 
 TWO_POINT = WeightSpec.two_point(1, 2, 0.5)
 
@@ -274,12 +275,103 @@ class TestChunkedStreams:
                               np.random.default_rng(0))
 
 
+def value_path_sums(spec, n, p, seed, statistic, unit):
+    """The chunk sums from the drawn values themselves: ``draw`` and
+    ``_row_statistics`` on the chunk's uniforms, the oracle of the
+    two-point count path."""
+    start, size = unit
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(start * n)
+    v = _row_statistics(draw(spec, rng, (size, n)), p, statistic)
+    return float(v.sum()), float((v * v).sum())
+
+
+STATISTIC_POWERS = [("t", 1), ("t", 2), ("t", 3), ("t", 9), ("r", 2),
+                    ("r", 3), ("r", 9)]
+
+
+class TestTwoPointCounts:
+    """A two-point chunk is reduced to each replication's count of x1 hits;
+    its sums must be those of the values it stands for."""
+
+    # atom sums exact in binary; x1 < x2 and x1 > x2; p1 near 0 and near 1,
+    # where whole rows hit one atom
+    @pytest.mark.parametrize("spec", [
+        TWO_POINT, WeightSpec.two_point(2, 1, 0.3),
+        WeightSpec.two_point(3, 0.5, 0.01), WeightSpec.two_point(1, 2, 0.999),
+        WeightSpec.two_point(1, 60, 0.9), WeightSpec.two_point(0.5, 4, 0.9),
+    ], ids=["1-2", "2-1", "3-0.5-rare", "1-2-common", "1-60", "0.5-4"])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_dyadic_atoms_give_the_bytes_of_the_values(self, spec, n):
+        seed = np.random.SeedSequence(12, spawn_key=(n,))
+        # a buffer longer than one chunk: only its front is used
+        buf, mask = np.empty(60 * n), np.empty(60 * n, dtype=bool)
+        for unit in ((0, 50), (37, 50), (1000, 7)):
+            for statistic, p in STATISTIC_POWERS:
+                want = [x.hex() for x in value_path_sums(
+                    spec, n, p, seed, statistic, unit)]
+                for args in ((), (buf, mask)):
+                    got = _chunk_sums(spec, n, p, seed, statistic, unit,
+                                      *args)
+                    assert [x.hex() for x in got] == want, (unit, statistic, p)
+
+    @pytest.mark.parametrize("spec", [WeightSpec.two_point(0.1, 0.3, 0.4),
+                                      WeightSpec.two_point(0.7, 0.2, 0.55)],
+                             ids=["0.1-0.3", "0.7-0.2"])
+    @pytest.mark.parametrize("n", [1, 2, 10, 777])
+    def test_other_atoms_move_in_the_last_bits(self, spec, n):
+        # the count rounds once per atom sum, a pairwise sum of n terms more
+        # often; a relative move of t or of the sum grows about linearly
+        # with the power, so the bound is 1e-15 per power of the value
+        for unit in ((0, 40), (13, 40)):
+            for statistic, p in STATISTIC_POWERS:
+                power = p if statistic == "t" else p + 1
+                got = _chunk_sums(spec, n, p, 5, statistic, unit)
+                want = value_path_sums(spec, n, p, 5, statistic, unit)
+                for k, (g, w) in enumerate(zip(got, want), start=1):
+                    assert g == pytest.approx(w, rel=1e-15 * power * k, abs=0)
+
+
 class TestMonteCarloR:
     def test_constant_law_exact(self):
         for n in (16, 64):
             est = estimate_r_moment(WeightSpec.constant(1.0), n, 3, 1000, seed=0)
             assert est.value == pytest.approx(1 / n, rel=1e-12)
             assert est.std_error == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [TWO_POINT,
+                                      WeightSpec.two_point(3, 0.5, 0.3)],
+                             ids=["1-2", "3-0.5"])
+    def test_two_point_matches_bruteforce(self, spec):
+        for n in (2, 5, 10):
+            for p in (2, 3):
+                seed = np.random.SeedSequence(7, spawn_key=(n, p))
+                est = estimate_r_moment(spec, n, p, 20_000, seed)
+                exact = exact_r_moment_bruteforce(spec, n, p)
+                assert abs(est.value - exact) <= 4 * est.std_error, (n, p)
+
+    def test_bruteforce_oracle(self):
+        # one draw: r = x**(p + 1)
+        spec = WeightSpec.two_point(3, 0.5, 0.3)
+        assert exact_r_moment_bruteforce(spec, 1, 2) == pytest.approx(
+            0.3 * 3 ** 3 + 0.7 * 0.5 ** 3, rel=1e-15)
+        # two draws of (1, 2, 1/2): r in {1/2, 100/27, 100/27, 4} at p = 2
+        assert exact_r_moment_bruteforce(TWO_POINT, 2, 2) == pytest.approx(
+            float((Fraction(1, 2) + 2 * Fraction(100, 27) + 4) / 4), rel=1e-15)
+        with pytest.raises(ValueError, match="n <= 12"):
+            exact_r_moment_bruteforce(TWO_POINT, 13, 2)
+
+    def test_count_formula_matches_bruteforce(self):
+        # the binomial sum of the estimator's per-count r
+        spec = WeightSpec.two_point(3, 0.5, 0.3)
+        for n in (1, 2, 5, 10):
+            for p in (2, 3):
+                hits = np.arange(n + 1)
+                pmf = np.array([comb(n, j) * 0.3 ** j * 0.7 ** (n - j)
+                                for j in hits])
+                values = ratios._two_point_values(spec, n, hits, p, "r")
+                assert math.fsum(pmf * values) == pytest.approx(
+                    exact_r_moment_bruteforce(spec, n, p), rel=1e-13)
 
     def test_tails_that_miss_a_regime(self):
         heavy = WeightSpec.pareto_shifted(4.0, 1, 0)
@@ -400,10 +492,19 @@ class TestRateFit:
      "need at least 1000 replications"),
     (lambda: estimate_r_moment(TWO_POINT, 4, 1, 1000, 0),
      "p must be an integer >= 2"),
+    (lambda: estimate_t_moment(TWO_POINT, 0, 2, 1000, 0),
+     "n must be at least 1, got 0"),
+    (lambda: estimate_r_moment(TWO_POINT, 0, 2, 1000, 0),
+     "n must be at least 1, got 0"),
+    (lambda: estimate_t_moment(TWO_POINT, -3, 2, 1000, 0),
+     "n must be at least 1, got -3"),
+    (lambda: estimate_r_moment(WeightSpec.pareto_shifted(9.5, 10, 1), -1, 2,
+                               1000, 0), "n must be at least 1, got -1"),
     (lambda: exact_t_moment(TWO_POINT, 0, 2), "n and p must be positive"),
     (lambda: exact_t_moment(TWO_POINT, 3, 0), "n and p must be positive"),
     (lambda: lower_tail_bound(0.5, 1.0, 1.0, 0), "n must be at least 1"),
-], ids=["t_p", "r_replications", "r_p", "exact_n", "exact_p", "tail_n"])
+], ids=["t_p", "r_replications", "r_p", "t_n0", "r_n0", "t_n_negative",
+        "r_n_negative", "exact_n", "exact_p", "tail_n"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
