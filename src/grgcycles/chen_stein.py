@@ -58,13 +58,14 @@ the whole matrix.  R is the fewest terms with
 ``R x**(R-1) (1+x)**2 <= 2**-53`` at the largest light x, the alternating
 tail bound of the Q series (which also bounds the P tail
 ``x**R (1+x)``): every light entry carries a relative error below 2**-53,
-and R <= 31.  The kernel matches the dense path to about 1e-14 relative.
+and R <= 31.  On two-point (1, 2, 1/2) weights at n = 2000 the kernel's
+rate is 7.4e-15 off the exact one and the dense oracle's 1.2e-12: against
+that oracle, weights with few distinct values need a tolerance of 1e-11.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import combinations
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -72,7 +73,7 @@ import numpy as np
 
 from .cycles import _candidate_rows, _capped_count
 from .poisson import poisson_rate
-from .replication import map_replications, replication_seed
+from .replication import replication_seed
 from .weights import WeightSpec, WeightVector, analytic_moments, sample_weights
 
 __all__ = [
@@ -365,24 +366,26 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
     return float((w @ w / w.sum()) ** k / (2 * k))
 
 
-def bound_report(spec: WeightSpec, n: int, k: int, replications: int, seed,
-                 workers: int = 1) -> Tuple[BoundReport, List[BoundTerms]]:
+def bound_report(spec: WeightSpec, n: int, k: int, replications: int,
+                 seed) -> Tuple[BoundReport, List[BoundTerms]]:
     """Monte Carlo bound study over weight replications: the report and
     each replication's terms, in replication order.
 
     b1 and b2 are exact per replication: the series kernel for triangles,
     capped candidate enumeration otherwise (beyond the cap there is no
     surrogate, so that raises before any weight is drawn), and so is the
-    conditional rate.  Each replication's weights are drawn once, here, and
-    each replication is one unit of the replication map on ``workers``
-    processes; the result does not depend on their number.
+    conditional rate.  The replications run in this process, one at a
+    time: each draws its stream-0 weights and computes their terms before
+    the next draws, so one weight vector is live at a time.
     """
     if k != 3 and n >= k:
         _capped_count(n, k)    # refused past the cap, before any draw
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
-    draws = [sample_weights(spec, n, replication_seed(seed, rep, 0))
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    terms = [exact_bound_terms(
+                 sample_weights(spec, n, replication_seed(seed, rep, 0)), k)
              for rep in range(replications)]
-    terms = map_replications(partial(exact_bound_terms, k=k), draws, workers)
     mean = BoundTerms(*(float(np.mean(column)) for column in zip(*terms)))
     report = BoundReport(*mean, target_rate=target,
                          gap=abs(mean.conditional_mean - target),

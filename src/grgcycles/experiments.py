@@ -1,17 +1,17 @@
 """Experiment harness: configuration, studies and their output files.
 
-The census and bound studies run on the one replication map of
-:mod:`.replication`, which this module re-exports with ``replication_seed``.
-Reproducibility contract: every replication draws from generators seeded by
+The census runs on the one replication map of :mod:`.replication`, which
+this module re-exports with ``replication_seed``.  Reproducibility
+contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
-for weights and stream 1 for the graph.  The units a study maps are cut so
-that no result depends on the process that computes it: one census
-replication; one bound replication, carrying the weights the calling
-process drew once for it.  Results come back in unit order and are
-aggregated in that order, so the outputs are byte-identical for any worker
-count.  The ratio study takes no worker count: each Monte Carlo estimate
-runs its chunks on every CPU of this process (:mod:`.ratios`), with the
-same bytes for any CPU count.
+for weights and stream 1 for the graph.  A census unit is one replication,
+whose count does not depend on the process that computes it; the counts
+come back in unit order and are aggregated in that order, so the outputs
+are byte-identical for any worker count.  The bound and ratio studies take
+no worker count.  A bound study runs its replications in this process,
+one at a time (:func:`.chen_stein.bound_report`); each Monte Carlo
+estimate of the ratio study runs its chunks on every CPU of this process
+(:mod:`.ratios`), with the same bytes for any CPU count.
 
 Every config key is listed once, in ``CONFIG_KEYS``, and each command's
 keys once, in ``COMMAND_KEYS``: ``load_config`` reads and converts exactly
@@ -123,24 +123,23 @@ CONFIG_KEYS = {
     "p": (int, "ratio statistic power"),
     "replications": (int, "number of replications"),
     "seed": (int, "master seed"),
-    "workers": (int, "worker processes (at least 1)"),
+    "workers": (int, "census worker processes (at least 1)"),
     "output_dir": (str, "output directory"),
     "n_grid": (_parse_grid, "comma separated n grid for studies"),
     "statistic": (str, "ratio statistic: t or r"),
     "er_lambda": (float, "per-n constant-weight calibration for bounds"),
     "edge_list": (str, "edge-list file for the threshold subcommand"),
 }
-_STUDY_KEYS = ("replications", "seed", "workers", "output_dir")
+_STUDY_KEYS = ("replications", "seed", "output_dir")
 # command -> the keys it reads, in flag order: every weight key, then its own
 COMMAND_KEYS = {command: (*(key for key, (convert, _) in CONFIG_KEYS.items()
                             if convert is None), *own)
                 for command, own in {
     "moments": ("k",),
     "sample": ("n", "seed", "output_dir"),
-    "census": ("n", "k", *_STUDY_KEYS),
+    "census": ("n", "k", "replications", "seed", "workers", "output_dir"),
     "bounds": ("k", *_STUDY_KEYS, "n_grid", "er_lambda"),
-    "ratio": ("p", "replications", "seed", "output_dir", "n_grid",
-              "statistic"),
+    "ratio": ("p", *_STUDY_KEYS, "n_grid", "statistic"),
     "threshold": ("n", "seed", "output_dir", "edge_list"),
 }.items()}
 _KINDS = {int: "an integer", float: "a number",
@@ -370,7 +369,7 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     all_rows = []
     for n, spec_n in zip(grid, specs):
         report, terms = bound_report(spec_n, n, cfg.k, cfg.replications,
-                                     cfg.seed, workers=cfg.workers)
+                                     cfg.seed)
         reports.append((n, report))
         all_rows.extend((n, rep, *row) for rep, row in enumerate(terms))
     fit = None

@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "EmpiricalPmf",
     "QqTable",
     "poisson_rate",
-    "poisson_pmf",
     "mixed_poisson_pmf",
     "tv_distance",
     "qq_table",
@@ -165,14 +164,6 @@ def poisson_rate(moment_ratio: float, k: int) -> PoissonModel:
     if k < 3:
         raise ValueError("cycle length k must be at least 3")
     return PoissonModel(lam=moment_ratio ** k / (2 * k))
-
-
-def poisson_pmf(model: Union[PoissonModel, float], m: int) -> float:
-    """Poisson pmf evaluated in log space."""
-    lam = model.lam if isinstance(model, PoissonModel) else float(model)
-    if m < 0:
-        raise ValueError("outcome must be nonnegative")
-    return float(_pmf(lam, m)[0])
 
 
 def mixed_poisson_pmf(rate_samples: Sequence[float], m: int) -> float:

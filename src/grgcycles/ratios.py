@@ -24,8 +24,10 @@ chunk list is cut into contiguous parts, balanced by chunk count, as many
 as ``replication._part_count`` allows (one per CPU, one in a pool worker of
 the replication map) and no more than chunks; ``_on_threads`` runs part 0
 on the calling thread and the rest on helper threads, and each part draws
-its chunks into one buffer of its own.  The chunk sums are added in chunk
-order, so an estimate is bit-identical for any CPU count.
+its chunks into one buffer of its own.  Each chunk's sum and squared
+deviations about its own mean are merged in chunk order by the pairwise
+update of Chan, Golub & LeVeque (1979): an estimate is bit-identical for
+any CPU count, and its standard error keeps its digits.
 
 A two-point chunk draws the same uniforms but is reduced to atom counts:
 per replication, the number of draws with ``u < p1`` (the ``x1`` hits,
@@ -208,11 +210,11 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
 def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
                 unit: Tuple[int, int], buf: np.ndarray = None,
                 mask: np.ndarray = None) -> Tuple[float, float]:
-    """Sums of the statistic and of its square over the ``size``
-    replications of the chunk ``unit = (start, size)``, drawn into the
-    front of ``buf`` (at least ``size * n`` doubles) if one is given.  A
-    two-point chunk compares its uniforms into the front of ``mask`` (as
-    many bools) if one is given, and counts each replication's hits."""
+    """Sums of the statistic and of its squared deviations about their mean
+    over the ``size`` replications of the chunk ``unit = (start, size)``,
+    drawn into the front of ``buf`` (at least ``size * n`` doubles) if one
+    is given.  A two-point chunk compares its uniforms into the front of
+    ``mask`` (as many bools) if one is given, and counts each row's hits."""
     start, size = unit
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start * n)
@@ -228,7 +230,9 @@ def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
         v = _two_point_values(spec, n, hits, p, statistic)
     else:
         v = _row_statistics(draw(spec, rng, (size, n), out), p, statistic)
-    return float(v.sum()), float((v * v).sum())
+    total = float(v.sum())
+    v -= total / size
+    return total, float(np.square(v, out=v).sum())
 
 
 def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
@@ -258,19 +262,20 @@ def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
                             masks[k])
                 for unit in units[cuts[k]:cuts[k + 1]]]
 
-    acc1 = acc2 = 0.0
-    for part in _on_threads(run_part, parts):
-        for sum1, sum2 in part:
-            acc1 += sum1
-            acc2 += sum2
-    return _finish(acc1, acc2, replications)
-
-
-def _finish(acc1: float, acc2: float, replications: int) -> MCEstimate:
-    mean = acc1 / replications
-    var = max(acc2 / replications - mean * mean, 0.0)
-    return MCEstimate(value=mean,
-                      std_error=math.sqrt(var / replications),
+    chunk_sums = [pair for part in _on_threads(run_part, parts)
+                  for pair in part]
+    # merged in chunk order: the deviation sums add, plus the pairwise term
+    # delta**2 n_a n_b / (n_a + n_b) of Chan, Golub & LeVeque
+    count = total = dev2 = 0
+    for (_, size), (chunk_total, chunk_dev2) in zip(units, chunk_sums):
+        if count:
+            delta = chunk_total / size - total / count
+            dev2 += delta * delta * (count * size / (count + size))
+        dev2 += chunk_dev2
+        total += chunk_total
+        count += size
+    return MCEstimate(value=total / replications,
+                      std_error=math.sqrt(dev2 / replications / replications),
                       replications=replications)
 
 

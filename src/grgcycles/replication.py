@@ -1,11 +1,10 @@
-"""Seeds and the one replication map the census and bound studies run on.
+"""Seeds, and the one replication map, on which the census runs.
 
 Reproducibility contract: every random stream of a study comes from
-``SeedSequence(master_seed, spawn_key=(replication, stream))``, and a study
-cuts its work into units whose results do not depend on which process runs
-them.  ``map_replications`` returns the results in unit order for any
-worker count, so a study that aggregates them in that order writes the same
-bytes whether it ran in this process or on a pool.
+``SeedSequence(master_seed, spawn_key=(replication, stream))``.  A census
+unit is one replication, whose count does not depend on the process that
+runs it, and ``map_replications`` returns the counts in unit order for any
+worker count: the same bytes in this process or on a pool.
 
 This module also owns the package's threads.  The graph sampler cuts a
 graph's pair stream, and the ratio estimator a Monte Carlo estimate's chunk

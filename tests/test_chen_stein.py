@@ -9,6 +9,7 @@ plug-in rate.
 """
 
 import re
+import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
@@ -405,13 +406,6 @@ class TestBoundReport:
             bound_report(WeightSpec.constant(1.0), 21, 5, replications=1,
                          seed=0)
 
-    @pytest.mark.parametrize("n,k", [(12, 3), (7, 4)])
-    def test_workers_do_not_change_report(self, n, k):
-        spec = WeightSpec.pareto_shifted(9.5, 10, 1)
-        one = bound_report(spec, n, k, 3, seed=5)
-        two = bound_report(spec, n, k, 3, seed=5, workers=2)
-        assert repr(one) == repr(two)
-
     @pytest.mark.parametrize("k,n", [(3, 12), (4, 7)])
     def test_report_means_the_replication_terms(self, k, n):
         spec = WeightSpec.pareto_shifted(9.5, 10, 1)
@@ -444,18 +438,29 @@ class TestBoundReport:
         assert len(calls) == 3
 
     @pytest.mark.parametrize("k,n", [(3, 250), (4, 7)])
-    def test_one_map_unit_per_replication(self, monkeypatch, k, n):
-        sizes = []
+    def test_one_weight_vector_at_a_time(self, monkeypatch, k, n):
+        """Draws and terms alternate, and each replication's weights are
+        freed before the next replication draws."""
+        calls = []
+        drawn = []
 
-        def recording(job, units, workers=1):
-            units = list(units)
-            sizes.append(len(units))
-            return [job(unit) for unit in units]
+        def drawing(*args):
+            assert [ref() for ref in drawn] == [None] * len(drawn)
+            weights = sample_weights(*args)
+            drawn.append(weakref.ref(weights))
+            calls.append("draw")
+            return weights
 
-        monkeypatch.setattr(chen_stein, "map_replications", recording)
+        def terms(weights, k):
+            assert weights is drawn[-1]()
+            calls.append("terms")
+            return exact_bound_terms(weights, k)
+
+        monkeypatch.setattr(chen_stein, "sample_weights", drawing)
+        monkeypatch.setattr(chen_stein, "exact_bound_terms", terms)
         bound_report(WeightSpec.pareto_shifted(9.5, 10, 1), n, k,
-                     replications=4, seed=5, workers=2)
-        assert sizes == [4]
+                     replications=4, seed=5)
+        assert calls == ["draw", "terms"] * 4
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_fewer_vertices_than_k_give_zeros(self, k):

@@ -270,8 +270,6 @@ class TestSeeding:
         cfg = load_config(config_file, "census", {"workers": "-2"})
         with pytest.raises(ValueError, match="^workers=-2 is below 1$"):
             run_census(cfg)
-        with pytest.raises(ValueError, match="^workers=-3 is below 1$"):
-            bound_report(PARETO, 8, 3, 1, 0, workers=-3)
 
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed=-1 is negative"):
@@ -447,6 +445,15 @@ class TestBoundsRunner:
     def test_needs_grid(self):
         with pytest.raises(ValueError):
             run_bounds(ExperimentConfig(spec=PARETO))
+
+    @pytest.mark.parametrize("k,grid", [(3, (12, 20)), (4, (7, 8))])
+    def test_starts_no_process_pool(self, pool, k, grid):
+        """The replications run in this process, also when the
+        configuration carries a worker count for the census."""
+        cfg = ExperimentConfig(spec=PARETO, k=k, n_grid=grid,
+                               replications=3, seed=5, workers=2)
+        assert len(run_bounds(cfg).rows) == 3 * len(grid)
+        assert pool == []
 
     def test_csv_columns_are_the_bound_terms(self, tmp_path):
         cfg = ExperimentConfig(spec=PARETO, k=3, n_grid=(12, 20),
@@ -652,14 +659,15 @@ class TestCli:
         assert (tmp_path / "census_n40_k3_seed5_counts.csv").exists()
 
     @pytest.mark.parametrize("section,extra", [
-        ("bounds", ()),
+        ("census", ()),
         ("ratio", ("--n-grid", "64,4096")),
         ("ratio", ("--n-grid", "64,4096", "--statistic", "r", "--p", "3")),
     ])
     def test_outputs_do_not_depend_on_workers(self, config_file, tmp_path,
                                               monkeypatch, section, extra):
-        """The same bytes on one worker and on three; the ratio study takes
-        no worker count, so it gives them on one CPU and on three."""
+        """The same bytes on one census worker and on three; the ratio
+        study takes no worker count, so it gives them on one CPU and on
+        three."""
         outputs = []
         for count in ("1", "3"):
             outdir = tmp_path / f"w{count}"
@@ -672,22 +680,6 @@ class TestCli:
             else:
                 proc = run_cli(*args, "--workers", count)
                 assert proc.returncode == 0, proc.stderr
-            outputs.append({p.name: p.read_bytes()
-                            for p in sorted(outdir.iterdir())})
-        assert len(outputs[0]) >= 2
-        assert outputs[0] == outputs[1]
-
-    def test_bounds_files_do_not_depend_on_workers(self, tmp_path):
-        # the series kernel on Pareto weights, one map unit per replication
-        outputs = []
-        for workers in ("1", "2"):
-            outdir = tmp_path / f"w{workers}"
-            proc = run_cli("bounds", "--family", "pareto_shifted",
-                           "--shape", "9.5", "--scale", "10", "--loc", "1",
-                           "--k", "3", "--n-grid", "250,500,1000,2000",
-                           "--replications", "3", "--seed", "7",
-                           "--workers", workers, "--output-dir", str(outdir))
-            assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(outdir.iterdir())})
         assert len(outputs[0]) >= 2
@@ -826,16 +818,16 @@ class TestCli:
             cli.main([command, "--help"])
         flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out,
                            flags=re.M)
-        study = ["--replications", "--seed", "--workers", "--output-dir"]
+        study = ["--replications", "--seed", "--output-dir"]
         assert flags == [
             "--config", "--family", "--value", "--shape", "--scale", "--loc",
             "--x1", "--x2", "--p1", "--values", "--probs",
             *{"moments": ["--k"],
               "sample": ["--n", "--seed", "--output-dir"],
-              "census": ["--n", "--k", *study],
+              "census": ["--n", "--k", "--replications", "--seed",
+                         "--workers", "--output-dir"],
               "bounds": ["--k", *study, "--n-grid", "--er-lambda"],
-              "ratio": ["--p", "--replications", "--seed", "--output-dir",
-                        "--n-grid", "--statistic"],
+              "ratio": ["--p", *study, "--n-grid", "--statistic"],
               "threshold": ["--n", "--seed", "--output-dir", "--edge-list"],
               }[command]]
 
@@ -895,8 +887,7 @@ class TestCli:
             "", f"grgcycles {command}: error: n_grid=10,10,20,40 repeats the "
                 "size 10\n")
 
-    @pytest.mark.parametrize("command,size", [
-        ("census", ["--n", "10"]), ("bounds", ["--n-grid", "10"])])
+    @pytest.mark.parametrize("command,size", [("census", ["--n", "10"])])
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_named(self, capsys, command, size, workers):
         assert cli.main([command, "--family", "constant", "--value", "1",
@@ -916,6 +907,26 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "grgcycles ratio: error: unrecognized arguments: "
                 "--workers 2\n")
+
+    def test_bounds_workers_flag_refused(self, capsys):
+        """A bound study runs its replications in this process, so it reads
+        no workers key."""
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["bounds", "--family", "constant", "--value", "1",
+                      "--n-grid", "10", "--workers", "2"])
+        assert stop.value.code == 2
+        assert capsys.readouterr() == (
+            "", "grgcycles bounds: error: unrecognized arguments: "
+                "--workers 2\n")
+
+    def test_bounds_workers_ini_key_refused(self, tmp_path, capsys):
+        path = tmp_path / "bounds.ini"
+        path.write_text("[bounds]\nfamily = constant\nvalue = 1\n"
+                        "n_grid = 10\nworkers = 2\n")
+        assert cli.main(["bounds", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles bounds: error: unknown key 'workers' in section "
+                f"[bounds] of {path}\n")
 
     def test_ratio_workers_ini_key_refused(self, tmp_path, capsys):
         path = tmp_path / "ratio.ini"

@@ -96,3 +96,26 @@ def test_replication_alone_runs_threads_and_processes():
     assert {("replication.py", name) for name in (
         "concurrent.futures", "multiprocessing", "os.sched_getaffinity")
     } <= found
+
+
+def test_census_alone_maps_over_processes():
+    """The replication map has one caller, the census: besides its owner
+    ``replication.py``, only ``experiments.py`` names ``map_replications``
+    (as a name, an attribute, an import or a string), so no other study
+    can start a process pool unseen."""
+    naming = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name == "map_replications":
+                naming.add(path.name)
+    assert naming == {"replication.py", "experiments.py"}

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from grgcycles.experiments import DEFAULT_QQ_LEVELS
 from grgcycles.poisson import (EmpiricalPmf, PoissonModel, mixed_poisson_pmf,
-                               poisson_pmf, poisson_rate, qq_table,
-                               tv_distance)
+                               poisson_rate, qq_table, tv_distance)
 
 # Pareto(9.5, 10, 1) rates for k = 3 and 4, and small ones whose truncated
 # support ends within a few outcomes
@@ -95,25 +94,27 @@ class TestRate:
 
 class TestPmf:
     def test_point_values(self):
-        assert poisson_pmf(PoissonModel(0.0), 0) == 1.0
-        assert poisson_pmf(PoissonModel(0.0), 3) == 0.0
-        assert poisson_pmf(PoissonModel(1.0), 0) == pytest.approx(math.exp(-1))
+        outcomes, pmf, tail = PoissonModel(0.0).support
+        assert (outcomes.tolist(), pmf.tolist(), tail) == ([0], [1.0], 0.0)
+        pmf = PoissonModel(1.0).support[1]
+        assert pmf[0] == pytest.approx(math.exp(-1))
+        assert pmf[3] == pytest.approx(math.exp(-1) / 6)
 
     @pytest.mark.parametrize("lam", [0.5, 3.0, 2880.16])
     def test_sums_to_one(self, lam):
-        bound = int(lam + 20 * math.sqrt(lam) + 50)
-        total = sum(poisson_pmf(PoissonModel(lam), m) for m in range(bound + 1))
-        assert abs(total - 1.0) < 1e-9
+        outcomes, pmf, _ = PoissonModel(lam).support
+        assert outcomes.tolist() == list(range(pmf.size))
+        assert abs(pmf.sum() - 1.0) < 1e-9
 
     @pytest.mark.parametrize("lam", [0.5, 3.0, 2880.16])
     def test_unimodal_with_mode_floor_lam(self, lam):
-        model = PoissonModel(lam)
+        pmf = PoissonModel(lam).support[1]
         mode = int(lam)
         lo = max(0, mode - 40)
         hi = mode + 40
-        values = [poisson_pmf(model, m) for m in range(lo, hi)]
+        values = pmf[lo:hi]
         # integer rates tie the mode with its left neighbor, hence the slack
-        assert poisson_pmf(model, mode) >= max(values) * (1 - 1e-12)
+        assert pmf[mode] >= max(values) * (1 - 1e-12)
         diffs = np.diff(values)
         # increasing then decreasing: no second sign change
         signs = np.sign(diffs[np.nonzero(diffs)])
@@ -130,7 +131,7 @@ class TestMixedPmf:
     def test_single_sample_equals_poisson(self):
         for m in range(6):
             assert mixed_poisson_pmf([2.5], m) == pytest.approx(
-                poisson_pmf(PoissonModel(2.5), m), rel=1e-12)
+                PoissonModel(2.5).support[1][m], rel=1e-12)
 
     def test_zero_rate_point_mass(self):
         assert mixed_poisson_pmf([0.0], 0) == 1.0
@@ -324,11 +325,10 @@ class TestTruncatedPmfOnce:
 
 @pytest.mark.parametrize("call,match", [
     (lambda: PoissonModel(-1), "Poisson rate must be nonnegative"),
-    (lambda: poisson_pmf(2.0, -1), "outcome must be nonnegative"),
     (lambda: mixed_poisson_pmf([1.0, -0.5], 0),
      "rate samples must be nonnegative"),
     (lambda: mixed_poisson_pmf([1.0], -1), "outcome must be nonnegative"),
-], ids=["negative_rate", "pmf_outcome", "mixed_rates", "mixed_outcome"])
+], ids=["negative_rate", "mixed_rates", "mixed_outcome"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

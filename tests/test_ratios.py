@@ -28,6 +28,13 @@ TWO_POINT = WeightSpec.two_point(1, 2, 0.5)
 positive_lists = st.lists(st.floats(0.01, 100), min_size=1, max_size=30)
 
 
+def chunk_pair(v):
+    """A chunk's sum and squared deviation sum about its mean, as
+    ``ratios._chunk_sums`` computes them from the statistics ``v``."""
+    total = float(v.sum())
+    return total, float(np.square(v - total / v.size).sum())
+
+
 def binomial_lower_tail(n, cutoff):
     """Exact P(Binomial(n, 1/2) <= cutoff) as a Fraction."""
     return Fraction(sum(comb(n, j) for j in range(cutoff + 1)), 2 ** n)
@@ -59,8 +66,8 @@ class TestStatistics:
             want = _row_statistics(rows.copy(), p, "r")
             assert [r_statistic(row, p) for row in rows] == list(want)
             # the Monte Carlo chunk of these six replications
-            assert _chunk_sums(spec, 50, p, 4, "r", (0, 6)) == (
-                float(want.sum()), float((want * want).sum()))
+            assert _chunk_sums(spec, 50, p, 4, "r", (0, 6)) == chunk_pair(
+                want)
         want = _row_statistics(rows.copy(), 1, "t")
         assert [t_statistic(row) for row in rows] == list(want)
 
@@ -178,6 +185,27 @@ class TestMonteCarloT:
         chunked = estimate_t_moment(TWO_POINT, 64, 2, 5000, seed=9)
         assert chunked.value == pytest.approx(full.value, rel=1e-12)
 
+    @pytest.mark.parametrize("rows", [4096, 100, 7])
+    @pytest.mark.parametrize("gap", [1e-8, 1e-7])
+    def test_standard_error_of_a_nearly_constant_statistic(
+            self, monkeypatch, gap, rows):
+        """t varies by about 6e-10 around 1 here: the standard error must
+        keep its digits (a raw second moment less the squared mean leaves
+        none at gap 1e-8), in one chunk or many, on 1 and on 3 CPUs."""
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * rows)
+        spec = WeightSpec.two_point(1, 1 + gap, 0.5)
+        # the two-pass standard error over the same uniforms
+        v = _row_statistics(draw(spec, np.random.default_rng(3), (4000, 64)),
+                            1, "t")
+        oracle = float(np.sqrt(np.square(v - v.mean()).mean() / 4000))
+        estimates = []
+        for cpus in (1, 3):
+            force_parts(monkeypatch, cpus)
+            estimates.append(estimate_t_moment(spec, 64, 1, 4000, 3))
+        assert estimates[0] == estimates[1]
+        assert estimates[0].std_error == pytest.approx(oracle, rel=1e-6, abs=0)
+        assert estimates[0].value == pytest.approx(v.mean(), rel=1e-13, abs=0)
+
 
 FAMILIES = [WeightSpec.constant(2.0), WeightSpec.pareto_shifted(3.5, 2, 1),
             TWO_POINT, WeightSpec.empirical([1, 2, 5], [0.2, 0.5, 0.3])]
@@ -275,15 +303,14 @@ class TestChunkedStreams:
                               np.random.default_rng(0))
 
 
-def value_path_sums(spec, n, p, seed, statistic, unit):
-    """The chunk sums from the drawn values themselves: ``draw`` and
-    ``_row_statistics`` on the chunk's uniforms, the oracle of the
+def value_path(spec, n, p, seed, statistic, unit):
+    """The chunk's statistics from the drawn values themselves: ``draw``
+    and ``_row_statistics`` on the chunk's uniforms, the oracle of the
     two-point count path."""
     start, size = unit
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(start * n)
-    v = _row_statistics(draw(spec, rng, (size, n)), p, statistic)
-    return float(v.sum()), float((v * v).sum())
+    return _row_statistics(draw(spec, rng, (size, n)), p, statistic)
 
 
 STATISTIC_POWERS = [("t", 1), ("t", 2), ("t", 3), ("t", 9), ("r", 2),
@@ -308,8 +335,8 @@ class TestTwoPointCounts:
         buf, mask = np.empty(60 * n), np.empty(60 * n, dtype=bool)
         for unit in ((0, 50), (37, 50), (1000, 7)):
             for statistic, p in STATISTIC_POWERS:
-                want = [x.hex() for x in value_path_sums(
-                    spec, n, p, seed, statistic, unit)]
+                want = [x.hex() for x in chunk_pair(value_path(
+                    spec, n, p, seed, statistic, unit))]
                 for args in ((), (buf, mask)):
                     got = _chunk_sums(spec, n, p, seed, statistic, unit,
                                       *args)
@@ -322,14 +349,18 @@ class TestTwoPointCounts:
     def test_other_atoms_move_in_the_last_bits(self, spec, n):
         # the count rounds once per atom sum, a pairwise sum of n terms more
         # often; a relative move of t or of the sum grows about linearly
-        # with the power, so the bound is 1e-15 per power of the value
+        # with the power, so the bound is e = 1e-15 per power of the value.
+        # Values moved by e relative move the deviation sum by at most
+        # 2 e sum |v - mean| |v|, to first order
         for unit in ((0, 40), (13, 40)):
             for statistic, p in STATISTIC_POWERS:
-                power = p if statistic == "t" else p + 1
+                e = 1e-15 * (p if statistic == "t" else p + 1)
                 got = _chunk_sums(spec, n, p, 5, statistic, unit)
-                want = value_path_sums(spec, n, p, 5, statistic, unit)
-                for k, (g, w) in enumerate(zip(got, want), start=1):
-                    assert g == pytest.approx(w, rel=1e-15 * power * k, abs=0)
+                v = value_path(spec, n, p, 5, statistic, unit)
+                total, dev2 = chunk_pair(v)
+                assert got[0] == pytest.approx(total, rel=e, abs=0)
+                spread = float(np.abs(v - total / v.size) @ v)
+                assert got[1] == pytest.approx(dev2, rel=0, abs=2 * e * spread)
 
 
 class TestMonteCarloR:
