@@ -13,9 +13,10 @@ one at a time (:func:`.chen_stein.bound_report`); each Monte Carlo
 estimate of the ratio study runs its chunks on every CPU of this process
 (:mod:`.ratios`), with the same bytes for any CPU count.
 
-Every config key is listed once, in ``CONFIG_KEYS``, and each command's
-keys once, in ``COMMAND_KEYS``: ``load_config`` reads and converts exactly
-those keys, and the command line builds one ``--flag`` per key from them.
+Every config key is listed once, in ``CONFIG_KEYS`` (the weight
+parameters by ``weights._PARAMETERS``), and each command's keys once, in
+``COMMAND_KEYS``: ``load_config`` reads and converts exactly those keys,
+and the command line builds one ``--flag`` per key from them.
 Every output file goes through ``write_outputs``; file names embed the
 subcommand, size parameters and master seed, data goes to CSV and summaries
 to JSON.
@@ -38,7 +39,7 @@ from .ratios import (estimate_r_moment, estimate_t_moment, exact_t_moment,
                      rate_fit, regimes)
 from .replication import map_replications, replication_seed
 from .spectral import ThresholdReport, threshold_report
-from .weights import WeightSpec, analytic_moments, sample_weights
+from .weights import _PARAMETERS, WeightSpec, analytic_moments, sample_weights
 
 __all__ = [
     "CONFIG_KEYS",
@@ -109,15 +110,8 @@ def _parse_grid(text) -> tuple:
 # key -> (converter, or None for a weight parameter; --flag help), flag order
 CONFIG_KEYS = {
     "family": (None, "weight family override"),
-    "value": (None, "constant weight value"),
-    "shape": (None, "pareto shape"),
-    "scale": (None, "pareto scale"),
-    "loc": (None, "pareto location"),
-    "x1": (None, "two-point first atom"),
-    "x2": (None, "two-point second atom"),
-    "p1": (None, "two-point first-atom probability"),
-    "values": (None, "empirical support (comma separated)"),
-    "probs": (None, "empirical probabilities (comma separated)"),
+    **{key: (None, text) for parameters in _PARAMETERS.values()
+       for key, text in parameters.items()},
     "n": (int, "vertex / sample count"),
     "k": (int, "cycle length"),
     "p": (int, "ratio statistic power"),

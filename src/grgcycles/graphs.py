@@ -12,14 +12,9 @@ Sampling consumes exactly one uniform variate per vertex pair, visiting
 pairs in lexicographic order, so a fixed seed pins the whole bit stream.
 The uniforms are drawn in chunks of whole rows; PCG64 yields one double per
 variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and
-the chunking does not move a draw.  The stream is also cut at row boundaries
-into contiguous parts, balanced by pair count: as many as the replication
-map's ``_part_count`` allows (one per CPU the process may use, one in a pool
-worker), but no more than chunks.  Each part rebuilds the generator from the
-seed and advances it past the draws of the rows before its own, so the graph
-is byte-identical for any part count.  ``replication._on_threads`` samples
-part 0 on the calling thread and the rest on helper threads, all joined
-before the sampler returns.  A pre-filter bounds ``p_ij`` over
+the chunking does not move a draw.  ``replication._on_stream`` cuts the
+stream at row boundaries into parts on threads, so the graph is
+byte-identical for any part count.  A pre-filter bounds ``p_ij`` over
 each run of columns by the edge law at the run's largest weight, times
 ``1 + 1e-12``; only pairs whose uniform falls below that bound get the exact
 test ``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` from
@@ -51,7 +46,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .replication import _on_threads, _part_count
+from .replication import _on_stream
 from .weights import WeightVector
 
 __all__ = [
@@ -316,16 +311,12 @@ def _column_segments(w: np.ndarray) -> tuple:
 
 def sample_grg(weights: WeightVector, seed) -> GrgGraph:
     """Sample the graph that joins each pair ``i < j`` independently with
-    probability ``w_i w_j / (total + w_i w_j)``."""
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise TypeError("seed must be an int or a SeedSequence: each part "
-                        "rebuilds its generator from it")
+    probability ``w_i w_j / (total + w_i w_j)``; ``seed`` is an int, a
+    ``SeedSequence`` or None."""
     w = weights.values
     n = w.size
     if n < 2:
         raise ValueError("need at least two vertices")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)   # None draws its entropy once
     total = weights.total
     # pair (i, j) sits at flat index starts[i] + j - i - 1 of the stream,
     # so adding col_shift[i] to a flat index of row i gives its column
@@ -334,25 +325,14 @@ def sample_grg(weights: WeightVector, seed) -> GrgGraph:
     np.add.accumulate(ids[n - 1:0:-1], out=starts[1:])
     col_shift = ids[1:] - starts
     edges, seg_max = _column_segments(w)
-    # part k takes rows cuts[k]..cuts[k + 1] - 1, about pairs / parts pairs;
-    # there are no more parts than chunks, so a graph of one chunk starts no
-    # thread
-    pairs = int(starts[-1])
-    parts = min(_part_count(), -(-pairs // _PAIR_CHUNK))
-    cuts = np.append(starts.searchsorted(np.arange(parts) * pairs // parts),
-                     n - 1)
 
-    def sample_part(part):
-        # this part's rows, from the generator advanced past every draw of
-        # the rows before them
-        i0, stop = int(cuts[part]), int(cuts[part + 1])
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(int(starts[i0]))
-        heads, tails = [], []
-        # every chunk's uniforms go to one buffer: a fresh 512 kB array per
-        # chunk lets malloc hand the pages back and fault them in again
-        # (about 1,300 page faults per graph at n = 2000, 4 with it)
+    def sample_part(rng, i0, stop):
+        # rows i0..stop-1; every chunk's uniforms go to one buffer, made in
+        # this part's thread (see the replication docstring): a fresh 512 kB
+        # array per chunk lets malloc hand the pages back and fault them in
+        # again (about 1,300 page faults per graph at n = 2000, 4 with it)
         buf = np.empty(max(_PAIR_CHUNK, n - 1))
+        found = []
         while i0 < stop:
             # rows i0..i1-1, at most _PAIR_CHUNK pairs unless one row is
             # longer
@@ -376,14 +356,11 @@ def sample_grg(weights: WeightVector, seed) -> GrgGraph:
             cols = pos + col_shift[rows]
             prod = w[rows] * w[cols]
             keep = u[cand] < prod / (total + prod)
-            heads.append(rows[keep])
-            tails.append(cols[keep])
+            found.append((rows[keep], cols[keep]))
             i0 = i1
-        return heads, tails
+        return found
 
-    found = _on_threads(sample_part, parts)
-    heads = [chunk for part_heads, _ in found for chunk in part_heads]
-    tails = [chunk for _, part_tails in found for chunk in part_tails]
+    heads, tails = zip(*_on_stream(sample_part, seed, starts, _PAIR_CHUNK))
     if len(heads) > 1:
         heads, tails = [np.concatenate(heads)], [np.concatenate(tails)]
     indptr, indices = _csr_from_pairs(n, heads[0], tails[0])

@@ -15,19 +15,13 @@ larger atom, so a single binomial sum gives ``E t**p`` for any n), an
 exponential lower-tail bound for sums of independent nonnegative variables,
 and least-squares rate fitting on log-log error points.
 
-A Monte Carlo estimate is cut into chunks of whole replications, and the
-chunk that starts at replication ``start`` rebuilds the generator from the
-seed and advances it past the ``start * n`` variates before it.  Every
-weight family draws exactly one PCG64 output per variate, so each chunk
-sees the same draws as one sequentially consumed generator would.  The
-chunk list is cut into contiguous parts, balanced by chunk count, as many
-as ``replication._part_count`` allows (one per CPU, one in a pool worker of
-the replication map) and no more than chunks; ``_on_threads`` runs part 0
-on the calling thread and the rest on helper threads, and each part draws
-its chunks into one buffer of its own.  Each chunk's sum and squared
-deviations about its own mean are merged in chunk order by the pairwise
-update of Chan, Golub & LeVeque (1979): an estimate is bit-identical for
-any CPU count, and its standard error keeps its digits.
+A Monte Carlo estimate is cut into chunks of whole replications, and
+``replication._on_stream`` runs the chunks in parts on threads.  Every
+weight family draws exactly one PCG64 output per variate, so each chunk sees
+the same draws as one sequentially consumed generator would.  Each chunk's
+sum and squared deviations about its own mean are merged in chunk order by
+the pairwise update of Chan, Golub & LeVeque (1979): an estimate is
+bit-identical for any CPU count, and its standard error keeps its digits.
 
 A two-point chunk draws the same uniforms but is reduced to atom counts:
 per replication, the number of draws with ``u < p1`` (the ``x1`` hits,
@@ -48,7 +42,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .replication import _on_threads, _part_count
+from .replication import _on_stream
 from .weights import WeightSpec, WeightVector, analytic_moments, draw
 
 __all__ = [
@@ -207,22 +201,18 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
-def _chunk_sums(spec: WeightSpec, n: int, p: int, seed, statistic: str,
-                unit: Tuple[int, int], buf: np.ndarray = None,
-                mask: np.ndarray = None) -> Tuple[float, float]:
+def _chunk_sums(spec: WeightSpec, n: int, p: int, rng: np.random.Generator,
+                statistic: str, size: int, buf: np.ndarray,
+                mask: np.ndarray) -> Tuple[float, float]:
     """Sums of the statistic and of its squared deviations about their mean
-    over the ``size`` replications of the chunk ``unit = (start, size)``,
-    drawn into the front of ``buf`` (at least ``size * n`` doubles) if one
-    is given.  A two-point chunk compares its uniforms into the front of
-    ``mask`` (as many bools) if one is given, and counts each row's hits."""
-    start, size = unit
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(start * n)
-    out = None if buf is None else buf[:size * n].reshape(size, n)
+    over ``size`` replications of ``n`` draws from ``rng``, drawn into the
+    front of ``buf`` (at least ``size * n`` doubles).  A two-point chunk
+    compares its uniforms into the front of ``mask`` (as many bools) and
+    counts each row's hits."""
+    out = buf[:size * n].reshape(size, n)
     if spec.family == "two_point":
-        u = rng.random((size, n), out=out)
-        below = None if mask is None else mask[:size * n].reshape(size, n)
-        below = np.less(u, spec.p1, out=below)
+        u = rng.random(out=out)
+        below = np.less(u, spec.p1, out=mask[:size * n].reshape(size, n))
         # summing the mask's bytes in the narrowest type that holds n is
         # several times faster than count_nonzero along rows
         hits = np.add.reduce(below.view(np.uint8), axis=1,
@@ -242,32 +232,25 @@ def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
         raise ValueError(f"n must be at least 1, got {n}")
     if replications < 1000:
         raise ValueError("need at least 1000 replications")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise TypeError("seed must be an int or a SeedSequence: each chunk "
-                        "rebuilds its generator from it")
     chunk = max(1, _CHUNK_BUDGET // n)
-    units = [(start, min(chunk, replications - start))
-             for start in range(0, replications, chunk)]
-    # part k takes units cuts[k]..cuts[k + 1] - 1, drawn into bufs[k] (and
-    # compared into masks[k] for a two-point law)
-    parts = min(_part_count(), len(units))
-    cuts = [k * len(units) // parts for k in range(parts + 1)]
-    length = units[0][1] * n
-    bufs = [np.empty(length) for _ in range(parts)]
-    masks = [np.empty(length, dtype=bool) if spec.family == "two_point"
-             else None for _ in range(parts)]
+    # chunk j takes replications starts[j]..starts[j + 1] - 1
+    starts = np.append(np.arange(0, replications, chunk), replications)
+    sizes = np.diff(starts).tolist()
+    length = sizes[0] * n
 
-    def run_part(k):
-        return [_chunk_sums(spec, n, p, seed, statistic, unit, bufs[k],
-                            masks[k])
-                for unit in units[cuts[k]:cuts[k + 1]]]
+    def scratch():
+        return (np.empty(length), np.empty(length, dtype=bool)
+                if spec.family == "two_point" else None)
 
-    chunk_sums = [pair for part in _on_threads(run_part, parts)
-                  for pair in part]
+    def run_part(rng, first, stop, buf, mask):
+        return [_chunk_sums(spec, n, p, rng, statistic, size, buf, mask)
+                for size in sizes[first:stop]]
+
+    chunk_sums = _on_stream(run_part, seed, starts * n, chunk * n, scratch)
     # merged in chunk order: the deviation sums add, plus the pairwise term
     # delta**2 n_a n_b / (n_a + n_b) of Chan, Golub & LeVeque
     count = total = dev2 = 0
-    for (_, size), (chunk_total, chunk_dev2) in zip(units, chunk_sums):
+    for size, (chunk_total, chunk_dev2) in zip(sizes, chunk_sums):
         if count:
             delta = chunk_total / size - total / count
             dev2 += delta * delta * (count * size / (count + size))

@@ -1,4 +1,5 @@
-"""Seeds, and the one replication map, on which the census runs.
+"""Seeds, the one replication map on which the census runs, and the split
+draw streams of the graph sampler and the ratio estimator.
 
 Reproducibility contract: every random stream of a study comes from
 ``SeedSequence(master_seed, spawn_key=(replication, stream))``.  A census
@@ -6,15 +7,27 @@ unit is one replication, whose count does not depend on the process that
 runs it, and ``map_replications`` returns the counts in unit order for any
 worker count: the same bytes in this process or on a pool.
 
-This module also owns the package's threads.  The graph sampler cuts a
-graph's pair stream, and the ratio estimator a Monte Carlo estimate's chunk
-list, into ``_part_count()`` parts, one per CPU the process may use, and
-runs them with ``_on_threads``; a pool worker runs one part, so that
-workers x parts <= CPUs.
+This module also owns the package's threads.  ``_on_stream`` cuts one
+seeded draw stream into parts: the pairs of a graph (a unit is a row) or
+the replications of a Monte Carlo estimate (a unit is a chunk).  The units
+are cut into contiguous parts balanced by draws, as many as ``_part_count``
+allows (one per CPU the process may use, one in a pool worker, so that
+workers x parts <= CPUs) and no more than chunks of draws.  Each part
+rebuilds the PCG64 generator from the seed, advances it past the draws of
+the units before its own and consumes its units in order, so every unit
+sees the draws of one sequential generator and the results are
+byte-identical for any part count.  A part's scratch buffers are its
+own.  The Monte Carlo draw buffers are made on the calling thread before
+the parts start, and the sampler's pair buffer in the part's own thread:
+the other way round, the peak RSS rose by 0.33 MB in a two-point ratio
+study (n = 64 and 4096) and by 0.7 MB in a census of n = 2000 graphs.
+``_on_threads`` runs part 0 on the calling thread and the rest on helper
+threads, all joined before the results come back in unit order.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import sys
 from typing import Callable, Iterable, List
@@ -29,10 +42,15 @@ _MAX_CHUNK = 8   # units sent to a pool worker at a time
 def replication_seed(master_seed: int, replication: int,
                      stream: int = 0) -> np.random.SeedSequence:
     """Derived seed for one replication; stream 0 = weights, 1 = graph."""
-    if master_seed < 0:
-        raise ValueError(f"seed={master_seed} is negative")
-    return np.random.SeedSequence(master_seed,
-                                  spawn_key=(replication, stream))
+    return _seed_sequence(master_seed, (replication, stream))
+
+
+def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
+    """``SeedSequence(seed, spawn_key=spawn_key)``, refusing a negative
+    integer seed by name."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed={seed} is negative")
+    return np.random.SeedSequence(seed, spawn_key=spawn_key)
 
 
 def map_replications(job: Callable, units: Iterable,
@@ -86,3 +104,37 @@ def _on_threads(job: Callable, parts: int) -> list:
     with ThreadPoolExecutor(parts - 1) as helpers:
         rest = [helpers.submit(job, k) for k in range(1, parts)]
         return [job(0)] + [future.result() for future in rest]
+
+
+def _on_stream(job: Callable, seed, offsets: np.ndarray, chunk: int,
+               scratch: Callable = tuple) -> list:
+    """The items that ``job`` returns for each part of one seeded draw
+    stream, in unit order (see the module docstring).
+
+    Unit ``j`` takes the draws ``offsets[j]`` up to ``offsets[j + 1]``, and
+    there are no more parts than chunks of ``chunk`` draws.  Part ``k``
+    calls ``job(rng, first, stop, *scratch_k)`` for its units
+    ``first..stop - 1``, where ``rng`` stands at draw ``offsets[first]`` and
+    ``scratch_k = scratch()`` (no buffers by default) is made on this
+    thread; ``job`` returns a list.  ``seed`` is an int, a ``SeedSequence`` or None, which draws its
+    entropy once.
+    """
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError("seed must be an int or a SeedSequence: each part "
+                        "rebuilds its generator from it")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _seed_sequence(seed)
+    # part k takes units cuts[k]..cuts[k + 1] - 1, about total / parts draws
+    total = int(offsets[-1])
+    parts = min(_part_count(), -(-total // chunk))
+    cuts = np.append(offsets.searchsorted(np.arange(parts) * total // parts),
+                     len(offsets) - 1)
+    buffers = [scratch() for _ in range(parts)]
+
+    def run_part(k):
+        first = int(cuts[k])
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(int(offsets[first]))
+        return job(rng, first, int(cuts[k + 1]), *buffers[k])
+
+    return [item for part in _on_threads(run_part, parts) for item in part]

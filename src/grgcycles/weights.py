@@ -50,11 +50,18 @@ class InfiniteMomentError(ValueError):
     """A requested moment does not exist for the given family."""
 
 
-# each family's parameters, in the order its constructor takes them
-_PARAMETERS = {"constant": ("value",),
-               "pareto_shifted": ("shape", "scale", "loc"),
-               "two_point": ("x1", "x2", "p1"),
-               "empirical": ("values", "probs")}
+# each family's parameters, in the order its constructor takes them, with
+# what each one means: the one list of the config keys of a weight law
+_PARAMETERS = {
+    "constant": {"value": "constant weight value"},
+    "pareto_shifted": {"shape": "pareto shape", "scale": "pareto scale",
+                       "loc": "pareto location"},
+    "two_point": {"x1": "two-point first atom",
+                  "x2": "two-point second atom",
+                  "p1": "two-point first-atom probability"},
+    "empirical": {"values": "empirical support (comma separated)",
+                  "probs": "empirical probabilities (comma separated)"},
+}
 
 
 @dataclass(frozen=True)
@@ -212,10 +219,11 @@ def draw(spec: WeightSpec, rng: np.random.Generator, size,
     """Draw i.i.d. variates of any shape from an existing generator.
 
     Every family but ``constant`` consumes exactly one double, one PCG64
-    output, per variate; the chunked Monte Carlo estimators of
-    :mod:`.ratios` rely on this to skip ahead with ``advance``.  Given
-    ``out``, a float64 array of shape ``size``, the variates are written
-    into it and it is returned; they are the same bytes either way.
+    output, per variate; ``replication._on_stream`` relies on this to start
+    each part of a Monte Carlo estimate of :mod:`.ratios` past the draws
+    before it with ``advance``.  Given ``out``, a float64 array of shape
+    ``size``, the variates are written into it and it is returned; they
+    are the same bytes either way.
     """
     if out is None:
         out = np.empty(size)

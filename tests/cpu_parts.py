@@ -1,13 +1,16 @@
 """Force the CPU count that the package's thread parts see, and read the part
 count back: shared by the tests of the sampler and of the ratio estimator.
 
-Both take their part count from ``replication._part_count`` and run their
-parts with ``replication._on_threads``.
+Both cut their draw stream with ``replication._on_stream``, which takes its
+part count from ``replication._part_count`` and runs its parts with
+``replication._on_threads``.
 """
 
 import os
 
-from grgcycles import graphs, ratios, replication
+from grgcycles import replication
+
+_ON_THREADS = replication._on_threads
 
 
 def force_parts(monkeypatch, cpus):
@@ -20,10 +23,9 @@ def force_parts(monkeypatch, cpus):
 
     def record(job, parts):
         used.append(parts)
-        return replication._on_threads(job, parts)
+        return _ON_THREADS(job, parts)
 
-    for module in (graphs, ratios):
-        monkeypatch.setattr(module, "_on_threads", record)
+    monkeypatch.setattr(replication, "_on_threads", record)
     return used
 
 

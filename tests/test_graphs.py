@@ -566,6 +566,12 @@ class TestSamplerStream:
                            "from it$"):
             sample_grg(weights, seed)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1)], ids=["int", "int64"])
+    def test_negative_seed_is_named(self, seed):
+        weights = WeightVector.from_values(np.full(10, 3.0))
+        with pytest.raises(ValueError, match="^seed=-1 is negative$"):
+            sample_grg(weights, seed)
+
 
 class TestCycleProbability:
     def test_unit_square_triangle(self):

@@ -119,3 +119,34 @@ def test_census_alone_maps_over_processes():
             if name == "map_replications":
                 naming.add(path.name)
     assert naming == {"replication.py", "experiments.py"}
+
+
+def test_replication_alone_splits_draw_streams():
+    """The rule that splits a draw stream into parts has one owner: besides
+    ``replication.py``, no file calls ``bit_generator.advance`` or names
+    ``_part_count`` or ``_on_threads`` (as a name, an attribute, an import
+    or a string), so a second copy of the rule cannot come back unseen."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "advance"):
+                name = "advance"
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
+            else:
+                continue
+            if name in ("advance", "_part_count", "_on_threads"):
+                found.add((path.name, name))
+    outside = sorted(item for item in found if item[0] != "replication.py")
+    assert not outside, f"only replication.py may use {outside}"
+    # the owner's own uses are seen, so the check is not blind
+    assert {("replication.py", name) for name in (
+        "advance", "_part_count", "_on_threads")} <= found

@@ -35,6 +35,18 @@ def chunk_pair(v):
     return total, float(np.square(v - total / v.size).sum())
 
 
+def positioned(seed, draws):
+    """A generator seeded by ``seed`` and advanced past ``draws`` draws."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(draws)
+    return rng
+
+
+def chunk_buffers(size, n):
+    """Draw and mask buffers for a chunk of ``size`` replications of n."""
+    return np.empty(size * n), np.empty(size * n, dtype=bool)
+
+
 def binomial_lower_tail(n, cutoff):
     """Exact P(Binomial(n, 1/2) <= cutoff) as a Fraction."""
     return Fraction(sum(comb(n, j) for j in range(cutoff + 1)), 2 ** n)
@@ -66,8 +78,8 @@ class TestStatistics:
             want = _row_statistics(rows.copy(), p, "r")
             assert [r_statistic(row, p) for row in rows] == list(want)
             # the Monte Carlo chunk of these six replications
-            assert _chunk_sums(spec, 50, p, 4, "r", (0, 6)) == chunk_pair(
-                want)
+            assert _chunk_sums(spec, 50, p, np.random.default_rng(4), "r", 6,
+                               *chunk_buffers(6, 50)) == chunk_pair(want)
         want = _row_statistics(rows.copy(), 1, "t")
         assert [t_statistic(row) for row in rows] == list(want)
 
@@ -288,13 +300,13 @@ class TestChunkedStreams:
         chunk_sums = ratios._chunk_sums
 
         def fail_late(*args):
-            if args[5][0] >= 900:      # the last unit, in part 2
+            if args[5] == 50:      # the last unit, of 50 rows, in part 2
                 raise KeyError(args[5])
             return chunk_sums(*args)
 
         monkeypatch.setattr(ratios, "_chunk_sums", fail_late)
-        with pytest.raises(KeyError, match="900"):
-            estimate_t_moment(TWO_POINT, 64, 2, 1000, 0)
+        with pytest.raises(KeyError, match="50"):
+            estimate_t_moment(TWO_POINT, 64, 2, 1050, 0)
         assert used == [3]
 
     def test_generator_seed_rejected(self):
@@ -302,14 +314,39 @@ class TestChunkedStreams:
             estimate_t_moment(TWO_POINT, 8, 2, 1000,
                               np.random.default_rng(0))
 
+    @pytest.mark.parametrize("estimate", [estimate_t_moment,
+                                          estimate_r_moment])
+    def test_negative_seed_is_named(self, estimate):
+        with pytest.raises(ValueError, match="^seed=-1 is negative$"):
+            estimate(TWO_POINT, 8, 2, 1000, -1)
+
+    def test_seed_none_draws_its_entropy_once(self, monkeypatch):
+        """Every part of one estimate rebuilds its generator from one
+        ``SeedSequence``, so an unseeded estimate of many chunks sees one
+        OS entropy, the stream of one sequential generator."""
+        used = force_parts(monkeypatch, 3)
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
+        default_rng = np.random.default_rng
+        entropies = []
+
+        def recording_rng(seed=None):
+            rng = default_rng(seed)
+            entropies.append(rng.bit_generator.seed_seq.entropy)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        estimate_t_moment(WeightSpec.pareto_shifted(9.5, 10, 1), 64, 2, 2000,
+                          None)
+        assert used == [3] and len(entropies) >= 3
+        assert len(set(entropies)) == 1
+
 
 def value_path(spec, n, p, seed, statistic, unit):
     """The chunk's statistics from the drawn values themselves: ``draw``
     and ``_row_statistics`` on the chunk's uniforms, the oracle of the
     two-point count path."""
     start, size = unit
-    rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(start * n)
+    rng = positioned(seed, start * n)
     return _row_statistics(draw(spec, rng, (size, n)), p, statistic)
 
 
@@ -337,10 +374,9 @@ class TestTwoPointCounts:
             for statistic, p in STATISTIC_POWERS:
                 want = [x.hex() for x in chunk_pair(value_path(
                     spec, n, p, seed, statistic, unit))]
-                for args in ((), (buf, mask)):
-                    got = _chunk_sums(spec, n, p, seed, statistic, unit,
-                                      *args)
-                    assert [x.hex() for x in got] == want, (unit, statistic, p)
+                got = _chunk_sums(spec, n, p, positioned(seed, unit[0] * n),
+                                  statistic, unit[1], buf, mask)
+                assert [x.hex() for x in got] == want, (unit, statistic, p)
 
     @pytest.mark.parametrize("spec", [WeightSpec.two_point(0.1, 0.3, 0.4),
                                       WeightSpec.two_point(0.7, 0.2, 0.55)],
@@ -355,7 +391,8 @@ class TestTwoPointCounts:
         for unit in ((0, 40), (13, 40)):
             for statistic, p in STATISTIC_POWERS:
                 e = 1e-15 * (p if statistic == "t" else p + 1)
-                got = _chunk_sums(spec, n, p, 5, statistic, unit)
+                got = _chunk_sums(spec, n, p, positioned(5, unit[0] * n),
+                                  statistic, unit[1], *chunk_buffers(40, n))
                 v = value_path(spec, n, p, 5, statistic, unit)
                 total, dev2 = chunk_pair(v)
                 assert got[0] == pytest.approx(total, rel=e, abs=0)
