@@ -14,14 +14,22 @@ The uniforms are drawn in chunks of whole rows; PCG64 yields one double per
 variate, so ``random(a)`` then ``random(b)`` equals ``random(a + b)`` and
 the chunking does not move a draw.  ``replication._on_stream`` cuts the
 stream at row boundaries into parts on threads, so the graph is
-byte-identical for any part count.  A pre-filter bounds ``p_ij`` over
-each run of columns by the edge law at the run's largest weight, times
-``1 + 1e-12``; only pairs whose uniform falls below that bound get the exact
+byte-identical for any part count.  A pre-filter bounds ``p_ij``, times
+``1 + 1e-12``; only pairs whose uniform falls below the bound get the exact
 test ``u < p_ij``, with ``p_ij`` evaluated as ``prod / (total + prod)`` from
-``prod = w_i * w_j``.  The law increases with the product and rounding moves
-each value by a few ulps, far less than the slack, so the bound never falls
-below ``p_ij`` and the pre-filter cannot change an edge (for weights whose
-products and total stay finite).
+``prod = w_i * w_j``.  Each chunk takes one bound first, the edge law at
+its largest row weight times the largest weight right of its first row.
+If that is at most ``_SCALAR_TOP`` every uniform is compared with the one
+number; a looser chunk instead bounds each run of columns by the edge law
+at the run's largest weight and spreads those bounds over its pairs, which
+costs a pass over the pairs but sends fewer candidates to the exact test.
+The runs are built only for a graph whose largest weight squared gives a
+bound above ``_SCALAR_TOP``, since no chunk's bound is higher.  The law
+increases with the product and rounding moves each value by a few ulps,
+far less than the slack, so no bound falls below ``p_ij`` and the
+pre-filter cannot change an edge, whichever path a chunk takes.  Weights
+whose largest square or total is not finite in float64 are refused: their
+products would read ``inf / inf``, NaN, which no uniform falls below.
 
 Graphs exchange as whitespace edge lists: an ``n m`` header, then one
 ``u v`` line per edge with 1-based ids.  Both directions work on ASCII bytes
@@ -291,6 +299,11 @@ _PAIR_CHUNK = 1 << 16
 _BLOCK = 128
 # Relative slack that lifts each bound far above its rounding error.
 _SLACK = 1.0 + 1e-12
+# Largest chunk bound that the pre-filter compares every uniform against;
+# a chunk whose bound is higher gets a bound per column segment.  At 1/32
+# every chunk of a Pareto(9.5, 10, 1) graph at n = 2000 and 8000 takes the
+# one bound, and every chunk of a Pareto 2.5 graph at n = 2000 the segments.
+_SCALAR_TOP = 1 / 32
 
 
 def _column_segments(w: np.ndarray) -> tuple:
@@ -312,42 +325,73 @@ def _column_segments(w: np.ndarray) -> tuple:
 def sample_grg(weights: WeightVector, seed) -> GrgGraph:
     """Sample the graph that joins each pair ``i < j`` independently with
     probability ``w_i w_j / (total + w_i w_j)``; ``seed`` is an int, a
-    ``SeedSequence`` or None."""
+    ``SeedSequence`` or None.  Weights whose largest square or total
+    overflows float64 are refused: the edge law would read NaN."""
     w = weights.values
     n = w.size
     if n < 2:
         raise ValueError("need at least two vertices")
     total = weights.total
+    largest = float(w.max())
+    if not (math.isfinite(total) and math.isfinite(largest * largest)):
+        raise ValueError(f"weights up to {largest!r} overflow float64 in the "
+                         f"edge law: the largest weight squared or the total "
+                         f"is not finite")
     # pair (i, j) sits at flat index starts[i] + j - i - 1 of the stream,
     # so adding col_shift[i] to a flat index of row i gives its column
     ids = np.arange(n + 1)
     starts = np.zeros(n, dtype=np.int64)
     np.add.accumulate(ids[n - 1:0:-1], out=starts[1:])
     col_shift = ids[1:] - starts
-    edges, seg_max = _column_segments(w)
+    # tail[i] is the largest weight right of column i
+    tail = np.maximum.accumulate(w[:0:-1])[::-1]
+    # no chunk's bound exceeds the one at the largest weight squared (but
+    # by rounding, and any bound is valid): below the switch there, every
+    # chunk compares with its one bound and no column segments are made
+    x = largest * largest
+    segments = (_column_segments(w) if x / (total + x) * _SLACK > _SCALAR_TOP
+                else None)
 
     def sample_part(rng, i0, stop):
-        # rows i0..stop-1; every chunk's uniforms go to one buffer, made in
-        # this part's thread (see the replication docstring): a fresh 512 kB
-        # array per chunk lets malloc hand the pages back and fault them in
-        # again (about 1,300 page faults per graph at n = 2000, 4 with it)
+        # rows i0..stop-1; every chunk's uniforms and compare mask go to
+        # buffers made in this part's thread (see the replication
+        # docstring): a fresh 512 kB array per chunk lets malloc hand the
+        # pages back and fault them in again (about 1,300 page faults per
+        # graph at n = 2000, 4 with it)
         buf = np.empty(max(_PAIR_CHUNK, n - 1))
+        below = np.empty(buf.size, dtype=bool)
         found = []
-        while i0 < stop:
-            # rows i0..i1-1, at most _PAIR_CHUNK pairs unless one row is
-            # longer
-            a = int(starts[i0])
+        # chunk c takes rows cuts[c]..cuts[c + 1] - 1, at most _PAIR_CHUNK
+        # pairs unless one row is longer
+        cuts = [i0]
+        while cuts[-1] < stop:
+            a = int(starts[cuts[-1]])
             i1 = int(starts.searchsorted(a + _PAIR_CHUNK, "right")) - 1
-            i1 = max(i0 + 1, min(i1, stop))
+            cuts.append(max(cuts[-1] + 1, min(i1, stop)))
+        # one bound per chunk: the edge law at the chunk's largest row
+        # weight times the largest weight right of its first row, in one
+        # pass (a reduction per chunk slowed heavy-tailed graphs by 2-4 %)
+        x = np.maximum.reduceat(w[:stop], cuts[:-1]) * tail[cuts[:-1]]
+        tops = (x / (total + x) * _SLACK).tolist()
+        for i0, i1, top in zip(cuts, cuts[1:], tops):
+            a = int(starts[i0])
             u = rng.random(out=buf[:int(starts[i1]) - a])
-            # bound p_ij over row i's columns in segment k by the segment's
-            # largest weight; segments left of the row get length 0
-            k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
-            x = w[i0:i1, None] * seg_max[k0:]
-            bound = x / (total + x) * _SLACK
-            clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
-            lens = clipped[:, 1:] - clipped[:, :-1]
-            cand = (u < bound.ravel().repeat(lens.ravel())).nonzero()[0]
+            mask = below[:u.size]
+            if top <= _SCALAR_TOP or segments is None:
+                np.less(u, top, out=mask)
+            else:
+                # too loose: bound p_ij over row i's columns in segment k by
+                # the segment's largest weight, spread over the pairs as a
+                # temporary, freed before the exact test allocates; segments
+                # left of the row get length 0
+                edges, seg_max = segments
+                k0 = int(edges.searchsorted(i0 + 1, "right")) - 1
+                x = w[i0:i1, None] * seg_max[k0:]
+                bound = x / (total + x) * _SLACK
+                clipped = np.maximum(edges[k0:], ids[i0 + 1:i1 + 1, None])
+                lens = clipped[:, 1:] - clipped[:, :-1]
+                np.less(u, bound.ravel().repeat(lens.ravel()), out=mask)
+            cand = mask.nonzero()[0]
             # exact test of the candidates; row i0 + r holds candidates
             # firsts[r] up to firsts[r + 1]
             pos = cand + a
@@ -357,7 +401,6 @@ def sample_grg(weights: WeightVector, seed) -> GrgGraph:
             prod = w[rows] * w[cols]
             keep = u[cand] < prod / (total + prod)
             found.append((rows[keep], cols[keep]))
-            i0 = i1
         return found
 
     heads, tails = zip(*_on_stream(sample_part, seed, starts, _PAIR_CHUNK))

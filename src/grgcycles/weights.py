@@ -23,7 +23,7 @@ decay regimes of the ratio statistic r) all compare against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf
+from math import comb, inf, isfinite
 from typing import Mapping
 
 import numpy as np
@@ -190,6 +190,11 @@ class WeightVector:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weight vector must be a nonempty 1-d array")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise ValueError(f"weight {float(arr[bad])} at index {bad} is "
+                             f"not finite")
         if not np.all(arr > 0):
             raise ValueError("all weights must be strictly positive")
         return cls(values=arr, total=float(arr.sum()))
@@ -261,12 +266,27 @@ def sample_weights(spec: WeightSpec, n: int, seed) -> WeightVector:
 
 
 def moment(spec: WeightSpec, order: int) -> float:
-    """Exact E W**order; raises :class:`InfiniteMomentError` if it diverges."""
+    """Exact E W**order; raises :class:`InfiniteMomentError` if it diverges
+    and ``ValueError`` if it is finite but out of float64's range."""
     if order < 1:
         raise ValueError("moment order must be a positive integer")
     if order >= spec.tail_index:
         raise InfiniteMomentError(
             f"moment of order {order} is infinite for shape {spec.shape}")
+    try:
+        value = _moment(spec, order)
+    except OverflowError:   # a float power out of range
+        value = inf
+    if not isfinite(value):
+        params = ", ".join(f"{key} = {text}" for key, text
+                           in spec.to_mapping().items() if key != "family")
+        raise ValueError(f"moment of order {order} overflows float64 for "
+                         f"{spec.family} weights with {params}")
+    return value
+
+
+def _moment(spec: WeightSpec, order: int) -> float:
+    """E W**order of a law whose moment of that order is finite."""
     if spec.family == "constant":
         return spec.value ** order
     if spec.family == "two_point":

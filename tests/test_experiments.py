@@ -646,6 +646,21 @@ class TestCli:
             "", f"grgcycles threshold: error: edge list {path}: line 2 "
                 "holds the byte 0xa0, which is not ASCII\n")
 
+    @pytest.mark.parametrize("command,message", [
+        ("sample", "weights up to 1e+200 overflow float64 in the edge law: "
+                   "the largest weight squared or the total is not finite"),
+        ("census", "moment of order 2 overflows float64 for constant "
+                   "weights with value = 1e+200"),
+    ])
+    def test_overflowing_weights_named(self, command, message, tmp_path,
+                                       capsys):
+        assert cli.main([command, "--family", "constant", "--value", "1e200",
+                         "--n", "6", "--seed", "0",
+                         "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"grgcycles {command}: error: {message}\n")
+        assert not any(tmp_path.iterdir())
+
     def test_sample_needs_family(self, capsys):
         assert cli.main(["sample", "--n", "12"]) == 2
         assert capsys.readouterr().err == (

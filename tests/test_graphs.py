@@ -410,6 +410,27 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_grg(WeightVector.from_values([1.0]), seed=0)
 
+    @pytest.mark.parametrize("values,largest", [
+        ([1e200] * 6, "1e+200"),
+        ([1.0, 2e154, 1.0], "2e+154"),
+        ([1e308, 1e308], "1e+308"),       # the total overflows too
+    ])
+    def test_overflowing_weights_are_refused(self, values, largest):
+        # w_i * w_j overflows to inf and inf / inf is NaN, which no uniform
+        # falls below: the graph would come out empty
+        with np.errstate(over="ignore"):
+            weights = WeightVector.from_values(values)
+        with pytest.raises(ValueError, match=(
+                f"^weights up to {re.escape(largest)} overflow float64 in "
+                f"the edge law: the largest weight squared or the total is "
+                f"not finite$")):
+            sample_grg(weights, seed=0)
+
+    def test_largest_finite_products_join_every_pair(self):
+        # 1e150**2 is finite: every edge probability rounds to 1
+        graph = sample_grg(WeightVector.from_values([1e150] * 6), seed=0)
+        assert graph.m == 15
+
 
 def reference_sample(weights, seed):
     """CSR arrays from a per-row loop, the reference for the sampler: one
@@ -430,6 +451,15 @@ def reference_sample(weights, seed):
     order = np.lexsort((cols, rows))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return indptr, cols[order]
+
+
+def each_prefilter(monkeypatch):
+    """Patch the sampler's switch so that every chunk compares its uniforms
+    with per-segment bounds (``_SCALAR_TOP = 0``), then with its one scalar
+    bound (``inf``)."""
+    for top in (0.0, np.inf):
+        monkeypatch.setattr(graphs, "_SCALAR_TOP", top)
+        yield top
 
 
 def parity_weights(n, seed):
@@ -473,18 +503,21 @@ class TestSamplerStream:
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 300])
     def test_matches_row_loop_with_small_chunks(self, monkeypatch, n):
         # chunks of up to 7 pairs and 5-column blocks that end mid-row; the
-        # pre-filter runs on every chunk, down to a single pair
+        # pre-filter runs on every chunk, down to a single pair, on each
+        # of its two paths
         monkeypatch.setattr(graphs, "_PAIR_CHUNK", 7)
         monkeypatch.setattr(graphs, "_BLOCK", 5)
-        for values in parity_weights(n, seed=n).values():
-            weights = WeightVector.from_values(values)
-            for seed in range(3):
-                self.assert_parity(weights, seed)
+        for _ in each_prefilter(monkeypatch):
+            for values in parity_weights(n, seed=n).values():
+                weights = WeightVector.from_values(values)
+                for seed in range(3):
+                    self.assert_parity(weights, seed)
 
-    def test_matches_row_loop_at_default_chunks(self):
+    def test_matches_row_loop_at_default_chunks(self, monkeypatch):
         n = 700                 # 244,650 pairs: four chunks, ten hub columns
-        for values in parity_weights(n, seed=11).values():
-            self.assert_parity(WeightVector.from_values(values), 4)
+        for _ in each_prefilter(monkeypatch):
+            for values in parity_weights(n, seed=11).values():
+                self.assert_parity(WeightVector.from_values(values), 4)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [5, 40, 300])
@@ -495,10 +528,11 @@ class TestSamplerStream:
         used = force_parts(monkeypatch, cpus)
         monkeypatch.setattr(graphs, "_PAIR_CHUNK", 7)
         monkeypatch.setattr(graphs, "_BLOCK", 5)
-        for values in parity_weights(n, seed=n).values():
-            weights = WeightVector.from_values(values)
-            for seed in range(3):
-                self.assert_parity(weights, seed)
+        for _ in each_prefilter(monkeypatch):
+            for values in parity_weights(n, seed=n).values():
+                weights = WeightVector.from_values(values)
+                for seed in range(3):
+                    self.assert_parity(weights, seed)
         assert set(used) == {min(cpus, -(-n * (n - 1) // 2 // 7))}
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
@@ -506,9 +540,29 @@ class TestSamplerStream:
                                                          cpus):
         used = force_parts(monkeypatch, cpus)
         n = 700                 # four chunks: five CPUs take four parts
-        for values in parity_weights(n, seed=11).values():
-            self.assert_parity(WeightVector.from_values(values), 4)
+        for _ in each_prefilter(monkeypatch):
+            for values in parity_weights(n, seed=11).values():
+                self.assert_parity(WeightVector.from_values(values), 4)
         assert set(used) == {min(cpus, 4)}
+
+    @pytest.mark.parametrize("shape,built", [(9.5, 0), (1.5, 1)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_segments_built_only_for_a_loose_largest_square(
+            self, monkeypatch, shape, built, cpus):
+        # a Pareto 9.5 graph at n = 2000 has a bound below _SCALAR_TOP even
+        # at its largest weight squared; a Pareto 1.5 graph does not, and
+        # its parts share one segment table
+        force_parts(monkeypatch, cpus)
+        segments = graphs._column_segments
+        calls = []
+        monkeypatch.setattr(graphs, "_column_segments",
+                            lambda w: calls.append(w.size) or segments(w))
+        weights = sample_weights(WeightSpec.pareto_shifted(shape, 10, 1),
+                                 2000, 0)
+        graph = sample_grg(weights, 5)
+        assert calls == [2000] * built
+        indptr, indices = reference_sample(weights, 5)
+        assert np.array_equal(graph.indices, indices)
 
     def test_matches_row_loop_under_fast_thread_switching(self, monkeypatch):
         # eight parts on fewer CPUs, switching threads every microsecond

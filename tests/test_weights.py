@@ -1,6 +1,7 @@
 """Weight family construction, sampling, and closed-form moments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,15 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector.from_values([1.0, 0.0])
 
+    @pytest.mark.parametrize("values,message", [
+        ([math.inf, 1.0], "weight inf at index 0 is not finite"),
+        ([1.0, 2.0, math.nan], "weight nan at index 2 is not finite"),
+        ([1.0, -math.inf], "weight -inf at index 1 is not finite"),
+    ])
+    def test_rejects_non_finite(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightVector.from_values(values)
+
 
 class TestMoments:
     def test_constant(self):
@@ -242,6 +252,29 @@ class TestMoments:
         # shape exactly at the order also diverges
         with pytest.raises(InfiniteMomentError):
             moment(WeightSpec.pareto_shifted(4.0, 1, 0), 4)
+
+    @pytest.mark.parametrize("spec,order,params", [
+        (WeightSpec.constant(1e200), 2, "value = 1e+200"),
+        (WeightSpec.two_point(1, 1e160, 0.5), 2,
+         "x1 = 1.0, x2 = 1e+160, p1 = 0.5"),
+        (WeightSpec.empirical([1e100, 2.0], [0.5, 0.5]), 4,
+         "values = 1e+100,2.0, probs = 0.5,0.5"),
+        (WeightSpec.pareto_shifted(9.5, 1e200, 1), 2,
+         "shape = 9.5, scale = 1e+200, loc = 1.0"),
+        (WeightSpec.pareto_shifted(9.5, 3e102, 3e102), 3,
+         "shape = 9.5, scale = 3e+102, loc = 3e+102"),
+    ], ids=["constant", "two_point", "empirical", "pareto", "pareto_sum"])
+    def test_overflowing_moment_is_named(self, spec, order, params):
+        # a float power out of range raises OverflowError; in "pareto_sum"
+        # every power is finite but their sum is inf; both are refused by
+        # name
+        message = (f"moment of order {order} overflows float64 for "
+                   f"{spec.family} weights with {params}")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(message)}$") as error:
+            moment(spec, order)
+        assert not isinstance(error.value, InfiniteMomentError)
+        assert math.isfinite(moment(spec, 1))
 
     def test_jensen_ordering(self):
         for spec in (WeightSpec.two_point(1, 9, 0.7),
