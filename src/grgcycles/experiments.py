@@ -293,9 +293,11 @@ def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
 def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
     _grid("n", (cfg.n,), cfg.k)
-    # the reference law first: a spec without it fails before any sampling
+    # the reference law and its support first: a spec without the law, or a
+    # rate too large for the support, fails before any sampling
     spec = cfg.weight_spec()
     model = poisson_rate(analytic_moments(spec).ratio, cfg.k)
+    model.support
     job = partial(_census_replication, spec, cfg.n, cfg.k, cfg.seed)
     counts = tuple(map_replications(job, range(cfg.replications),
                                     cfg.workers))

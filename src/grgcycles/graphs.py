@@ -28,8 +28,9 @@ bound above ``_SCALAR_TOP``, since no chunk's bound is higher.  The law
 increases with the product and rounding moves each value by a few ulps,
 far less than the slack, so no bound falls below ``p_ij`` and the
 pre-filter cannot change an edge, whichever path a chunk takes.  Weights
-whose largest square or total is not finite in float64 are refused: their
-products would read ``inf / inf``, NaN, which no uniform falls below.
+whose largest square is not finite in float64 are refused: their products
+would read ``inf / inf``, NaN, which no uniform falls below.  (A
+``WeightVector`` never holds an infinite total.)
 
 Graphs exchange as whitespace edge lists: an ``n m`` header, then one
 ``u v`` line per edge with 1-based ids.  Both directions work on ASCII bytes
@@ -325,18 +326,18 @@ def _column_segments(w: np.ndarray) -> tuple:
 def sample_grg(weights: WeightVector, seed) -> GrgGraph:
     """Sample the graph that joins each pair ``i < j`` independently with
     probability ``w_i w_j / (total + w_i w_j)``; ``seed`` is an int, a
-    ``SeedSequence`` or None.  Weights whose largest square or total
-    overflows float64 are refused: the edge law would read NaN."""
+    ``SeedSequence`` or None.  Weights whose largest square overflows
+    float64 are refused: the edge law would read NaN."""
     w = weights.values
     n = w.size
     if n < 2:
         raise ValueError("need at least two vertices")
     total = weights.total
     largest = float(w.max())
-    if not (math.isfinite(total) and math.isfinite(largest * largest)):
+    if not math.isfinite(largest * largest):
         raise ValueError(f"weights up to {largest!r} overflow float64 in the "
-                         f"edge law: the largest weight squared or the total "
-                         f"is not finite")
+                         f"edge law: the largest weight squared is not "
+                         f"finite")
     # pair (i, j) sits at flat index starts[i] + j - i - 1 of the stream,
     # so adding col_shift[i] to a flat index of row i gives its column
     ids = np.arange(n + 1)

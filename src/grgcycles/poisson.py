@@ -1,31 +1,29 @@
 """Reference Poisson laws, total-variation distance and Q-Q tables.
 
-The limiting rate for the k-cycle count is ``(EW^2 / EW)**k / (2k)``; pmf
-evaluation goes through log space so rates of order several thousand stay
-accurate.  The total-variation distance is reported in the "sup over test
-functions bounded by one" convention, i.e. the full l1 distance between
-pmfs (twice the common half-l1 value).
-Poisson supports are truncated once cumulative mass 1 - 1e-12 is reached
-and the discarded tail is added to the distance as an upper-bound
-correction.
+The limiting rate for the k-cycle count is ``(EW^2 / EW)**k / (2k)``.  The
+total-variation distance is the full l1 distance between pmfs, the "sup over
+test functions bounded by one" convention (twice the half-l1 value).
 
-Every law, a ``PoissonModel`` or an ``EmpiricalPmf``, gives one view,
-``support``: its outcomes in ascending order, their masses and the mass
-beyond the last outcome.  A model builds it once, on first use; an
-empirical law sorts its counts once, on construction.  ``tv_distance``
-reads any two laws through that view and sums ``|p - q|`` over the union of
-both supports in ascending outcome order.  Each law's ``quantile`` answers
-one level or an array of them with one ``searchsorted`` over its cdf, and
-``qq_table`` asks both laws for all its levels at once.
+Every law gives one view, ``support``: its ascending outcomes, their masses
+and the mass beyond the last one.  ``PoissonModel`` and ``EmpiricalPmf``
+build it; ``tv_distance`` and the one quantile rule (the first outcome whose
+cumulative mass reaches the level less 1e-9) read nothing else.  A Poisson
+support runs from 0 to ``lam + 50 sqrt(lam) + 100``, refused past
+``_MAX_OUTCOMES`` before it is allocated, and is cut where the cdf reaches
+1 - 1e-12.  Its masses are ``p(m+1) = p(m) lam / (m+1)`` and ``p(m-1) =
+p(m) m / lam`` out from the mode, divided by their sum: about 1e-14 from the
+exact pmf up to rate 1e5, where one ``lgamma`` per outcome is off by about
+``lam log(lam)`` rounding units, enough to move the cut.  An empirical law
+holds ascending outcome and count arrays from one ``np.unique``; its mean
+and variance are exact integer sums, each divided once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -40,27 +38,25 @@ __all__ = [
 ]
 
 _TAIL_MASS = 1e-12
+_MAX_OUTCOMES = 10**7    # 80 MB a float64 array: rates up to about 9.8e6
 
 
-def _pmf(lam: float, outcomes) -> np.ndarray:
-    """The Poisson(lam) pmf at the nonnegative integer ``outcomes``, through
-    log space; rate 0 is the point mass at 0."""
-    outcomes = np.atleast_1d(outcomes)
-    if lam == 0:
-        return (outcomes == 0).astype(float)
-    log_factorial = np.array([math.lgamma(m + 1) for m in outcomes.tolist()])
-    return np.exp(-lam + outcomes * math.log(lam) - log_factorial)
+class _Law:
+    """A law on the nonnegative integers, read through its ``support``."""
 
-
-def _levels(levels) -> np.ndarray:
-    at = np.asarray(levels, dtype=float)
-    if not np.all((0 < at) & (at < 1)):
-        raise ValueError("quantile levels must lie strictly inside (0,1)")
-    return at
+    def quantile(self, levels):
+        """The first outcome whose cumulative mass reaches the level, less
+        1e-9: an int for one level, a list for an array of them."""
+        at = np.asarray(levels, dtype=float)
+        if not np.all((0 < at) & (at < 1)):
+            raise ValueError("quantile levels must lie strictly inside (0,1)")
+        outcomes, masses, _ = self.support
+        hit = np.cumsum(masses).searchsorted(at - 1e-9)
+        return outcomes[np.minimum(hit, outcomes.size - 1)].tolist()
 
 
 @dataclass(frozen=True)
-class PoissonModel:
+class PoissonModel(_Law):
     """Poisson reference law with rate ``lam``."""
 
     lam: float
@@ -73,68 +69,69 @@ class PoissonModel:
     def support(self) -> Tuple[np.ndarray, np.ndarray, float]:
         """Outcomes 0..M, M the first with cdf(M) >= 1 - 1e-12, their pmf
         and the tail beyond M; built once per model, read-only."""
-        bound = int(self.lam + 50.0 * math.sqrt(self.lam)) + 100
-        pmf = _pmf(self.lam, np.arange(bound + 1))
+        lam = self.lam
+        bound = lam + 50.0 * math.sqrt(lam) + 100
+        if not bound < _MAX_OUTCOMES:
+            raise ValueError(f"Poisson rate {lam!r} is too large: its support "
+                             f"would run to outcome {bound:.4g}, past the "
+                             f"limit of {_MAX_OUTCOMES} outcomes")
+        bound, mode = int(bound), int(lam)
+        # each entry the ratio of its mass to its neighbour's nearer the
+        # mode, and 1 at the mode: the cumprods then give p(m) / p(mode)
+        pmf = np.arange(bound + 1, dtype=float)
+        pmf[:mode] = pmf[1:mode + 1] / lam
+        np.divide(lam, pmf[mode + 1:], out=pmf[mode + 1:])
+        pmf[mode] = 1.0
+        for side in (pmf[mode::-1], pmf[mode:]):
+            np.cumprod(side, out=side)
+        pmf /= pmf.sum()
         cdf = np.cumsum(pmf)
         cut = min(int(np.searchsorted(cdf, 1.0 - _TAIL_MASS)), bound)
         outcomes, pmf = np.arange(cut + 1), pmf[:cut + 1]
         outcomes.flags.writeable = pmf.flags.writeable = False
         return outcomes, pmf, max(0.0, 1.0 - float(cdf[cut]))
 
-    def quantile(self, levels):
-        """Smallest m with cdf(m) >= level (left-continuous inverse): an int
-        for one level, a list for an array of them."""
-        at = _levels(levels)
-        return np.cumsum(self.support[1]).searchsorted(at).tolist()
 
+class EmpiricalPmf(_Law):
+    """Integer-outcome law of occurrence counts, held as ascending outcome
+    and count arrays: read its ``support``, do not change it."""
 
-class EmpiricalPmf:
-    """Integer-outcome law built from occurrence counts, which are sorted
-    once, here, into the ``support`` view: read them, do not change them."""
-
-    def __init__(self, counts: dict):
-        self.counts = {int(m): int(c) for m, c in counts.items() if c}
-        if any(m < 0 for m in self.counts):
-            raise ValueError("outcomes must be nonnegative integers")
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("counts must be nonnegative")
-        self.total = sum(self.counts.values())
-        if self.total == 0:
-            raise ValueError("empirical law needs at least one observation")
-        outcomes = sorted(self.counts)
-        self._sorted_counts = np.array([self.counts[m] for m in outcomes])
-        # ascending outcomes, their frequencies, no tail
-        self.support = (np.array(outcomes),
-                        self._sorted_counts / self.total, 0.0)
+    def __init__(self, counts: Mapping[int, int]):
+        """The law of ``counts``, a mapping outcome -> count."""
+        pairs = np.array(sorted(counts.items()), dtype=np.int64).reshape(-1, 2)
+        self._hold(pairs[:, 0], pairs[:, 1])
 
     @classmethod
     def from_samples(cls, samples: Iterable[int]) -> "EmpiricalPmf":
-        return cls(Counter(int(s) for s in samples))
+        law = cls.__new__(cls)
+        law._hold(*np.unique(np.fromiter(samples, np.int64),
+                             return_counts=True))
+        return law
 
-    def pmf(self, m: int) -> float:
-        return self.counts.get(int(m), 0) / self.total
+    def _hold(self, outcomes: np.ndarray, counts: np.ndarray) -> None:
+        kept = counts != 0
+        outcomes, counts = outcomes[kept], counts[kept]
+        if np.any(outcomes < 0) or np.any(counts < 0):
+            raise ValueError("outcomes and counts must be nonnegative")
+        self.total = int(counts.sum())
+        if self.total == 0:
+            raise ValueError("empirical law needs at least one observation")
+        outcomes.flags.writeable = counts.flags.writeable = False
+        self._counts = counts
+        # ascending outcomes, their frequencies, no tail
+        self.support = (outcomes, counts / self.total, 0.0)
 
-    # mean and variance sum in the counts' own order, not the sorted one:
-    # that order fixes the last digit of the census summary
     def mean(self) -> float:
-        return sum(m * c for m, c in self.counts.items()) / self.total
+        return sum(c * m for m, c in self.to_csv_rows()) / self.total
 
     def variance(self) -> float:
-        mu = self.mean()
-        return sum(c * (m - mu) ** 2 for m, c in self.counts.items()) / self.total
-
-    def quantile(self, levels):
-        """The first outcome whose cumulative count reaches level * total,
-        less 1e-9 * total: an int for one level, a list for an array."""
-        at = _levels(levels)
-        outcomes = self.support[0]
-        hit = np.cumsum(self._sorted_counts).searchsorted(
-            at * self.total - 1e-9 * self.total)
-        return outcomes[np.minimum(hit, outcomes.size - 1)].tolist()
+        rows, total = self.to_csv_rows(), self.total
+        first = sum(c * m for m, c in rows)
+        second = sum(c * m * m for m, c in rows)
+        return (total * second - first * first) / total ** 2
 
     def to_csv_rows(self) -> List[Tuple[int, int]]:
-        return list(zip(self.support[0].tolist(),
-                        self._sorted_counts.tolist()))
+        return list(zip(self.support[0].tolist(), self._counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,16 +172,15 @@ def mixed_poisson_pmf(rate_samples: Sequence[float], m: int) -> float:
         raise ValueError("rate samples must be nonnegative")
     if m < 0:
         raise ValueError("outcome must be nonnegative")
-    return float(np.mean([_pmf(lam, m)[0] for lam in arr.tolist()]))
+    # the log-pmf at each rate; rate 0 is the point mass at 0
+    return float(np.mean([
+        math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam
+        else float(m == 0) for lam in arr.tolist()]))
 
 
 def tv_distance(p, q) -> float:
-    """Total-variation distance between two integer laws.
-
-    In the sup-over-bounded-test-functions convention (full l1 distance,
-    maximum 2).  Truncated Poisson tails are added back so the result
-    upper-bounds the untruncated distance.
-    """
+    """Total-variation distance between two integer laws, the full l1
+    (at most 2), plus both tails: an upper bound on the untruncated one."""
     at_p, mass_p, tail_p = p.support
     at_q, mass_q, tail_q = q.support
     # np.union1d would do, but its np.unique imports numpy.ma (about 1.3 MB)

@@ -117,21 +117,29 @@ def _row_statistics(x: np.ndarray, p: int, statistic: str) -> np.ndarray:
     return v
 
 
-def _one_row(xs) -> np.ndarray:
-    """A positive 1-d sample as a one-row copy."""
-    return np.array(WeightVector.from_values(xs).values, ndmin=2)
+def _one_sample(xs, p: int, statistic: str) -> float:
+    """``_row_statistics`` of a positive 1-d sample, on a one-row copy;
+    refused, naming the sample's largest value, if it overflows float64."""
+    values = WeightVector.from_values(xs).values
+    with np.errstate(over="ignore"):
+        row = np.array(values, ndmin=2)
+        value = float(_row_statistics(row, p, statistic)[0])
+    if not math.isfinite(value):
+        raise ValueError(f"{statistic} of a sample with values up to "
+                         f"{float(values.max())!r} overflows float64")
+    return value
 
 
 def t_statistic(xs) -> float:
     """Sum of squares over sum."""
-    return float(_row_statistics(_one_row(xs), 1, "t")[0])
+    return _one_sample(xs, 1, "t")
 
 
 def r_statistic(xs, p: int) -> float:
     """``t**p * max**2 / sum`` for integer p >= 2."""
     if p < 2:
         raise ValueError("p must be an integer >= 2")
-    return float(_row_statistics(_one_row(xs), p, "r")[0])
+    return _one_sample(xs, p, "r")
 
 
 def regimes(spec: WeightSpec, p: int) -> Tuple[str, ...]:

@@ -180,7 +180,8 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A sampled positive weight sequence and its total."""
+    """A sampled positive weight sequence and its total; ``from_values``
+    refuses a weight or a total that is not finite."""
 
     values: np.ndarray
     total: float
@@ -197,7 +198,12 @@ class WeightVector:
                              f"not finite")
         if not np.all(arr > 0):
             raise ValueError("all weights must be strictly positive")
-        return cls(values=arr, total=float(arr.sum()))
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        if not isfinite(total):
+            raise ValueError(f"the total of {arr.size} weights up to "
+                             f"{float(arr.max())!r} overflows float64")
+        return cls(values=arr, total=total)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -244,13 +250,9 @@ def draw(spec: WeightSpec, rng: np.random.Generator, size,
         u *= spec.scale
         u += spec.loc
     elif spec.family == "two_point":
-        # select between the atoms' bit patterns without a branch:
-        # x2 ^ ((u < p1) * (x1 ^ x2)), written over u's own buffer
-        u = rng.random(out=out)
-        x1, x2 = np.array([spec.x1, spec.x2]).view(np.int64)
-        bits = u.view(np.int64)
-        np.multiply(u < spec.p1, x1 ^ x2, out=bits)
-        bits ^= x2
+        first = rng.random(out=out) < spec.p1
+        out.fill(spec.x2)
+        out[first] = spec.x1
     else:
         out[...] = rng.choice(np.asarray(spec.values), size=size,
                               p=np.asarray(spec.probs))

@@ -2,7 +2,8 @@
 
 None of these runs in a study: each is a literal, slow evaluation of a
 definition (every ordered vertex tuple, every 2**n outcome or their exact
-rational sum, every candidate neighbor, every token of an edge list), kept
+rational sum, every candidate neighbor, every token of an edge list, every
+Poisson mass through its own ``lgamma``), kept
 here so that a refactor of the package cannot edit the oracle together with
 the code it checks.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import comb, perm
+from math import comb, lgamma, log, perm
 from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -274,3 +275,18 @@ def exact_r_moment_bruteforce(spec: WeightSpec, n: int, p: int) -> float:
         t = sum(x * x for x in xs) / ssum
         total += prob * t ** p * max(xs) ** 2 / ssum
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# Poisson: the log-space pmf, one lgamma per outcome
+# ---------------------------------------------------------------------------
+
+def poisson_pmf(lam: float, outcomes) -> np.ndarray:
+    """The Poisson(lam) pmf at the nonnegative integer ``outcomes``, through
+    log space with one ``lgamma`` per outcome; rate 0 is the point mass at
+    0.  Each mass is off by about ``lam log(lam)`` rounding units."""
+    outcomes = np.atleast_1d(outcomes)
+    if lam == 0:
+        return (outcomes == 0).astype(float)
+    log_factorial = np.array([lgamma(m + 1) for m in outcomes.tolist()])
+    return np.exp(-lam + outcomes * log(lam) - log_factorial)

@@ -648,7 +648,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command,message", [
         ("sample", "weights up to 1e+200 overflow float64 in the edge law: "
-                   "the largest weight squared or the total is not finite"),
+                   "the largest weight squared is not finite"),
         ("census", "moment of order 2 overflows float64 for constant "
                    "weights with value = 1e+200"),
     ])
@@ -659,6 +659,17 @@ class TestCli:
                          "--output-dir", str(tmp_path)]) == 2
         assert capsys.readouterr() == (
             "", f"grgcycles {command}: error: {message}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_too_large_a_rate_named(self, tmp_path, capsys):
+        # rate 1e300 / 6: its Poisson support would not fit in memory
+        assert cli.main(["census", "--family", "constant", "--value", "1e100",
+                         "--n", "6", "--k", "3", "--replications", "2",
+                         "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "grgcycles census: error: Poisson rate "
+                "1.6666666666666668e+299 is too large: its support would run "
+                "to outcome 1.667e+299, past the limit of 10000000 outcomes\n")
         assert not any(tmp_path.iterdir())
 
     def test_sample_needs_family(self, capsys):

@@ -1,6 +1,8 @@
 """Poisson reference laws, total variation and Q-Q tables."""
 
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from grgcycles.experiments import DEFAULT_QQ_LEVELS
 from grgcycles.poisson import (EmpiricalPmf, PoissonModel, mixed_poisson_pmf,
                                poisson_rate, qq_table, tv_distance)
+
+from oracles import poisson_pmf
 
 # Pareto(9.5, 10, 1) rates for k = 3 and 4, and small ones whose truncated
 # support ends within a few outcomes
@@ -35,7 +39,7 @@ def reference_tv(p, q):
         if isinstance(law, PoissonModel):
             _, pmf, tail = law.support
             return {m: float(x) for m, x in enumerate(pmf)}, tail
-        return {m: law.pmf(m) for m in law.counts}, 0.0
+        return {m: c / law.total for m, c in law.to_csv_rows()}, 0.0
     pmf_p, tail_p = pairs(p)
     pmf_q, tail_q = pairs(q)
     dist = 0
@@ -49,11 +53,12 @@ def reference_quantile(emp, level):
     reaches ``level * total`` less ``1e-9 * total``; one level at a time."""
     acc = 0
     target = level * emp.total
-    for m in sorted(emp.counts):
-        acc += emp.counts[m]
+    rows = emp.to_csv_rows()
+    for m, count in rows:
+        acc += count
         if acc >= target - 1e-9 * emp.total:
             return m
-    return max(emp.counts)
+    return rows[-1][0]
 
 
 def pareto_ratio():
@@ -125,6 +130,40 @@ class TestPmf:
         _, pmf, tail = PoissonModel(2880.16).support
         assert tail <= 1e-12
         assert abs(pmf.sum() + tail - 1.0) < 1e-9
+
+
+class TestSupportOracle:
+    """The recursion's support against the per-outcome lgamma pmf."""
+
+    @pytest.mark.parametrize("lam", ORACLE_RATES + (1e4, 1e5))
+    def test_matches_lgamma_pmf(self, lam):
+        outcomes, pmf, tail = PoissonModel(lam).support
+        ref = poisson_pmf(lam, np.arange(int(lam + 50 * math.sqrt(lam)) + 101))
+        assert outcomes.tolist() == list(range(pmf.size))
+        shown = ref[:pmf.size] > 1e-300
+        assert np.allclose(pmf[shown], ref[:pmf.size][shown], rtol=1e-9,
+                           atol=0)
+        # beyond[m], the mass from m on, summed from the far end: 1 - cdf
+        # through lgamma masses is off by more than 1e-12 at these rates,
+        # and 1 - cdf through the support's own is good to about 1e-15
+        beyond = np.cumsum(ref[::-1])[::-1]
+        cut = pmf.size - 1
+        assert tail == pytest.approx(beyond[cut + 1], abs=1e-14)
+        assert beyond[cut + 1] <= 1e-12 + 1e-14
+        assert cut == 0 or beyond[cut] > 1e-12 - 1e-14
+
+    @pytest.mark.parametrize("lam", [1e300, math.inf])
+    def test_too_large_a_rate_refused_before_allocating(self, lam):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^Poisson rate {re.escape(repr(lam))} is too large: its "
+                    f"support would run to outcome")):
+                PoissonModel(lam).support
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestMixedPmf:
@@ -203,12 +242,24 @@ class TestTvDistance:
 
 
 class TestEmpiricalPmf:
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_moments_are_the_exact_sums_rounded_once(self, samples):
+        emp = EmpiricalPmf.from_samples(samples)
+        size = len(samples)
+        mean = Fraction(sum(samples), size)
+        second = Fraction(sum(m * m for m in samples), size)
+        assert emp.mean() == float(mean)
+        assert emp.variance() == float(second - mean * mean)
+        descending = dict(reversed(emp.to_csv_rows()))
+        assert EmpiricalPmf(descending).variance() == emp.variance()
+
     def test_counts_and_moments(self):
         emp = EmpiricalPmf({1: 2, 3: 2})
         assert emp.total == 4
         assert emp.mean() == 2.0
         assert emp.variance() == 1.0
-        assert emp.pmf(1) == 0.5 and emp.pmf(2) == 0.0
+        assert emp.support[1].tolist() == [0.5, 0.5]
         assert emp.to_csv_rows() == [(1, 2), (3, 2)]
 
     def test_support_view_is_ascending(self):
@@ -304,9 +355,9 @@ class TestTruncatedPmfOnce:
     def test_built_once_and_read_only(self, monkeypatch):
         model = PoissonModel(311.69408)
         calls = []
-        lgamma = math.lgamma
-        monkeypatch.setattr(math, "lgamma",
-                            lambda x: calls.append(x) or lgamma(x))
+        cumprod = np.cumprod
+        monkeypatch.setattr(np, "cumprod", lambda *args, **kwargs:
+                            calls.append(args) or cumprod(*args, **kwargs))
         _, pmf, _ = model.support
         built = len(calls)
         assert built > 0

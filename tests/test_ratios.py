@@ -1,6 +1,7 @@
 """Ratio statistics, exact oracles, Monte Carlo estimators, rate fits."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -70,6 +71,20 @@ class TestStatistics:
                 t_statistic(bad)
         with pytest.raises(ValueError):
             r_statistic([1.0, 2.0], 1)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: t_statistic([1e308, 1e308, 1.0]),
+         "the total of 3 weights up to 1e+308 overflows float64"),
+        (lambda: t_statistic([1e200, 1.0]),
+         "t of a sample with values up to 1e+200 overflows float64"),
+        (lambda: r_statistic([1e200, 1.0], 2),
+         "r of a sample with values up to 1e+200 overflows float64"),
+        (lambda: r_statistic([1e100, 1e100], 4),
+         "r of a sample with values up to 1e+100 overflows float64"),
+    ], ids=["total", "t_square", "r_square", "r_power"])
+    def test_overflow_is_named(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_one_sample_is_one_row_of_the_kernel(self):
         spec = WeightSpec.pareto_shifted(3.5, 2, 1)

@@ -220,6 +220,8 @@ class TestWeightVector:
         ([math.inf, 1.0], "weight inf at index 0 is not finite"),
         ([1.0, 2.0, math.nan], "weight nan at index 2 is not finite"),
         ([1.0, -math.inf], "weight -inf at index 1 is not finite"),
+        ([1e308, 1e308, 1.0, 2.0],
+         "the total of 4 weights up to 1e\\+308 overflows float64"),
     ])
     def test_rejects_non_finite(self, values, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
