@@ -366,6 +366,14 @@ def conditional_rate_plugin(weights: WeightVector, k: int) -> float:
     return float((w @ w / w.sum()) ** k / (2 * k))
 
 
+def _refuse_past_cap(n: int, k: int) -> None:
+    """Refuse a bound study of k-cycles on n vertices whose candidates run
+    past ``cycles.DEFAULT_CANDIDATE_CAP``; k = 3 bound terms, and fewer
+    than k vertices, need no candidates."""
+    if k != 3 and n >= k:
+        _capped_count(n, k)
+
+
 def bound_report(spec: WeightSpec, n: int, k: int, replications: int,
                  seed) -> Tuple[BoundReport, List[BoundTerms]]:
     """Monte Carlo bound study over weight replications: the report and
@@ -378,8 +386,7 @@ def bound_report(spec: WeightSpec, n: int, k: int, replications: int,
     time: each draws its stream-0 weights and computes their terms before
     the next draws, so one weight vector is live at a time.
     """
-    if k != 3 and n >= k:
-        _capped_count(n, k)    # refused past the cap, before any draw
+    _refuse_past_cap(n, k)    # before any draw
     target = poisson_rate(analytic_moments(spec).ratio, k).lam
     if replications < 1:
         raise ValueError("replications must be at least 1")

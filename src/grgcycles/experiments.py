@@ -31,7 +31,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
-from .chen_stein import BoundTerms, bound_report
+from .chen_stein import BoundTerms, _refuse_past_cap, bound_report
 from .cycles import count_k_cycles
 from .graphs import GrgGraph, sample_grg
 from .poisson import EmpiricalPmf, QqTable, poisson_rate, qq_table, tv_distance
@@ -101,10 +101,9 @@ class ExperimentConfig:
 # Configuration files: INI sections per subcommand, flag overrides win
 # ---------------------------------------------------------------------------
 
-def _parse_grid(text) -> tuple:
-    tokens = (text.replace(" ", "").split(",") if isinstance(text, str)
-              else text)
-    return tuple(int(tok) for tok in tokens if tok != "")
+def _parse_grid(text: str) -> tuple:
+    # int() strips the spaces around a comma field and refuses an empty one
+    return tuple(int(field) for field in text.split(","))
 
 
 # key -> (converter, or None for a weight parameter; --flag help), flag order
@@ -358,9 +357,12 @@ def run_bounds(cfg: ExperimentConfig) -> BoundsResult:
     spec is reused unchanged at every n).
     """
     grid = _grid("n_grid", cfg.n_grid, cfg.k)
-    # every n's calibration first: a bad er_lambda fails before any bound
+    # every n's calibration and candidate count first: a bad er_lambda, or
+    # a size past the candidate cap, fails before any bound
     specs = [cfg.weight_spec() if cfg.er_lambda is None
              else er_constant_spec(n, cfg.er_lambda) for n in grid]
+    for n in grid:
+        _refuse_past_cap(n, cfg.k)
     reports = []
     all_rows = []
     for n, spec_n in zip(grid, specs):
@@ -418,21 +420,21 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
     if cfg.statistic not in ("t", "r"):
         raise ValueError("statistic must be 't' or 'r'")
     spec = cfg.weight_spec()
+    # the one choice of statistic: its estimator, its limit, the sizes of
+    # its exact two-point values and its own summary keys
     if cfg.statistic == "t":
+        estimate, own = estimate_t_moment, {}
         limit = analytic_moments(spec).ratio ** cfg.p
+        exact_grid = (2, 5, 10) if spec.family == "two_point" else ()
     else:
-        limit = 0.0
+        estimate, limit, exact_grid = estimate_r_moment, 0.0, ()
+        own = {"regimes": list(regimes(spec, cfg.p))}
     rows = []
     fit_points = []
     floored = []
     for idx, n in enumerate(grid):
-        seed_n = replication_seed(cfg.seed, idx, 2)
-        if cfg.statistic == "t":
-            est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n)
-        else:
-            est = estimate_r_moment(spec, n, cfg.p, cfg.replications,
-                                    seed_n)
+        est = estimate(spec, n, cfg.p, cfg.replications,
+                       replication_seed(cfg.seed, idx, 2))
         abs_error = abs(est.value - limit)
         rows.append((n, est.value, est.std_error, abs_error))
         if abs_error >= NOISE_FLOOR_FACTOR * est.std_error and abs_error > 0:
@@ -450,12 +452,11 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
                     if fit is not None
                     else "fewer than 4 positive-error points")
     exact_rows = []
-    if cfg.statistic == "t" and spec.family == "two_point":
-        for n in (2, 5, 10):
-            est = estimate_t_moment(spec, n, cfg.p, cfg.replications,
-                                    replication_seed(cfg.seed, n, 3))
-            exact_rows.append((n, exact_t_moment(spec, n, cfg.p),
-                               est.value, est.std_error))
+    for n in exact_grid:
+        est = estimate(spec, n, cfg.p, cfg.replications,
+                       replication_seed(cfg.seed, n, 3))
+        exact_rows.append((n, exact_t_moment(spec, n, cfg.p), est.value,
+                           est.std_error))
     summary = {
         "subcommand": "ratio",
         "statistic": cfg.statistic,
@@ -467,9 +468,8 @@ def run_ratio_study(cfg: ExperimentConfig) -> RatioStudyResult:
         **_fit_record(fit),
         "below_noise_floor": floored,
         "fit_note": fit_note,
+        **own,
     }
-    if cfg.statistic == "r":
-        summary["regimes"] = list(regimes(spec, cfg.p))
     stem = f"ratio_{cfg.statistic}_p{cfg.p}_seed{cfg.seed}"
     texts = {
         f"{stem}_estimates.csv": csv_text(

@@ -10,12 +10,16 @@ build it; ``tv_distance`` and the one quantile rule (the first outcome whose
 cumulative mass reaches the level less 1e-9) read nothing else.  A Poisson
 support runs from 0 to ``lam + 50 sqrt(lam) + 100``, refused past
 ``_MAX_OUTCOMES`` before it is allocated, and is cut where the cdf reaches
-1 - 1e-12.  Its masses are ``p(m+1) = p(m) lam / (m+1)`` and ``p(m-1) =
-p(m) m / lam`` out from the mode, divided by their sum: about 1e-14 from the
-exact pmf up to rate 1e5, where one ``lgamma`` per outcome is off by about
-``lam log(lam)`` rounding units, enough to move the cut.  An empirical law
-holds ascending outcome and count arrays from one ``np.unique``; its mean
-and variance are exact integer sums, each divided once.
+1 - 1e-12.  Its masses come from ``_masses``, the package's one rule for
+the masses of a law with one mode: the ratios ``p(m+1) = p(m) lam / (m+1)``
+and ``p(m-1) = p(m) m / lam`` multiplied out from the mode, one ``cumprod``
+per side, then divided by their sum.  They lie about 1e-14 from the exact
+pmf up to rate 1e5, where a log-space pmf with one ``lgamma`` per outcome
+is off by about ``lam log(lam)`` rounding units, enough to move the cut.
+``ratios.exact_t_moment`` builds its binomial weights by the same rule, and
+``mixed_poisson_pmf`` averages each rate's support masses.  An empirical
+law holds ascending outcome and count arrays from one ``np.unique``; its
+mean and variance are exact integer sums, each divided once.
 """
 
 from __future__ import annotations
@@ -41,6 +45,19 @@ _TAIL_MASS = 1e-12
 _MAX_OUTCOMES = 10**7    # 80 MB a float64 array: rates up to about 9.8e6
 
 
+def _masses(ratios: np.ndarray, mode: int) -> np.ndarray:
+    """The masses of a law on 0..len(ratios) - 1 with its mode at ``mode``,
+    built in place from ``ratios``: each entry the ratio of its mass to its
+    neighbour's nearer the mode (the mode's own entry is not read).  One
+    ``cumprod`` per side gives ``p(m) / p(mode)``; one division by their
+    sum normalizes them."""
+    ratios[mode] = 1.0
+    for side in (ratios[mode::-1], ratios[mode:]):
+        np.cumprod(side, out=side)
+    ratios /= ratios.sum()
+    return ratios
+
+
 class _Law:
     """A law on the nonnegative integers, read through its ``support``."""
 
@@ -62,8 +79,8 @@ class PoissonModel(_Law):
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("Poisson rate must be nonnegative")
+        if not self.lam >= 0:    # nan too
+            raise ValueError(f"Poisson rate must be nonnegative: {self.lam!r}")
 
     @cached_property
     def support(self) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -76,15 +93,12 @@ class PoissonModel(_Law):
                              f"would run to outcome {bound:.4g}, past the "
                              f"limit of {_MAX_OUTCOMES} outcomes")
         bound, mode = int(bound), int(lam)
-        # each entry the ratio of its mass to its neighbour's nearer the
-        # mode, and 1 at the mode: the cumprods then give p(m) / p(mode)
+        # p(m) / p(m + 1) = (m + 1) / lam left of the mode, p(m) / p(m - 1)
+        # = lam / m right of it
         pmf = np.arange(bound + 1, dtype=float)
         pmf[:mode] = pmf[1:mode + 1] / lam
         np.divide(lam, pmf[mode + 1:], out=pmf[mode + 1:])
-        pmf[mode] = 1.0
-        for side in (pmf[mode::-1], pmf[mode:]):
-            np.cumprod(side, out=side)
-        pmf /= pmf.sum()
+        pmf = _masses(pmf, mode)
         cdf = np.cumsum(pmf)
         cut = min(int(np.searchsorted(cdf, 1.0 - _TAIL_MASS)), bound)
         outcomes, pmf = np.arange(cut + 1), pmf[:cut + 1]
@@ -164,18 +178,18 @@ def poisson_rate(moment_ratio: float, k: int) -> PoissonModel:
 
 
 def mixed_poisson_pmf(rate_samples: Sequence[float], m: int) -> float:
-    """Monte Carlo pmf of a mixed Poisson law from sampled rates."""
+    """Monte Carlo pmf of a mixed Poisson law from sampled rates: the mean
+    over the rates of each one's ``PoissonModel`` support mass at ``m``,
+    0 past that support's cut."""
     arr = np.asarray(rate_samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one rate sample")
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):    # nan too
         raise ValueError("rate samples must be nonnegative")
     if m < 0:
         raise ValueError("outcome must be nonnegative")
-    # the log-pmf at each rate; rate 0 is the point mass at 0
-    return float(np.mean([
-        math.exp(-lam + m * math.log(lam) - math.lgamma(m + 1)) if lam
-        else float(m == 0) for lam in arr.tolist()]))
+    masses = (PoissonModel(lam).support[1] for lam in arr.tolist())
+    return float(np.mean([pmf[m] if m < pmf.size else 0.0 for pmf in masses]))
 
 
 def tv_distance(p, q) -> float:

@@ -11,9 +11,17 @@ rate governed by the tail: ``regimes(spec, p)`` names the decay regimes
 that the law's tail index (``WeightSpec.tail_index``) admits.  The module
 provides Monte Carlo estimators with standard errors, finite-n values for
 two-point laws (the outcome of ``t`` depends only on how many draws hit the
-larger atom, so a single binomial sum gives ``E t**p`` for any n), an
+first atom, so a single binomial sum gives ``E t**p`` for any n), an
 exponential lower-tail bound for sums of independent nonnegative variables,
 and least-squares rate fitting on log-log error points.
+
+Both statistics have one formula, ``_statistic``, a function of a sample's
+sum, sum of squares and (for ``r``) largest value.  The value rows of a
+Monte Carlo chunk (``_row_statistics``, which ``t_statistic`` and
+``r_statistic`` run on a one-row copy), the atom counts of a two-point
+chunk and the exact binomial sum all reach it.  The binomial weights come
+from ``poisson._masses``, the rule of the Poisson support, so the exact
+sum needs no log-gamma and is accurate to a few rounding units.
 
 A Monte Carlo estimate is cut into chunks of whole replications, and
 ``replication._on_stream`` runs the chunks in parts on threads.  Every
@@ -26,7 +34,7 @@ bit-identical for any CPU count, and its standard error keeps its digits.
 A two-point chunk draws the same uniforms but is reduced to atom counts:
 per replication, the number of draws with ``u < p1`` (the ``x1`` hits,
 decided as :func:`.weights.draw` decides them) gives the sums, the maximum
-and so the statistic through ``_two_point_values``, the formula that
+and so the statistic through ``_two_point_values``, which
 ``exact_t_moment`` evaluates over every count.  Where the atom sums are
 exact in binary the estimate has the bytes of the value path
 (``draw`` and ``_row_statistics``); otherwise it may differ in its last
@@ -42,6 +50,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .poisson import _masses
 from .replication import _on_stream
 from .weights import WeightSpec, WeightVector, analytic_moments, draw
 
@@ -105,16 +114,23 @@ class TailBoundCheck:
         return self.probability <= self.bound_value
 
 
+def _statistic(s1, s2, mx, p: int):
+    """``t**p`` of samples with sums ``s1`` and sums of squares ``s2``, or
+    ``r`` if their maxima ``mx`` are given (None for ``t``): the one formula
+    of both statistics, on numbers or on arrays of them."""
+    v = (s2 / s1) ** p
+    if mx is not None:
+        v = v * mx * mx / s1
+    return v
+
+
 def _row_statistics(x: np.ndarray, p: int, statistic: str) -> np.ndarray:
     """``t**p`` (statistic ``"t"``) or ``r`` of every row of the 2-d array
     ``x``, which it overwrites: squaring in place keeps one array, not two."""
     s = x.sum(axis=1)
     mx = x.max(axis=1) if statistic == "r" else None
     x *= x
-    v = (x.sum(axis=1) / s) ** p
-    if mx is not None:
-        v = v * mx * mx / s
-    return v
+    return _statistic(s, x.sum(axis=1), mx, p)
 
 
 def _one_sample(xs, p: int, statistic: str) -> float:
@@ -157,35 +173,32 @@ def regimes(spec: WeightSpec, p: int) -> Tuple[str, ...]:
 # Finite-n values for two-point laws
 # ---------------------------------------------------------------------------
 
-def _two_point_values(spec: WeightSpec, n: int, hits, p: int,
-                      statistic: str):
-    """``t**p`` (statistic ``"t"``) or ``r`` of a two-point sample of ``n``
-    draws of which ``hits`` take ``x1`` and the rest ``x2``; ``hits`` is an
-    int or an integer array, and the value has its shape.
-
-    The sums are those of the drawn values, counted: ``hits * x1 + misses *
-    x2`` and the same over the squared atoms.
-    """
+def _two_point_values(spec: WeightSpec, n: int, hits: np.ndarray, p: int,
+                      statistic: str) -> np.ndarray:
+    """``t**p`` (statistic ``"t"``) or ``r`` of two-point samples of ``n``
+    draws, ``hits`` (an integer array) of which take ``x1`` and the rest
+    ``x2``: ``_statistic`` of the sums of the drawn values, counted, as
+    ``hits * x1 + misses * x2`` and the same over the squared atoms."""
     x1, x2 = spec.x1, spec.x2
     misses = n - hits
-    s1 = hits * x1 + misses * x2
-    v = ((hits * (x1 * x1) + misses * (x2 * x2)) / s1) ** p
-    if statistic == "r":
-        # the larger atom that was hit
-        mx = np.where(hits == 0, x2, np.where(misses == 0, x1, max(x1, x2)))
-        v = v * mx * mx / s1
-    return v
+    # the larger atom that was hit
+    mx = (np.where(hits == 0, x2, np.where(misses == 0, x1, max(x1, x2)))
+          if statistic == "r" else None)
+    return _statistic(hits * x1 + misses * x2,
+                      hits * (x1 * x1) + misses * (x2 * x2), mx, p)
 
 
 def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
-    """``E t**p`` for a two-point (or constant) law, to about 1e-12.
+    """``E t**p`` for a two-point (or constant) law.
 
     Exchangeability reduces the 2^n outcomes to a binomial sum over the
-    count of draws hitting the second atom, summed in floating point from
-    ``lgamma`` log-probabilities (the exact rational sum is the test
-    oracle ``oracles.exact_t_moment_fraction``).  Each count's ``t**p``
-    comes from ``_two_point_values``, the formula of the Monte Carlo
-    estimator.
+    count of draws hitting the first atom.  Its weights come from
+    ``poisson._masses``, the rule of the Poisson support: the ratios of
+    neighbouring binomial masses multiplied out from the mode, then
+    normalized.  Each count's ``t**p`` comes from ``_two_point_values``,
+    the formula of the Monte Carlo estimator, and the products are summed
+    by ``math.fsum`` (the exact rational sum is the test oracle
+    ``oracles.exact_t_moment_fraction``).
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
@@ -193,16 +206,17 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
         return spec.value ** p
     if spec.family != "two_point":
         raise ValueError("exact evaluation covers two_point and constant laws")
-    # log P(x1) and log P(x2) = log(1 - p1)
-    log1, log2 = math.log(spec.p1), math.log1p(-spec.p1)
-    log_n = math.lgamma(n + 1)
-    terms = []
-    for j in range(n + 1):        # j draws hit x2
-        log_pmf = (log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-                   + j * log2 + (n - j) * log1)
-        terms.append(math.exp(log_pmf)
-                     * _two_point_values(spec, n, n - j, p, "t"))
-    return math.fsum(terms)
+    p1, p2 = spec.p1, 1.0 - spec.p1
+    hits = np.arange(n + 1)
+    mode = min(int((n + 1) * p1), n)
+    # P(h) / P(h + 1) = (h + 1) p2 / ((n - h) p1) left of the mode,
+    # P(h) / P(h - 1) = (n - h + 1) p1 / (h p2) right of it
+    ratios = hits.astype(float)
+    left, right = ratios[:mode], ratios[mode + 1:]
+    ratios[:mode] = (left + 1) * p2 / ((n - left) * p1)
+    ratios[mode + 1:] = (n + 1 - right) * p1 / (right * p2)
+    terms = _masses(ratios, mode) * _two_point_values(spec, n, hits, p, "t")
+    return math.fsum(terms.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,15 @@ class WeightSpec:
     def __post_init__(self):
         if self.family not in _PARAMETERS:
             raise WeightSpecError(f"unknown weight family {self.family!r}")
+        # every range check below compares false for nan: refuse it first
+        for key in _PARAMETERS[self.family]:
+            value = getattr(self, key)
+            entries = [float(v) for v in (
+                value if self.family == "empirical" else (value,))]
+            if not all(map(isfinite, entries)):
+                raise WeightSpecError(
+                    f"{self.family} weights: {key} = "
+                    f"{','.join(map(repr, entries))} is not finite")
         if self.family == "constant":
             if self.value <= 0:
                 raise WeightSpecError("constant weight must be positive")

@@ -14,15 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grgcycles import cli, experiments, ratios
+from grgcycles import chen_stein, cli, experiments, ratios
 from grgcycles.chen_stein import BoundTerms, bound_report
-from grgcycles.cycles import candidate_count
+from grgcycles.cycles import CandidateCapError, candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    load_config, map_replications,
                                    replication_seed, run_bounds, run_census,
                                    run_ratio_study, run_threshold)
 from grgcycles.graphs import GrgGraph
-from grgcycles.weights import InfiniteMomentError, WeightSpec
+from grgcycles.weights import InfiniteMomentError, WeightSpec, sample_weights
 from cpu_parts import force_parts
 
 PARETO = WeightSpec.pareto_shifted(9.5, 10, 1)
@@ -124,6 +124,10 @@ class TestConfig:
     @pytest.mark.parametrize("key,value,kind", [
         ("n", "abc", "an integer"),
         ("n_grid", "10,x", "a comma separated list of integers"),
+        # a space is not a comma: not the one size 64128
+        ("n_grid", "64 128", "a comma separated list of integers"),
+        ("n_grid", "8,,16", "a comma separated list of integers"),
+        ("n_grid", "8,16,", "a comma separated list of integers"),
         ("er_lambda", "six", "a number"),
     ])
     def test_bad_value_names_its_key(self, tmp_path, capsys, key, value,
@@ -142,6 +146,12 @@ class TestConfig:
         assert cli.main([command, "--family", "constant", "--value", "1",
                          flag, value]) == 2
         assert re.search(match, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["8, 16", " 8 ,16 ", "8,\t16"])
+    def test_grid_fields_may_carry_spaces(self, text):
+        cfg = load_config(None, "ratio", {"family": "constant", "value": "1",
+                                          "n_grid": text})
+        assert cfg.n_grid == (8, 16)
 
 
 # one valid setting per config key, with the weight keys its value needs
@@ -506,6 +516,27 @@ class TestBoundsRunner:
         with pytest.raises(ValueError, match=r"er_lambda=6\.0 is not below n=4"):
             run_bounds(cfg)
 
+    def test_size_past_the_cap_fails_before_any_draw(self, monkeypatch):
+        """Every size is checked against the candidate cap before the first
+        bound: the last one, past it, stops the study before a weight is
+        drawn."""
+        drawn = []
+
+        def counting(spec, n, seed):
+            drawn.append(n)
+            return sample_weights(spec, n, seed)
+
+        monkeypatch.setattr(chen_stein, "sample_weights", counting)
+        cfg = ExperimentConfig(spec=PARETO, k=4, n_grid=(8, 10, 12, 300),
+                               replications=2, seed=1)
+        with pytest.raises(CandidateCapError, match="^[0-9]+ candidate "
+                           "4-cycles on n=300 exceed the cap"):
+            run_bounds(cfg)
+        assert drawn == []
+        # the same study without its last size draws, and is counted
+        run_bounds(dataclasses.replace(cfg, n_grid=(8, 10, 12)))
+        assert drawn == [8, 8, 10, 10, 12, 12]
+
 
 class TestRatioRunner:
     def test_t_study_with_exact_rows(self, config_file, tmp_path):
@@ -790,6 +821,24 @@ class TestCli:
             "grgcycles bounds: error: 274170 candidate 4-cycles on n=40 "
             "exceed the cap of 200000 (k = 3 bound terms need no "
             "candidates)\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ratio", "--family", "pareto_shifted", "--shape", "nan", "--scale",
+          "1", "--loc", "1", "--statistic", "r", "--n-grid", "4,8",
+          "--replications", "1000"],
+         "pareto_shifted weights: shape = nan is not finite"),
+        (["moments", "--family", "pareto_shifted", "--shape", "nan",
+          "--scale", "10", "--loc", "1"],
+         "pareto_shifted weights: shape = nan is not finite"),
+        (["sample", "--family", "empirical", "--values", "1,2", "--probs",
+          "nan,0.5", "--n", "5"],
+         "empirical weights: probs = nan,0.5 is not finite"),
+    ], ids=["ratio", "moments", "sample"])
+    def test_non_finite_weight_parameter_named(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"grgcycles {argv[0]}: error: {message}\n"
 
     @pytest.mark.parametrize("command,flag", [("census", "--bogus"),
                                               ("bounds", "--candidate-cap")])

@@ -150,3 +150,32 @@ def test_replication_alone_splits_draw_streams():
     # the owner's own uses are seen, so the check is not blind
     assert {("replication.py", name) for name in (
         "advance", "_part_count", "_on_threads")} <= found
+
+
+def lgamma_uses(path):
+    """Each line of ``path`` that names ``lgamma`` or ``gammaln`` (as a
+    name, an attribute or an import)."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("lgamma", "gammaln"):
+            lines.add(node.lineno)
+    return lines
+
+
+def test_no_module_calls_lgamma():
+    """Every exact law takes its masses from ``poisson._masses``, neighbour
+    ratios multiplied out from the mode: no package file names ``lgamma``,
+    so a second, log-space rule for masses cannot come back unseen."""
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := lgamma_uses(path))}
+    assert not found, f"lgamma is named in {found}"
+    # the test oracle's log-space pmf is seen, so the check is not blind
+    assert lgamma_uses(Path(__file__).with_name("oracles.py"))

@@ -185,6 +185,20 @@ class TestMixedPmf:
         with pytest.raises(ValueError):
             mixed_poisson_pmf([], 0)
 
+    def test_matches_the_lgamma_mixture(self):
+        """Each rate's support masses, averaged: the log-space oracle pmf
+        of each rate up to its support's cut, 0 past it."""
+        rates = [0.0, 0.5, 3.0, 40.0, 311.69408]
+        cuts = [PoissonModel(lam).support[0][-1] for lam in rates]
+        for m in range(max(cuts) + 3):
+            want = float(np.mean([poisson_pmf(lam, m)[0] if m <= cut else 0.0
+                                  for lam, cut in zip(rates, cuts)]))
+            got = mixed_poisson_pmf(rates, m)
+            if want > 1e-300:
+                assert got == pytest.approx(want, rel=1e-12, abs=0), m
+            elif want == 0:
+                assert got == 0.0, m
+
 
 class TestTvDistance:
     def test_identical_laws(self):
@@ -379,7 +393,14 @@ class TestTruncatedPmfOnce:
     (lambda: mixed_poisson_pmf([1.0, -0.5], 0),
      "rate samples must be nonnegative"),
     (lambda: mixed_poisson_pmf([1.0], -1), "outcome must be nonnegative"),
-], ids=["negative_rate", "mixed_rates", "mixed_outcome"])
+    # every comparison with nan is false: it is refused by name, not taken
+    # for a rate too large for its support
+    (lambda: PoissonModel(math.nan),
+     "^Poisson rate must be nonnegative: nan$"),
+    (lambda: mixed_poisson_pmf([1.0, math.nan], 0),
+     "^rate samples must be nonnegative$"),
+], ids=["negative_rate", "mixed_rates", "mixed_outcome", "nan_rate",
+        "mixed_nan_rate"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()

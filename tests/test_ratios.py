@@ -151,12 +151,21 @@ class TestExactMoment:
                                       WeightSpec.two_point(3, 0.5, 0.01)],
                              ids=["1-2", "1-60", "3-0.5"])
     def test_matches_fraction_oracle(self, spec):
-        # the float sum's error grows with n through lgamma's magnitude
+        # tolerances from the log-space sum this replaced, whose error grew
+        # with n through lgamma's magnitude; the ratio-built masses keep
+        # every case within about a fifth of them
         for n, rel in ((1, 1e-15), (2, 1e-15), (5, 1e-14), (10, 1e-14),
                        (64, 1e-13), (200, 1e-12)):
             for p in (1, 3):
                 assert exact_t_moment(spec, n, p) == pytest.approx(
                     exact_t_moment_fraction(spec, n, p), rel=rel, abs=0)
+
+    @pytest.mark.parametrize("n", [1000, 4096])
+    def test_large_n_to_the_last_bits(self, n):
+        # the masses multiplied out from the mode and an fsum keep a few
+        # rounding units where lgamma log-probabilities lost about 1e-12
+        assert exact_t_moment(TWO_POINT, n, 3) == pytest.approx(
+            exact_t_moment_fraction(TWO_POINT, n, 3), rel=1e-14, abs=0)
 
     def test_matches_bruteforce_oracle(self):
         for n in (2, 5, 10):

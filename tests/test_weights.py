@@ -32,6 +32,15 @@ def pareto_affine_moments(shape, scale, loc):
     return float(mean), float(second)
 
 
+# one finite setting of each family's parameters
+FINITE = {
+    "constant": {"value": "2"},
+    "pareto_shifted": {"shape": "9.5", "scale": "10", "loc": "1"},
+    "two_point": {"x1": "1", "x2": "3", "p1": "0.25"},
+    "empirical": {"values": "1,2", "probs": "0.5,0.5"},
+}
+
+
 class TestSpecValidation:
     def test_families(self):
         WeightSpec.constant(2.0)
@@ -56,6 +65,31 @@ class TestSpecValidation:
     def test_invalid_specs(self, bad):
         with pytest.raises(WeightSpecError):
             bad()
+
+    @pytest.mark.parametrize("family,key,text,shown", [
+        ("constant", "value", "nan", "nan"),
+        ("constant", "value", "inf", "inf"),
+        ("pareto_shifted", "shape", "nan", "nan"),
+        ("pareto_shifted", "shape", "inf", "inf"),
+        ("pareto_shifted", "scale", "nan", "nan"),
+        ("pareto_shifted", "scale", "inf", "inf"),
+        ("pareto_shifted", "loc", "nan", "nan"),
+        ("pareto_shifted", "loc", "inf", "inf"),
+        ("two_point", "x1", "nan", "nan"),
+        ("two_point", "x2", "inf", "inf"),
+        ("two_point", "p1", "nan", "nan"),
+        ("empirical", "values", "1,nan", "1.0,nan"),
+        ("empirical", "values", "inf,2", "inf,2.0"),
+        ("empirical", "probs", "nan,0.5", "nan,0.5"),
+        ("empirical", "probs", "0.5,inf", "0.5,inf"),
+    ])
+    def test_non_finite_parameter_named(self, family, key, text, shown):
+        # every range check compares false for nan, and inf passes a
+        # positivity check: each is refused by name first
+        mapping = {**FINITE[family], "family": family, key: text}
+        message = f"{family} weights: {key} = {shown} is not finite"
+        with pytest.raises(WeightSpecError, match=f"^{re.escape(message)}$"):
+            WeightSpec.from_mapping(mapping)
 
     def test_empirical_renormalizes(self):
         spec = WeightSpec.empirical([1, 2], [2, 6])
