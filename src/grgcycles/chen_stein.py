@@ -276,15 +276,16 @@ def _edge_matrix(weights: WeightVector) -> np.ndarray:
 
 def _candidate_arrays(weights: WeightVector, k: int):
     """Sorted edge-id rows of the candidates, their probabilities and the
-    edge probabilities."""
+    edge probabilities.  Every vertex pair is an edge of some candidate, so
+    the edge ids number the pairs (u, v), u < v, in row-major order."""
     n = len(weights)
     cands = _candidate_rows(n, k)
     tails = np.roll(cands, -1, axis=1)
-    raw_ids = np.minimum(cands, tails) * n + np.maximum(cands, tails)
-    uniq, rows = np.unique(raw_ids, return_inverse=True)
-    rows = np.sort(rows.reshape(cands.shape), axis=1)
+    u, v = np.minimum(cands, tails), np.maximum(cands, tails)
+    rows = np.sort(u * (2 * n - u - 1) // 2 + v - u - 1, axis=1)
     w = weights.values
-    prod = w[uniq // n] * w[uniq % n]
+    first, second = np.triu_indices(n, 1)
+    prod = w[first] * w[second]
     p_edge = prod / (weights.total + prod)
     p_cand = p_edge[rows].prod(axis=1)
     return rows, p_cand, p_edge
@@ -293,24 +294,39 @@ def _candidate_arrays(weights: WeightVector, k: int):
 def _bound_terms(edge_rows, p_cand, p_edge) -> Tuple[float, float]:
     """b1 and b2 over the candidate set by the inclusion-exclusion identity
     of the module docstring; ``- q_F`` drops the self pairs, so a lone cycle
-    has b2 = 0 exactly.  Inputs are ``_candidate_arrays``.  The edge sets F
-    are grouped by size and keyed by their sorted edge ids as base-m digits.
+    has b2 = 0 exactly.  Inputs are ``_candidate_arrays``.
+
+    Any k - 1 edges of a k-cycle fix it, so an edge set F of k - 1 or k
+    edges lies in one candidate alone: ``s_F = p_a`` and ``s_F**2 = q_F``,
+    and those sizes add ``(-1)**k (k - 1) sum_a p_a**2`` to b1 and nothing
+    to b2.  The sizes below are keyed by their sorted edge ids as base-m
+    digits, and the sums grouped by key.  The keys that occur come from
+    ``np.unique``, or, where there are no more possible keys than keys (as
+    for single edges, whose keys are their ids), from one bin per possible
+    key without a sort: the same keys in the same order either way, so the
+    grouped sums keep their bits.
     """
     nc, k = edge_rows.shape
     base = p_edge.size
-    if base ** k > np.iinfo(np.int64).max:
-        raise ValueError(f"edge-set keys of {k} digits in base {base} "
+    if base ** (k - 2) > np.iinfo(np.int64).max:
+        raise ValueError(f"edge-set keys of {k - 2} digits in base {base} "
                          "overflow int64")
     odds = 1.0 / p_edge - 1.0
-    b1 = 0.0
+    squares = p_cand ** 2
+    b1 = (-1) ** k * (k - 1) * float(squares.sum())
     b2 = 0.0
-    for size in range(1, k + 1):
+    for size in range(1, k - 1):
         subsets = list(combinations(range(k), size))
         powers = base ** np.arange(size - 1, -1, -1, dtype=np.int64)
         keys = np.concatenate([edge_rows[:, cols] @ powers for cols in subsets])
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        if base ** size <= keys.size:
+            occurs = np.bincount(keys, minlength=base ** size) > 0
+            uniq = np.flatnonzero(occurs)
+            inverse = (np.cumsum(occurs) - 1)[keys]
+        else:
+            uniq, inverse = np.unique(keys, return_inverse=True)
         s = np.bincount(inverse, np.tile(p_cand, len(subsets)), uniq.size)
-        q = np.bincount(inverse, np.tile(p_cand ** 2, len(subsets)), uniq.size)
+        q = np.bincount(inverse, np.tile(squares, len(subsets)), uniq.size)
         odds_prod = odds[uniq[:, None] // powers % base].prod(axis=1)
         sign = 1.0 if size % 2 else -1.0
         s *= s

@@ -198,25 +198,39 @@ def exact_t_moment(spec: WeightSpec, n: int, p: int) -> float:
     normalized.  Each count's ``t**p`` comes from ``_two_point_values``,
     the formula of the Monte Carlo estimator, and the products are summed
     by ``math.fsum`` (the exact rational sum is the test oracle
-    ``oracles.exact_t_moment_fraction``).
+    ``oracles.exact_t_moment_fraction``).  A law whose ``t**p`` overflows
+    float64 is refused, naming its largest atom, as ``t_statistic`` refuses
+    a sample.
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be positive")
     if spec.family == "constant":
-        return spec.value ** p
-    if spec.family != "two_point":
+        largest = spec.value
+        try:
+            moment = spec.value ** p
+        except OverflowError:   # a float power out of range
+            moment = math.inf
+    elif spec.family == "two_point":
+        largest = max(spec.x1, spec.x2)
+        p1, p2 = spec.p1, 1.0 - spec.p1
+        hits = np.arange(n + 1)
+        mode = min(int((n + 1) * p1), n)
+        # P(h) / P(h + 1) = (h + 1) p2 / ((n - h) p1) left of the mode,
+        # P(h) / P(h - 1) = (n - h + 1) p1 / (h p2) right of it
+        ratios = hits.astype(float)
+        left, right = ratios[:mode], ratios[mode + 1:]
+        ratios[:mode] = (left + 1) * p2 / ((n - left) * p1)
+        ratios[mode + 1:] = (n + 1 - right) * p1 / (right * p2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _masses(ratios, mode) * _two_point_values(spec, n, hits,
+                                                              p, "t")
+        moment = math.fsum(terms.tolist())
+    else:
         raise ValueError("exact evaluation covers two_point and constant laws")
-    p1, p2 = spec.p1, 1.0 - spec.p1
-    hits = np.arange(n + 1)
-    mode = min(int((n + 1) * p1), n)
-    # P(h) / P(h + 1) = (h + 1) p2 / ((n - h) p1) left of the mode,
-    # P(h) / P(h - 1) = (n - h + 1) p1 / (h p2) right of it
-    ratios = hits.astype(float)
-    left, right = ratios[:mode], ratios[mode + 1:]
-    ratios[:mode] = (left + 1) * p2 / ((n - left) * p1)
-    ratios[mode + 1:] = (n + 1 - right) * p1 / (right * p2)
-    terms = _masses(ratios, mode) * _two_point_values(spec, n, hits, p, "t")
-    return math.fsum(terms.tolist())
+    if not math.isfinite(moment):
+        raise ValueError(f"E t**{p} of {spec.family} weights up to "
+                         f"{largest!r} overflows float64")
+    return moment
 
 
 # ---------------------------------------------------------------------------

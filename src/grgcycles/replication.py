@@ -23,6 +23,15 @@ the other way round, the peak RSS rose by 0.33 MB in a two-point ratio
 study (n = 64 and 4096) and by 0.7 MB in a census of n = 2000 graphs.
 ``_on_threads`` runs part 0 on the calling thread and the rest on helper
 threads, all joined before the results come back in unit order.
+
+Part k runs on the k-th CPU of the set that ``_part_count`` counts, alone:
+its thread's affinity mask is that one CPU while it runs, and the caller's
+own mask comes back after part 0.  Where the kernel does not balance load
+across CPUs (a cpuset with ``sched_load_balance = 0``), a helper can start
+on its creator's CPU and stay there, so unplaced parts can time-share the
+caller's one core while the others idle.  A part whose CPU cannot be set
+(no ``os.sched_setaffinity``, or an ``OSError`` because the CPU has left
+the set) runs where it is; no draw depends on where a part runs.
 """
 
 from __future__ import annotations
@@ -79,6 +88,14 @@ def map_replications(job: Callable, units: Iterable,
         return list(pool.map(job, units, chunksize=chunksize))
 
 
+def _cpus() -> list:
+    """The CPUs this process may use, in ascending order: its affinity
+    mask, or all ``os.cpu_count()`` where the OS keeps none."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
 def _part_count() -> int:
     """Parts to cut one unit of work into, at most: one per CPU this
     process may use, but one in a pool worker of the replication map, so
@@ -88,22 +105,45 @@ def _part_count() -> int:
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.parent_process() is not None:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(_cpus())
+
+
+def _on_cpu(cpu: int, job: Callable, k: int):
+    """``job(k)`` on this thread with its affinity mask set to ``cpu``
+    alone, and the thread's own mask restored after it; where the mask
+    cannot be set, ``job(k)`` where the thread is."""
+    if not hasattr(os, "sched_setaffinity"):
+        return job(k)
+    mask = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, (cpu,))
+    except OSError:
+        return job(k)
+    try:
+        return job(k)
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def _on_threads(job: Callable, parts: int) -> list:
     """``[job(k) for k in range(parts)]``, part 0 on this thread and each
-    other part on a helper thread.  Every helper is joined before this
+    other part on a helper thread, part k on the k-th CPU of ``_cpus()``
+    (see the module docstring).  Every helper is joined before this
     returns, and a helper's exception is raised here."""
     if parts == 1:
         return [job(0)]
     # imported here: it costs about 10 ms, and one part never needs it
     from concurrent.futures import ThreadPoolExecutor
+    cpus = _cpus()
+
+    def placed(k):
+        return _on_cpu(cpus[k % len(cpus)], job, k)
+
+    # the helpers start before this thread is placed, so a helper that
+    # cannot place itself keeps the caller's whole mask, not part 0's CPU
     with ThreadPoolExecutor(parts - 1) as helpers:
-        rest = [helpers.submit(job, k) for k in range(1, parts)]
-        return [job(0)] + [future.result() for future in rest]
+        rest = [helpers.submit(placed, k) for k in range(1, parts)]
+        return [placed(0)] + [future.result() for future in rest]
 
 
 def _on_stream(job: Callable, seed, offsets: np.ndarray, chunk: int,

@@ -8,11 +8,13 @@ path cannot reach against the second-order expansion of the gap to the
 plug-in rate.
 """
 
+import math
 import re
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from grgcycles import chen_stein
 from grgcycles.chen_stein import (BoundTerms, bound_report,
                                   conditional_rate_exact,
                                   conditional_rate_plugin, exact_bound_terms,
-                                  _bound_terms, _dense_terms, _edge_forms,
-                                  _series_length)
+                                  _bound_terms, _candidate_arrays,
+                                  _dense_terms, _edge_forms, _series_length)
 from grgcycles.cycles import CandidateCapError, candidate_count
 from grgcycles.graphs import GrgGraph
 from grgcycles.weights import (WeightSpec, WeightVector, moment,
@@ -48,6 +50,25 @@ def oracle_bound_terms(weights, k):
             b1 += pa * cycle_probability(weights, beta)
             if beta != alpha:
                 b2 += pair_probability(weights, alpha, beta)
+    return b1, b2
+
+
+def grouped_bound_terms(rows, p_cand, p_edge):
+    """b1 and b2 by the Mobius sums of the ``chen_stein`` docstring, with
+    the sums s_F and q_F of every nonempty edge set F of every candidate
+    grouped in a dict."""
+    s, q = defaultdict(float), defaultdict(float)
+    for row, p in zip(rows.tolist(), p_cand.tolist()):
+        for size in range(1, len(row) + 1):
+            for edges in combinations(row, size):
+                s[edges] += p
+                q[edges] += p * p
+    b1 = b2 = 0.0
+    for edges, total in s.items():
+        sign = 1.0 if len(edges) % 2 else -1.0
+        odds = math.prod(1.0 / p_edge[e] - 1.0 for e in edges)
+        b1 += sign * total * total
+        b2 += (odds + sign) * (total * total - q[edges])
     return b1, b2
 
 
@@ -150,10 +171,25 @@ class TestExactBoundTerms:
         assert exact_bound_terms(wv, 3, method="candidates").b2 == 0.0
 
     def test_edge_set_key_overflow_raises(self):
-        # 2**16 edges: keys of four base-2**16 digits would need 64 bits
-        with pytest.raises(ValueError, match="overflow int64"):
-            _bound_terms(np.arange(4).reshape(1, 4), np.array([0.5 ** 4]),
+        # 2**16 edges: a 6-cycle groups edge sets of up to four edges, and
+        # keys of four base-2**16 digits would need 64 bits
+        with pytest.raises(ValueError, match="^edge-set keys of 4 digits in "
+                           "base 65536 overflow int64$"):
+            _bound_terms(np.arange(6).reshape(1, 6), np.array([0.5 ** 6]),
                          np.full(2 ** 16, 0.5))
+
+    @pytest.mark.parametrize("k,n", [(3, 8), (4, 8), (5, 8), (6, 8)])
+    def test_large_edge_sets_match_the_grouped_sum(self, k, n):
+        """The closed form for edge sets of k - 1 and k edges, each in one
+        candidate alone, against the Mobius sums with every edge set of
+        every size grouped by its edges."""
+        for seed in range(3):
+            wv = sample_weights(WeightSpec.pareto_shifted(2.5, 1, 0.5), n,
+                                seed)
+            arrays = _candidate_arrays(wv, k)
+            b1, b2 = grouped_bound_terms(*arrays)
+            terms = _bound_terms(*arrays)
+            assert terms == pytest.approx((b1, b2), rel=1e-12, abs=0)
 
     def test_candidates_match_dense_on_heavy_tail(self):
         wv = sample_weights(WeightSpec.pareto_shifted(2.5, 1, 0.5), 25, seed=4)

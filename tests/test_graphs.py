@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import os
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -608,6 +610,66 @@ class TestSamplerStream:
         assert replication._on_threads(job, 2) == [0, 1]
         with pytest.raises(KeyError):
             replication._on_threads(job, 4)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the OS keeps no affinity masks")
+    @pytest.mark.parametrize("failing", [None, 0, 1])
+    def test_each_part_runs_on_a_cpu_of_its_own(self, monkeypatch, failing):
+        """With the real masks: part k runs under the k-th CPU of the
+        caller's set alone, and the caller's mask comes back after the
+        parts, also when one raises."""
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("one CPU runs one part")
+        before = os.sched_getaffinity(0)
+        setaffinity = os.sched_setaffinity
+        calls = []
+
+        def recording(pid, mask):
+            calls.append((threading.get_ident(), set(mask)))
+            setaffinity(pid, mask)
+
+        monkeypatch.setattr(os, "sched_setaffinity", recording)
+
+        def job(part):
+            if part == failing:
+                raise KeyError(part)
+            return os.sched_getaffinity(0)
+
+        parts = min(len(cpus), 3)
+        if failing is None:
+            assert replication._on_threads(job, parts) == [
+                {cpu} for cpu in cpus[:parts]]
+        else:
+            with pytest.raises(KeyError):
+                replication._on_threads(job, 2)
+        assert os.sched_getaffinity(0) == before
+        # the caller placed itself once and restored its mask once
+        caller = [mask for ident, mask in calls
+                  if ident == threading.get_ident()]
+        assert caller == [{cpus[0]}, before]
+
+    def test_unplaceable_parts_give_the_same_bytes(self, monkeypatch):
+        """Where no part can be placed (here three CPUs that the OS
+        refuses), every part runs where it is, with the same results."""
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 7)
+        weights = WeightVector.from_values(
+            parity_weights(40, seed=1)["pareto1.5"])
+        one = sample_grg(weights, 2)
+        used = []
+
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(3),
+                            raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        on_threads = replication._on_threads
+        monkeypatch.setattr(replication, "_on_threads",
+                            lambda job, parts: used.append(parts)
+                            or on_threads(job, parts))
+        assert_same_graph(sample_grg(weights, 2), one)
+        assert used == [3]
 
     @pytest.mark.parametrize("seed", [np.random.default_rng(3),
                                       np.random.PCG64(3)],

@@ -65,12 +65,16 @@ def test_every_config_key_has_one_owner():
         COMMAND_KEYS.values()))
 
 
+AFFINITY = ("os.sched_getaffinity", "os.sched_setaffinity")
+
+
 def test_replication_alone_runs_threads_and_processes():
     """``replication`` is the one owner of the package's parallelism: no
     other file imports ``concurrent.futures``, ``threading`` or
-    ``multiprocessing`` (by statement or by name) or reads
-    ``os.sched_getaffinity``, so a second thread or process map cannot
-    come back unseen."""
+    ``multiprocessing`` (by statement or by name) or reads or sets
+    ``os.sched_getaffinity`` or ``os.sched_setaffinity``, so a second
+    thread or process map, or a second rule for placing threads on CPUs,
+    cannot come back unseen."""
     modules = {"concurrent", "threading", "multiprocessing"}
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -89,13 +93,12 @@ def test_replication_alone_runs_threads_and_processes():
                 continue
             found.update((path.name, name) for name in names
                          if name.split(".")[0] in modules
-                         or name == "os.sched_getaffinity")
+                         or name in AFFINITY)
     outside = sorted(item for item in found if item[0] != "replication.py")
     assert not outside, f"only replication.py may use {outside}"
     # the owner's own uses are seen, so the check is not blind
     assert {("replication.py", name) for name in (
-        "concurrent.futures", "multiprocessing", "os.sched_getaffinity")
-    } <= found
+        "concurrent.futures", "multiprocessing", *AFFINITY)} <= found
 
 
 def test_census_alone_maps_over_processes():

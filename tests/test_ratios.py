@@ -181,6 +181,16 @@ class TestExactMoment:
         with pytest.raises(ValueError):
             exact_t_moment(WeightSpec.pareto_shifted(9.5, 10, 1), 4, 2)
 
+    @pytest.mark.parametrize("spec,message", [
+        (WeightSpec.constant(1e200),
+         "E t**2 of constant weights up to 1e+200 overflows float64"),
+        (WeightSpec.two_point(1, 1e200, 0.5),
+         "E t**2 of two_point weights up to 1e+200 overflows float64"),
+    ], ids=["constant", "two_point"])
+    def test_overflow_is_named(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exact_t_moment(spec, 3, 2)
+
 
 class TestMonteCarloT:
     def test_matches_exact_within_tolerance(self):
