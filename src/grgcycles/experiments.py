@@ -1,11 +1,12 @@
 """Experiment harness: configuration, studies and their output files.
 
 The census runs on the one replication map of :mod:`.replication`, which
-this module re-exports with ``replication_seed``.  Reproducibility
+this module re-exports with ``replication_seed``: at most ``workers``
+threads and one per CPU, each on a CPU of its own.  Reproducibility
 contract: every replication draws from generators seeded by
 ``SeedSequence(master_seed, spawn_key=(replication, stream))`` with stream 0
 for weights and stream 1 for the graph.  A census unit is one replication,
-whose count does not depend on the process that computes it; the counts
+whose count does not depend on the thread that computes it; the counts
 come back in unit order and are aggregated in that order, so the outputs
 are byte-identical for any worker count.  The bound and ratio studies take
 no worker count.  A bound study runs its replications in this process,
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -116,7 +116,8 @@ CONFIG_KEYS = {
     "p": (int, "ratio statistic power"),
     "replications": (int, "number of replications"),
     "seed": (int, "master seed"),
-    "workers": (int, "census worker processes (at least 1)"),
+    "workers": (int, "census worker threads (at least 1, at most one per "
+                     "CPU)"),
     "output_dir": (str, "output directory"),
     "n_grid": (_parse_grid, "comma separated n grid for studies"),
     "statistic": (str, "ratio statistic: t or r"),
@@ -284,11 +285,6 @@ class CensusResult:
     files: tuple = ()
 
 
-def _census_replication(spec: WeightSpec, n: int, k: int, master_seed: int,
-                        rep: int) -> int:
-    return count_k_cycles(draw_graph(spec, n, master_seed, rep), k).count
-
-
 def run_census(cfg: ExperimentConfig) -> CensusResult:
     """Sample weights and a graph per replication and census the k-cycles."""
     _grid("n", (cfg.n,), cfg.k)
@@ -297,8 +293,12 @@ def run_census(cfg: ExperimentConfig) -> CensusResult:
     spec = cfg.weight_spec()
     model = poisson_rate(analytic_moments(spec).ratio, cfg.k)
     model.support
-    job = partial(_census_replication, spec, cfg.n, cfg.k, cfg.seed)
-    counts = tuple(map_replications(job, range(cfg.replications),
+
+    def census(rep):
+        return count_k_cycles(draw_graph(spec, cfg.n, cfg.seed, rep),
+                              cfg.k).count
+
+    counts = tuple(map_replications(census, range(cfg.replications),
                                     cfg.workers))
     pmf = EmpiricalPmf.from_samples(counts)
     table = qq_table(pmf, model, DEFAULT_QQ_LEVELS)

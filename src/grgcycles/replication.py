@@ -3,16 +3,18 @@ draw streams of the graph sampler and the ratio estimator.
 
 Reproducibility contract: every random stream of a study comes from
 ``SeedSequence(master_seed, spawn_key=(replication, stream))``.  A census
-unit is one replication, whose count does not depend on the process that
+unit is one replication, whose count does not depend on the thread that
 runs it, and ``map_replications`` returns the counts in unit order for any
-worker count: the same bytes in this process or on a pool.
+worker count: the same bytes on this thread or on several.
 
-This module also owns the package's threads.  ``_on_stream`` cuts one
+This module also owns the package's threads, and ``_on_threads`` is the
+one place that starts them.  ``map_replications`` runs contiguous blocks
+of census units on it, one block per thread.  ``_on_stream`` cuts one
 seeded draw stream into parts: the pairs of a graph (a unit is a row) or
 the replications of a Monte Carlo estimate (a unit is a chunk).  The units
 are cut into contiguous parts balanced by draws, as many as ``_part_count``
-allows (one per CPU the process may use, one in a pool worker, so that
-workers x parts <= CPUs) and no more than chunks of draws.  Each part
+allows (one per CPU in the calling thread's mask, so one on a placed block
+of the replication map) and no more than chunks of draws.  Each part
 rebuilds the PCG64 generator from the seed, advances it past the draws of
 the units before its own and consumes its units in order, so every unit
 sees the draws of one sequential generator and the results are
@@ -24,7 +26,7 @@ study (n = 64 and 4096) and by 0.7 MB in a census of n = 2000 graphs.
 ``_on_threads`` runs part 0 on the calling thread and the rest on helper
 threads, all joined before the results come back in unit order.
 
-Part k runs on the k-th CPU of the set that ``_part_count`` counts, alone:
+Part k runs on the k-th CPU of the set that ``_cpus`` lists, alone:
 its thread's affinity mask is that one CPU while it runs, and the caller's
 own mask comes back after part 0.  Where the kernel does not balance load
 across CPUs (a cpuset with ``sched_load_balance = 0``), a helper can start
@@ -38,14 +40,11 @@ from __future__ import annotations
 
 import numbers
 import os
-import sys
 from typing import Callable, Iterable, List
 
 import numpy as np
 
 __all__ = ["replication_seed", "map_replications"]
-
-_MAX_CHUNK = 8   # units sent to a pool worker at a time
 
 
 def replication_seed(master_seed: int, replication: int,
@@ -64,32 +63,33 @@ def _seed_sequence(seed, spawn_key=()) -> np.random.SeedSequence:
 
 def map_replications(job: Callable, units: Iterable,
                      workers: int = 1) -> List:
-    """``[job(unit) for unit in units]``, on up to ``workers`` processes.
+    """``[job(unit) for unit in units]``, on up to ``workers`` threads.
 
-    With one worker or one unit the units run in this process.  Otherwise
-    one pool of ``min(workers, len(units))`` processes runs them, handed out
-    in chunks of at most eight units; ``job`` and the units must pickle.
-    Every study runs at least one replication on at least one worker, so
-    no units, or fewer than one worker, is an error.
+    The units are cut into ``min(workers, len(units), len(_cpus()))``
+    contiguous blocks, one per part of ``_on_threads``: one block runs on
+    this thread and starts no other.  A placed block sees a one-CPU mask,
+    so its units sample their graphs in one part and threads x parts <=
+    CPUs; a block whose thread cannot be placed samples on every CPU, with
+    the same bytes.  Every study runs at least one replication on at least
+    one worker, so no units, or fewer than one worker, is an error.
     """
     if workers < 1:
         raise ValueError(f"workers={workers} is below 1")
     units = list(units)
     if not units:
         raise ValueError("replications must be at least 1")
-    processes = min(workers, len(units))
-    if processes <= 1:
-        return [job(unit) for unit in units]
-    # imported here: loading the pool machinery costs about 20 ms, and a
-    # study on one worker never needs it
-    from concurrent.futures import ProcessPoolExecutor
-    chunksize = min(_MAX_CHUNK, -(-len(units) // processes))
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(job, units, chunksize=chunksize))
+    blocks = min(workers, len(units), len(_cpus()))
+    cuts = [b * len(units) // blocks for b in range(blocks + 1)]
+
+    def run_block(b):
+        return [job(unit) for unit in units[cuts[b]:cuts[b + 1]]]
+
+    return [result for block in _on_threads(run_block, blocks)
+            for result in block]
 
 
 def _cpus() -> list:
-    """The CPUs this process may use, in ascending order: its affinity
+    """The CPUs this thread may use, in ascending order: its affinity
     mask, or all ``os.cpu_count()`` where the OS keeps none."""
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
@@ -97,14 +97,10 @@ def _cpus() -> list:
 
 
 def _part_count() -> int:
-    """Parts to cut one unit of work into, at most: one per CPU this
-    process may use, but one in a pool worker of the replication map, so
-    that workers x parts <= CPUs."""
-    # a process that never loaded multiprocessing is no pool worker, and
-    # need not pay the import (about 12 ms)
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return 1
+    """Parts to cut one unit of work into, at most: one per CPU in this
+    thread's mask, so one on a placed block of the replication map (on a
+    block whose thread could not be placed, as many as the caller's mask
+    holds: the same bytes)."""
     return len(_cpus())
 
 

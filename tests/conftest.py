@@ -8,7 +8,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_thread_left_behind():
     """Fail a test that leaves a thread running which was not there before
-    it: the replication map forks, and a fork copies no other thread."""
+    it: every thread map joins its helpers before it returns."""
     before = set(threading.enumerate())
     yield
     left = [thread for thread in threading.enumerate()

@@ -1,9 +1,11 @@
-"""Force the CPU count that the package's thread parts see, and read the part
-count back: shared by the tests of the sampler and of the ratio estimator.
+"""Force the CPU count that the package's thread maps see: shared by the
+tests of the sampler, the ratio estimator and the replication map.
 
-Both cut their draw stream with ``replication._on_stream``, which takes its
-part count from ``replication._part_count`` and runs its parts with
-``replication._on_threads``, each part on a CPU of its own.
+The sampler and the estimator cut their draw stream with
+``replication._on_stream``, which takes its part count from
+``replication._part_count`` and runs its parts with
+``replication._on_threads``, each part on a CPU of its own; the
+replication map runs its blocks of units there too.
 """
 
 import os
@@ -16,14 +18,14 @@ _ON_THREADS = replication._on_threads
 
 def force_parts(monkeypatch, cpus):
     """Let the thread helpers see ``cpus`` CPUs; returns the list that
-    records the part count of each thread map that the sampler or the ratio
-    estimator runs in this process.
+    records the part count of each thread map run in this process.
 
     The affinity masks are faked per thread, since the forced CPUs need not
     exist: each thread starts with all ``cpus`` of them, and
     ``os.sched_setaffinity`` sets the calling thread's mask.  Each thread
-    map checks that part k runs under the k-th CPU alone and that the
-    caller's mask comes back after it, also when a part raises.
+    map checks that the caller's mask comes back after it, also when a
+    part raises, and a map of several parts that part k runs under the
+    k-th CPU alone.
     """
     every = frozenset(range(cpus))
     masks = {}
@@ -40,6 +42,7 @@ def force_parts(monkeypatch, cpus):
 
     def record(job, parts):
         used.append(parts)
+        before = get_mask(0)
         placed = {}
 
         def observed(k):
@@ -49,14 +52,9 @@ def force_parts(monkeypatch, cpus):
         try:
             return _ON_THREADS(observed, parts)
         finally:
-            assert get_mask(0) == every, "the caller's mask did not return"
+            assert get_mask(0) == before, "the caller's mask did not return"
             if parts > 1:
                 assert placed == {k: {k} for k in placed}, placed
 
     monkeypatch.setattr(replication, "_on_threads", record)
     return used
-
-
-def part_count(unit):
-    """The thread helpers' part count in the process that runs ``unit``."""
-    return replication._part_count()

@@ -1,20 +1,21 @@
 """Experiment harness: configuration, runners, CLI and determinism."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grgcycles import chen_stein, cli, experiments, ratios
+from grgcycles import chen_stein, cli, experiments, graphs, ratios, replication
 from grgcycles.chen_stein import BoundTerms, bound_report
 from grgcycles.cycles import CandidateCapError, candidate_count
 from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
@@ -254,7 +255,7 @@ class TestSeeding:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_worker_resolution(self, monkeypatch, config_file):
+    def test_worker_resolution(self, monkeypatch, config_file, threads):
         """The workers key is the one channel: 1 unless it is set, and the
         GRGCYCLES_WORKERS environment variable is ignored."""
         monkeypatch.setenv("GRGCYCLES_WORKERS", "7")
@@ -262,11 +263,9 @@ class TestSeeding:
         assert load_config(config_file, "census").workers == 1
         assert load_config(config_file, "census",
                            {"workers": "3"}).workers == 3
-        RecordingPool.requests = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingPool)
         run_census(ExperimentConfig(spec=PARETO, n=12, replications=3))
-        assert RecordingPool.requests == []
+        # one block for the map, then one part for each graph's sampler
+        assert threads == [1] * 4
 
     def test_bad_worker_env_named(self, monkeypatch, capsys):
         """A value the variable once rejected is not read at all."""
@@ -307,77 +306,128 @@ class TestSeeding:
         assert message in capsys.readouterr().err
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    requests = []
-
-    def __init__(self, max_workers):
-        self.requests.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, job, units, chunksize=1):
-        self.requests.append(("chunksize", chunksize))
-        return map(job, units)
-
-
 @pytest.fixture()
-def pool(monkeypatch):
-    """The requests of every process pool built during the test, each run
-    in-process by a ``RecordingPool``."""
-    RecordingPool.requests = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
-    return RecordingPool.requests
+def threads(monkeypatch):
+    """The part count of every thread map run during the test, each run on
+    this thread, starting no thread, by a stand-in for ``_on_threads``."""
+    used = []
+
+    def record(job, parts):
+        used.append(parts)
+        return [job(k) for k in range(parts)]
+
+    monkeypatch.setattr(replication, "_on_threads", record)
+    return used
 
 
 class TestReplicationMap:
-    def test_never_more_processes_than_units(self, pool):
-        assert map_replications(abs, [-1, -2], 64) == [1, 2]
-        assert map_replications(abs, range(-20, 0), 3) == list(range(20, 0, -1))
-        assert pool == [2, ("chunksize", 1), 3, ("chunksize", 7)]
+    def test_never_more_threads_than_units_or_cpus(self, threads,
+                                                   monkeypatch):
+        for cpus in (3, 1):
+            monkeypatch.setattr(replication, "_cpus",
+                                lambda: list(range(cpus)))
+            assert map_replications(abs, [-1, -2], 64) == [1, 2]
+            assert (map_replications(abs, range(-20, 0), 64)
+                    == list(range(20, 0, -1)))
+            assert (map_replications(abs, range(-20, 0), 2)
+                    == list(range(20, 0, -1)))
+        assert threads == [2, 3, 2, 1, 1, 1]
 
-    def test_one_worker_or_one_unit_runs_in_process(self, pool):
-        assert map_replications(abs, [-1, -2, -3], 1) == [1, 2, 3]
-        assert map_replications(abs, [-4], 8) == [4]
-        assert pool == []
+    def test_one_worker_or_one_unit_runs_in_process(self):
+        """On the calling thread, which starts no other."""
+        here = threading.get_ident()
+
+        def thread(unit):
+            return threading.get_ident()
+
+        assert map_replications(thread, range(3), 1) == [here] * 3
+        assert map_replications(thread, [0], 8) == [here]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_units_rejected(self, pool, workers):
+    def test_no_units_rejected(self, threads, workers):
         with pytest.raises(ValueError,
                            match="replications must be at least 1"):
             map_replications(abs, [], workers)
-        assert pool == []
+        assert threads == []
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, pool, workers):
+    def test_workers_below_one_rejected(self, threads, workers):
         with pytest.raises(ValueError, match=f"^workers={workers} is below "
                                              "1$"):
             map_replications(abs, [-1, -2], workers)
-        assert pool == []
+        assert threads == []
 
-    def test_pool_returns_unit_order(self):
-        assert map_replications(abs, range(-30, 0), 2) == list(range(30, 0, -1))
+    def test_pool_returns_unit_order(self, monkeypatch):
+        """Blocks on helper threads of the thread pool come back in unit
+        order, each placed on a (faked) CPU of its own."""
+        used = force_parts(monkeypatch, 3)
+        for workers in (2, 3):
+            assert (map_replications(abs, range(-30, 0), workers)
+                    == list(range(30, 0, -1)))
+        assert used == [2, 3]
 
-    def test_one_worker_never_loads_the_pool(self):
-        code = textwrap.dedent("""\
+    def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
+        force_parts(monkeypatch, 2)
+        ran = {}
+
+        def job(unit):
+            ran[unit] = threading.get_ident()
+            if unit == 3:       # the last unit of block 1, on a helper
+                raise KeyError(unit)
+            return unit
+
+        with pytest.raises(KeyError):
+            map_replications(job, range(4), 2)
+        assert ran[3] != threading.get_ident() == ran[0]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the OS keeps no affinity masks")
+    def test_each_block_runs_on_a_cpu_of_its_own(self, monkeypatch):
+        """With the real masks: each block runs under one CPU of the
+        caller's set alone, the two blocks on different CPUs, a graph
+        sampled in a unit uses one part, and the caller's mask comes
+        back."""
+        before = os.sched_getaffinity(0)
+        if len(before) < 2:
+            pytest.skip("one CPU runs one block")
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 1000)
+        on_threads = replication._on_threads
+        parts = []
+
+        def recording(job, count):
+            parts.append(count)
+            return on_threads(job, count)
+
+        monkeypatch.setattr(replication, "_on_threads", recording)
+
+        def job(unit):
+            mask = frozenset(os.sched_getaffinity(0))
+            experiments.draw_graph(PARETO, 120, 8, unit)
+            return mask
+
+        masks = map_replications(job, range(4), 2)
+        assert os.sched_getaffinity(0) == before
+        assert masks[0] == masks[1] != masks[2] == masks[3]
+        assert all(len(mask) == 1 and mask <= before for mask in masks)
+        # the map's two blocks, then one part for each unit's sampler
+        assert parts == [2] + [1] * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_census_loads_a_process_pool(self, workers):
+        code = textwrap.dedent(f"""\
             import sys
             from grgcycles.experiments import ExperimentConfig, run_census
             from grgcycles.weights import WeightSpec
             run_census(ExperimentConfig(
                 spec=WeightSpec.pareto_shifted(9.5, 10, 1), n=60, k=3,
-                replications=3, workers=1))
-            print("concurrent.futures.process" in sys.modules)
+                replications=3, workers={workers}))
+            print("multiprocessing" in sys.modules,
+                  "concurrent.futures.process" in sys.modules)
             """)
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "False False\n"
 
 
 class TestCensusRunner:
@@ -457,13 +507,14 @@ class TestBoundsRunner:
             run_bounds(ExperimentConfig(spec=PARETO))
 
     @pytest.mark.parametrize("k,grid", [(3, (12, 20)), (4, (7, 8))])
-    def test_starts_no_process_pool(self, pool, k, grid):
-        """The replications run in this process, also when the
-        configuration carries a worker count for the census."""
+    def test_starts_no_process_pool(self, threads, k, grid):
+        """The replications run on this thread, one at a time, and no
+        thread map runs, also when the configuration carries a worker
+        count for the census."""
         cfg = ExperimentConfig(spec=PARETO, k=k, n_grid=grid,
                                replications=3, seed=5, workers=2)
         assert len(run_bounds(cfg).rows) == 3 * len(grid)
-        assert pool == []
+        assert threads == []
 
     def test_csv_columns_are_the_bound_terms(self, tmp_path):
         cfg = ExperimentConfig(spec=PARETO, k=3, n_grid=(12, 20),
@@ -550,17 +601,23 @@ class TestRatioRunner:
         assert "ratio_t_p2_seed3_estimates.csv" in files
         assert "ratio_t_p2_seed3_exact.csv" in files
 
-    def test_starts_no_process_pool(self, config_file, pool, monkeypatch):
+    def test_starts_no_process_pool(self, config_file, monkeypatch):
         """The estimates run on this process's CPUs only, also when the
-        configuration carries a worker count for the other studies."""
+        configuration carries a worker count for the census: the thread
+        maps do not change with it."""
         # chunks of 100 rows at n = 64: every estimate has several chunks
         monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
-        t_cfg = dataclasses.replace(load_config(config_file, "ratio"),
-                                    workers=2)
-        r_cfg = dataclasses.replace(t_cfg, spec=PARETO, p=3, statistic="r")
-        assert run_ratio_study(t_cfg).exact_rows
-        assert run_ratio_study(r_cfg).summary["regimes"] == ["sqrt"]
-        assert pool == []
+        maps = []
+        for workers in (1, 2):
+            used = force_parts(monkeypatch, 3)
+            t_cfg = dataclasses.replace(load_config(config_file, "ratio"),
+                                        workers=workers)
+            r_cfg = dataclasses.replace(t_cfg, spec=PARETO, p=3,
+                                        statistic="r")
+            assert run_ratio_study(t_cfg).exact_rows
+            assert run_ratio_study(r_cfg).summary["regimes"] == ["sqrt"]
+            maps.append(used)
+        assert maps[0] == maps[1] and max(maps[0]) == 3
 
     def test_constant_spec_reports_noise_floor(self):
         cfg = ExperimentConfig(spec=WeightSpec.constant(1.0), p=2,

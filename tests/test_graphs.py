@@ -18,7 +18,7 @@ from grgcycles.experiments import ExperimentConfig, run_census
 from grgcycles.graphs import GrgGraph, sample_grg
 from grgcycles.replication import map_replications
 from grgcycles.weights import WeightSpec, WeightVector, sample_weights
-from cpu_parts import force_parts, part_count
+from cpu_parts import force_parts
 from oracles import cycle_probability, edge_probability, token_edge_list
 
 
@@ -586,10 +586,20 @@ class TestSamplerStream:
         self.assert_parity(weights, 0)
         assert used == [1]
 
-    def test_pool_worker_samples_in_one_part(self, monkeypatch):
-        force_parts(monkeypatch, 5)
-        assert part_count(0) == 5
-        assert map_replications(part_count, range(2), workers=2) == [1, 1]
+    def test_unit_thread_samples_in_one_part(self, monkeypatch):
+        """A unit of the replication map runs on a thread placed on one
+        CPU, so it samples in one part: the same bytes as five parts."""
+        used = force_parts(monkeypatch, 5)
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 1000)
+        weights = sample_weights(WeightSpec.pareto_shifted(2.5, 10, 1), 120,
+                                 0)
+        here = [sample_grg(weights, seed) for seed in range(2)]
+        there = map_replications(lambda seed: sample_grg(weights, seed),
+                                 range(2), workers=2)
+        assert used == [5, 5, 2, 1, 1]
+        for mine, theirs in zip(here, there):
+            assert np.array_equal(mine.indptr, theirs.indptr)
+            assert np.array_equal(mine.indices, theirs.indices)
 
     def test_census_does_not_depend_on_workers(self, monkeypatch):
         used = force_parts(monkeypatch, 3)
@@ -598,7 +608,9 @@ class TestSamplerStream:
                                n=120, k=3, replications=4, seed=8)
         counts = [run_census(cfg).counts
                   for cfg in (cfg, dataclasses.replace(cfg, workers=2))]
-        assert used == [3] * 4      # the pool's graphs are sampled there
+        # one block, each graph in three parts; then two blocks, each
+        # graph in one part on its block's CPU
+        assert used == [1] + [3] * 4 + [2] + [1] * 4
         assert counts[0] == counts[1] and sum(counts[0]) > 0
 
     def test_helper_error_is_raised_in_the_caller(self):

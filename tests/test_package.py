@@ -70,11 +70,11 @@ AFFINITY = ("os.sched_getaffinity", "os.sched_setaffinity")
 
 def test_replication_alone_runs_threads_and_processes():
     """``replication`` is the one owner of the package's parallelism: no
-    other file imports ``concurrent.futures``, ``threading`` or
-    ``multiprocessing`` (by statement or by name) or reads or sets
-    ``os.sched_getaffinity`` or ``os.sched_setaffinity``, so a second
-    thread or process map, or a second rule for placing threads on CPUs,
-    cannot come back unseen."""
+    other file imports ``concurrent.futures`` or ``threading`` (by
+    statement or by name) or reads or sets ``os.sched_getaffinity`` or
+    ``os.sched_setaffinity``, and no file names ``multiprocessing``, so a
+    second thread map, a process pool, or a second rule for placing
+    threads on CPUs cannot come back unseen."""
     modules = {"concurrent", "threading", "multiprocessing"}
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -96,16 +96,19 @@ def test_replication_alone_runs_threads_and_processes():
                          or name in AFFINITY)
     outside = sorted(item for item in found if item[0] != "replication.py")
     assert not outside, f"only replication.py may use {outside}"
+    processes = sorted(item for item in found if set(item[1].split(".")) & {
+        "multiprocessing", "process", "ProcessPoolExecutor"})
+    assert not processes, f"no module may start processes: {processes}"
     # the owner's own uses are seen, so the check is not blind
     assert {("replication.py", name) for name in (
-        "concurrent.futures", "multiprocessing", *AFFINITY)} <= found
+        "concurrent.futures", *AFFINITY)} <= found
 
 
 def test_census_alone_maps_over_processes():
     """The replication map has one caller, the census: besides its owner
     ``replication.py``, only ``experiments.py`` names ``map_replications``
     (as a name, an attribute, an import or a string), so no other study
-    can start a process pool unseen."""
+    can run replications on the census's threads unseen."""
     naming = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -257,16 +257,10 @@ FAMILIES = [WeightSpec.constant(2.0), WeightSpec.pareto_shifted(3.5, 2, 1),
             TWO_POINT, WeightSpec.empirical([1, 2, 5], [0.2, 0.5, 0.3])]
 
 
-def estimate_parts(unit):
-    """A t and an r estimate of ten chunks each, seeded by ``unit``, on
-    five CPUs, and the part count of each thread map they ran on, in the
-    process that runs ``unit``."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        used = force_parts(monkeypatch, 5)
-        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
-        estimates = (estimate_t_moment(TWO_POINT, 64, 2, 1000, unit),
-                     estimate_r_moment(TWO_POINT, 64, 3, 1000, unit))
-    return estimates, used
+def two_estimates(unit):
+    """A t and an r estimate seeded by ``unit``."""
+    return (estimate_t_moment(TWO_POINT, 64, 2, 1000, unit),
+            estimate_r_moment(TWO_POINT, 64, 3, 1000, unit))
 
 
 class TestChunkedStreams:
@@ -317,16 +311,22 @@ class TestChunkedStreams:
             sys.setswitchinterval(interval)
         assert many == [one] * 3 and used == [8] * 3
 
-    def test_pool_worker_runs_its_chunks_in_one_part(self):
-        assert estimate_parts(0)[1] == [5, 5]
-        assert [used for _, used in map_replications(
-            estimate_parts, range(2), workers=2)] == [[1, 1], [1, 1]]
+    def test_unit_thread_runs_its_chunks_in_one_part(self, monkeypatch):
+        # ten chunks per estimate, on five CPUs here
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
+        used = force_parts(monkeypatch, 5)
+        two_estimates(0)
+        assert used == [5, 5]
+        map_replications(two_estimates, range(2), workers=2)
+        # two blocks, each on a CPU of its own: one part per estimate
+        assert used == [5, 5, 2] + [1] * 4
 
-    def test_pool_worker_estimates_equal_this_process(self):
-        # one part in each pool worker, five here: the same bytes
-        assert ([est for est, _ in map_replications(
-                    estimate_parts, range(2), workers=2)]
-                == [estimate_parts(0)[0], estimate_parts(1)[0]])
+    def test_unit_thread_estimates_equal_the_callers(self, monkeypatch):
+        # one part on each unit thread, five on the caller: the same bytes
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 64 * 100)
+        force_parts(monkeypatch, 5)
+        assert (map_replications(two_estimates, range(2), workers=2)
+                == [two_estimates(0), two_estimates(1)])
 
     def test_helper_error_is_raised_in_the_caller(self, monkeypatch):
         used = force_parts(monkeypatch, 3)
