@@ -8,7 +8,7 @@ from .chen_stein import (BoundReport, BoundTerms, bound_report,
 from .cycles import (CandidateCapError, CycleCensus, DEFAULT_CANDIDATE_CAP,
                      candidate_count, count_k_cycles, count_triangles)
 from .graphs import GrgGraph, sample_grg
-from .poisson import (EmpiricalPmf, PoissonModel, QqTable, mixed_poisson_pmf,
+from .poisson import (EmpiricalPmf, MixedPoisson, PoissonModel, QqTable,
                       poisson_rate, qq_table, tv_distance)
 from .ratios import (MCEstimate, RateFit, TailBoundCheck, check_lower_tail,
                      estimate_r_moment, estimate_t_moment, exact_t_moment,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -300,7 +301,7 @@ def run_census(cfg: ExperimentConfig) -> CensusResult:
 
     counts = tuple(map_replications(census, range(cfg.replications),
                                     cfg.workers))
-    pmf = EmpiricalPmf.from_samples(counts)
+    pmf = EmpiricalPmf(Counter(counts))
     table = qq_table(pmf, model, DEFAULT_QQ_LEVELS)
     tv_sup = tv_distance(pmf, model)
     mean = pmf.mean()

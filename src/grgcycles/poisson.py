@@ -5,38 +5,39 @@ total-variation distance is the full l1 distance between pmfs, the "sup over
 test functions bounded by one" convention (twice the half-l1 value).
 
 Every law gives one view, ``support``: its ascending outcomes, their masses
-and the mass beyond the last one.  ``PoissonModel`` and ``EmpiricalPmf``
-build it; ``tv_distance`` and the one quantile rule (the first outcome whose
-cumulative mass reaches the level less 1e-9) read nothing else.  A Poisson
-support runs from 0 to ``lam + 50 sqrt(lam) + 100``, refused past
-``_MAX_OUTCOMES`` before it is allocated, and is cut where the cdf reaches
-1 - 1e-12.  Its masses come from ``_masses``, the package's one rule for
-the masses of a law with one mode: the ratios ``p(m+1) = p(m) lam / (m+1)``
-and ``p(m-1) = p(m) m / lam`` multiplied out from the mode, one ``cumprod``
-per side, then divided by their sum.  They lie about 1e-14 from the exact
-pmf up to rate 1e5, where a log-space pmf with one ``lgamma`` per outcome
-is off by about ``lam log(lam)`` rounding units, enough to move the cut.
-``ratios.exact_t_moment`` builds its binomial weights by the same rule, and
-``mixed_poisson_pmf`` averages each rate's support masses.  An empirical
-law holds ascending outcome and count arrays from one ``np.unique``; its
-mean and variance are exact integer sums, each divided once.
+and the mass beyond the last one.  ``PoissonModel``, ``MixedPoisson`` and
+``EmpiricalPmf`` build it; ``tv_distance`` and the one quantile rule (the
+first outcome whose cumulative mass reaches the level less 1e-9) read nothing
+else.  A Poisson support runs from 0 to ``lam + 50 sqrt(lam) + 100``, refused
+past ``_MAX_OUTCOMES`` before it is allocated, and is cut where the cdf
+reaches 1 - 1e-12.  Its masses come from ``_masses``, the package's one rule
+for the masses of a law with one mode: the ratios ``p(m+1) = p(m) lam /
+(m+1)`` and ``p(m-1) = p(m) m / lam`` multiplied out from the mode, one
+``cumprod`` per side, then divided by their sum.  They lie about 1e-14 from
+the exact pmf up to rate 1e5, where a log-space pmf with one ``lgamma`` per
+outcome is off by about ``lam log(lam)`` rounding units, enough to move the
+cut.  ``ratios.exact_t_moment`` builds its binomial weights by the same rule,
+and a mixture averages its rates' supports.  An empirical law holds ascending
+outcome and count arrays from a mapping of outcome to count; its mean and
+variance are exact integer sums, each divided once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "PoissonModel",
+    "MixedPoisson",
     "EmpiricalPmf",
     "QqTable",
     "poisson_rate",
-    "mixed_poisson_pmf",
     "tv_distance",
     "qq_table",
 ]
@@ -106,27 +107,42 @@ class PoissonModel(_Law):
         return outcomes, pmf, max(0.0, 1.0 - float(cdf[cut]))
 
 
+class MixedPoisson(_Law):
+    """A rate drawn uniformly from ``rates``, then a Poisson count with it.
+    The support runs to the largest cut of the rates' ``PoissonModel``s: the
+    mean of their masses, each 0 past its own cut, and of their tails."""
+
+    def __init__(self, rates: Sequence[float]):
+        rates = np.asarray(rates, dtype=np.float64)
+        if rates.size == 0:
+            raise ValueError("need at least one rate sample")
+        if not np.all(rates >= 0):    # nan too
+            raise ValueError("rate samples must be nonnegative")
+        pmf, tail = np.zeros(0), 0.0
+        for lam in rates.tolist():
+            _, masses, beyond = PoissonModel(lam).support
+            pmf = np.pad(pmf, (0, max(0, masses.size - pmf.size)))
+            pmf[:masses.size] += masses
+            tail += beyond
+        pmf /= rates.size
+        outcomes = np.arange(pmf.size)
+        outcomes.flags.writeable = pmf.flags.writeable = False
+        self.support = (outcomes, pmf, tail / rates.size)
+
+
 class EmpiricalPmf(_Law):
     """Integer-outcome law of occurrence counts, held as ascending outcome
     and count arrays: read its ``support``, do not change it."""
 
     def __init__(self, counts: Mapping[int, int]):
-        """The law of ``counts``, a mapping outcome -> count."""
+        """The law of ``counts``, outcome -> count, such as a ``Counter``."""
+        for m, c in counts.items():
+            if not all(isinstance(x, numbers.Integral) and x >= 0
+                       for x in (m, c)):
+                raise ValueError(f"outcomes and counts must be nonnegative "
+                                 f"integers: outcome {m!r} has count {c!r}")
         pairs = np.array(sorted(counts.items()), dtype=np.int64).reshape(-1, 2)
-        self._hold(pairs[:, 0], pairs[:, 1])
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[int]) -> "EmpiricalPmf":
-        law = cls.__new__(cls)
-        law._hold(*np.unique(np.fromiter(samples, np.int64),
-                             return_counts=True))
-        return law
-
-    def _hold(self, outcomes: np.ndarray, counts: np.ndarray) -> None:
-        kept = counts != 0
-        outcomes, counts = outcomes[kept], counts[kept]
-        if np.any(outcomes < 0) or np.any(counts < 0):
-            raise ValueError("outcomes and counts must be nonnegative")
+        outcomes, counts = pairs[pairs[:, 1] != 0].T
         self.total = int(counts.sum())
         if self.total == 0:
             raise ValueError("empirical law needs at least one observation")
@@ -150,7 +166,7 @@ class EmpiricalPmf(_Law):
 
 @dataclass(frozen=True)
 class QqTable:
-    """Rows of (probability level, empirical quantile, Poisson quantile)."""
+    """Rows of (probability level, one law's quantile, the other's)."""
 
     rows: tuple
 
@@ -177,24 +193,9 @@ def poisson_rate(moment_ratio: float, k: int) -> PoissonModel:
     return PoissonModel(lam=moment_ratio ** k / (2 * k))
 
 
-def mixed_poisson_pmf(rate_samples: Sequence[float], m: int) -> float:
-    """Monte Carlo pmf of a mixed Poisson law from sampled rates: the mean
-    over the rates of each one's ``PoissonModel`` support mass at ``m``,
-    0 past that support's cut."""
-    arr = np.asarray(rate_samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one rate sample")
-    if not np.all(arr >= 0):    # nan too
-        raise ValueError("rate samples must be nonnegative")
-    if m < 0:
-        raise ValueError("outcome must be nonnegative")
-    masses = (PoissonModel(lam).support[1] for lam in arr.tolist())
-    return float(np.mean([pmf[m] if m < pmf.size else 0.0 for pmf in masses]))
-
-
-def tv_distance(p, q) -> float:
-    """Total-variation distance between two integer laws, the full l1
-    (at most 2), plus both tails: an upper bound on the untruncated one."""
+def tv_distance(p: _Law, q: _Law) -> float:
+    """Total-variation distance between any two laws, the full l1 (at most
+    2), plus both tails: an upper bound on the untruncated one."""
     at_p, mass_p, tail_p = p.support
     at_q, mass_q, tail_q = q.support
     # np.union1d would do, but its np.unique imports numpy.ma (about 1.3 MB)
@@ -204,14 +205,13 @@ def tv_distance(p, q) -> float:
     diff[support.searchsorted(at_p)] = mass_p
     diff[support.searchsorted(at_q)] -= mass_q
     # a sequential sum in ascending outcome order, not numpy's pairwise one
-    dist = float(np.add.accumulate(np.abs(diff))[-1])
-    dist += tail_p + tail_q
+    dist = float(np.add.accumulate(np.abs(diff))[-1]) + (tail_p + tail_q)
     return min(dist, 2.0)
 
 
-def qq_table(emp: EmpiricalPmf, model: PoissonModel,
-             levels: Sequence[float]) -> QqTable:
-    """Both laws' quantiles at each level, from one search per law."""
+def qq_table(p: _Law, q: _Law, levels: Sequence[float]) -> QqTable:
+    """Both laws' quantiles at each level, from one search per law: ``p``'s
+    in the empirical column, ``q``'s in the Poisson one."""
     at = np.asarray(list(levels), dtype=float)
-    rows = zip(at.tolist(), emp.quantile(at), model.quantile(at))
+    rows = zip(at.tolist(), p.quantile(at), q.quantile(at))
     return QqTable(rows=tuple(rows))

@@ -12,9 +12,9 @@ one place that starts them.  ``map_replications`` runs contiguous blocks
 of census units on it, one block per thread.  ``_on_stream`` cuts one
 seeded draw stream into parts: the pairs of a graph (a unit is a row) or
 the replications of a Monte Carlo estimate (a unit is a chunk).  The units
-are cut into contiguous parts balanced by draws, as many as ``_part_count``
-allows (one per CPU in the calling thread's mask, so one on a placed block
-of the replication map) and no more than chunks of draws.  Each part
+are cut into contiguous parts balanced by draws, as many as ``_cpus`` lists
+(one per CPU in the calling thread's mask, so one on a placed block of the
+replication map) and no more than chunks of draws.  Each part
 rebuilds the PCG64 generator from the seed, advances it past the draws of
 the units before its own and consumes its units in order, so every unit
 sees the draws of one sequential generator and the results are
@@ -96,14 +96,6 @@ def _cpus() -> list:
     return list(range(os.cpu_count() or 1))
 
 
-def _part_count() -> int:
-    """Parts to cut one unit of work into, at most: one per CPU in this
-    thread's mask, so one on a placed block of the replication map (on a
-    block whose thread could not be placed, as many as the caller's mask
-    holds: the same bytes)."""
-    return len(_cpus())
-
-
 def _on_cpu(cpu: int, job: Callable, k: int):
     """``job(k)`` on this thread with its affinity mask set to ``cpu``
     alone, and the thread's own mask restored after it; where the mask
@@ -162,7 +154,7 @@ def _on_stream(job: Callable, seed, offsets: np.ndarray, chunk: int,
         seed = _seed_sequence(seed)
     # part k takes units cuts[k]..cuts[k + 1] - 1, about total / parts draws
     total = int(offsets[-1])
-    parts = min(_part_count(), -(-total // chunk))
+    parts = min(len(_cpus()), -(-total // chunk))
     cuts = np.append(offsets.searchsorted(np.arange(parts) * total // parts),
                      len(offsets) - 1)
     buffers = [scratch() for _ in range(parts)]

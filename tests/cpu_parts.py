@@ -2,8 +2,8 @@
 tests of the sampler, the ratio estimator and the replication map.
 
 The sampler and the estimator cut their draw stream with
-``replication._on_stream``, which takes its part count from
-``replication._part_count`` and runs its parts with
+``replication._on_stream``, which takes its part count from the CPUs that
+``replication._cpus`` lists and runs its parts with
 ``replication._on_threads``, each part on a CPU of its own; the
 replication map runs its blocks of units there too.
 """

@@ -104,7 +104,7 @@ def test_replication_alone_runs_threads_and_processes():
         "concurrent.futures", *AFFINITY)} <= found
 
 
-def test_census_alone_maps_over_processes():
+def test_census_alone_runs_the_replication_map():
     """The replication map has one caller, the census: besides its owner
     ``replication.py``, only ``experiments.py`` names ``map_replications``
     (as a name, an attribute, an import or a string), so no other study
@@ -130,8 +130,8 @@ def test_census_alone_maps_over_processes():
 def test_replication_alone_splits_draw_streams():
     """The rule that splits a draw stream into parts has one owner: besides
     ``replication.py``, no file calls ``bit_generator.advance`` or names
-    ``_part_count`` or ``_on_threads`` (as a name, an attribute, an import
-    or a string), so a second copy of the rule cannot come back unseen."""
+    ``_cpus`` or ``_on_threads`` (as a name, an attribute, an import or a
+    string), so a second copy of the rule cannot come back unseen."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -149,13 +149,13 @@ def test_replication_alone_splits_draw_streams():
                 name = node.value
             else:
                 continue
-            if name in ("advance", "_part_count", "_on_threads"):
+            if name in ("advance", "_cpus", "_on_threads"):
                 found.add((path.name, name))
     outside = sorted(item for item in found if item[0] != "replication.py")
     assert not outside, f"only replication.py may use {outside}"
     # the owner's own uses are seen, so the check is not blind
     assert {("replication.py", name) for name in (
-        "advance", "_part_count", "_on_threads")} <= found
+        "advance", "_cpus", "_on_threads")} <= found
 
 
 def lgamma_uses(path):

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grgcycles.experiments import DEFAULT_QQ_LEVELS
-from grgcycles.poisson import (EmpiricalPmf, PoissonModel, mixed_poisson_pmf,
+from grgcycles.poisson import (EmpiricalPmf, MixedPoisson, PoissonModel,
                                poisson_rate, qq_table, tv_distance)
 
 from oracles import poisson_pmf
@@ -27,19 +28,25 @@ def oracle_laws(lam):
     rng = np.random.default_rng(int(lam * 100) + 7)
     top = PoissonModel(lam).support[0][-1]
     inside = rng.poisson(lam, 400).tolist()
-    return [EmpiricalPmf.from_samples(inside),
-            EmpiricalPmf.from_samples(inside[:16] + [top + 1, top + 40]),
-            EmpiricalPmf.from_samples([top + 3, top + 3, 2 * top + 90])]
+    return [EmpiricalPmf(Counter(inside)),
+            EmpiricalPmf(Counter(inside[:16] + [top + 1, top + 40])),
+            EmpiricalPmf({top + 3: 2, 2 * top + 90: 1})]
+
+
+def oracle_mixtures(lam):
+    """Mixed laws of ``lam``: with a rate whose support runs further, and
+    with one whose support ends first."""
+    return [MixedPoisson([lam, 2 * lam + 3]), MixedPoisson([lam, lam / 3])]
 
 
 def reference_tv(p, q):
     """The l1 distance from outcome->probability dicts, summed one outcome
     at a time in ascending order, plus the truncated tails."""
     def pairs(law):
-        if isinstance(law, PoissonModel):
-            _, pmf, tail = law.support
-            return {m: float(x) for m, x in enumerate(pmf)}, tail
-        return {m: c / law.total for m, c in law.to_csv_rows()}, 0.0
+        if isinstance(law, EmpiricalPmf):
+            return {m: c / law.total for m, c in law.to_csv_rows()}, 0.0
+        _, pmf, tail = law.support
+        return {m: float(x) for m, x in enumerate(pmf)}, tail
     pmf_p, tail_p = pairs(p)
     pmf_q, tail_q = pairs(q)
     dist = 0
@@ -48,17 +55,21 @@ def reference_tv(p, q):
     return min(dist + (tail_p + tail_q), 2.0)
 
 
-def reference_quantile(emp, level):
+def reference_quantile(law, level):
     """The first outcome, in ascending order, whose cumulative count
-    reaches ``level * total`` less ``1e-9 * total``; one level at a time."""
+    reaches ``level * total`` less ``1e-9 * total``, or for a law without
+    counts whose cumulative mass, summed one outcome at a time, reaches
+    ``level`` less 1e-9; one level at a time."""
+    if isinstance(law, EmpiricalPmf):
+        rows, scale = law.to_csv_rows(), law.total
+    else:
+        rows, scale = enumerate(law.support[1].tolist()), 1
     acc = 0
-    target = level * emp.total
-    rows = emp.to_csv_rows()
     for m, count in rows:
         acc += count
-        if acc >= target - 1e-9 * emp.total:
+        if acc >= level * scale - 1e-9 * scale:
             return m
-    return rows[-1][0]
+    return m
 
 
 def pareto_ratio():
@@ -167,37 +178,59 @@ class TestSupportOracle:
 
 
 class TestMixedPmf:
+    """``MixedPoisson``'s support: the mean of its rates' supports."""
+
     def test_single_sample_equals_poisson(self):
-        for m in range(6):
-            assert mixed_poisson_pmf([2.5], m) == pytest.approx(
-                PoissonModel(2.5).support[1][m], rel=1e-12)
+        for lam in ORACLE_RATES + (2.5,):
+            mixed = MixedPoisson([lam]).support
+            single = PoissonModel(lam).support
+            for got, want in zip(mixed[:2], single[:2]):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert mixed[2] == single[2]
 
     def test_zero_rate_point_mass(self):
-        assert mixed_poisson_pmf([0.0], 0) == 1.0
-        assert mixed_poisson_pmf([0.0], 2) == 0.0
+        outcomes, pmf, tail = MixedPoisson([0.0]).support
+        assert (outcomes.tolist(), pmf.tolist(), tail) == ([0], [1.0], 0.0)
 
     def test_two_point_mixture(self):
         expected = (math.exp(-1) + math.exp(-3)) / 2
-        assert mixed_poisson_pmf([1.0, 3.0], 0) == pytest.approx(expected,
-                                                                 rel=1e-12)
+        pmf = MixedPoisson([1.0, 3.0]).support[1]
+        assert pmf[0] == pytest.approx(expected, rel=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mixed_poisson_pmf([], 0)
+        with pytest.raises(ValueError, match="^need at least one rate sample$"):
+            MixedPoisson([])
 
     def test_matches_the_lgamma_mixture(self):
         """Each rate's support masses, averaged: the log-space oracle pmf
-        of each rate up to its support's cut, 0 past it."""
+        of each rate up to its support's cut, 0 past it, on 0 to the
+        largest cut; and the mean of the rates' tails."""
         rates = [0.0, 0.5, 3.0, 40.0, 311.69408]
-        cuts = [PoissonModel(lam).support[0][-1] for lam in rates]
-        for m in range(max(cuts) + 3):
+        supports = [PoissonModel(lam).support for lam in rates]
+        cuts = [outcomes[-1] for outcomes, _, _ in supports]
+        outcomes, pmf, tail = MixedPoisson(rates).support
+        assert outcomes.tolist() == list(range(max(cuts) + 1))
+        for m in outcomes.tolist():
             want = float(np.mean([poisson_pmf(lam, m)[0] if m <= cut else 0.0
                                   for lam, cut in zip(rates, cuts)]))
-            got = mixed_poisson_pmf(rates, m)
             if want > 1e-300:
-                assert got == pytest.approx(want, rel=1e-12, abs=0), m
+                assert pmf[m] == pytest.approx(want, rel=1e-12, abs=0), m
             elif want == 0:
-                assert got == 0.0, m
+                assert pmf[m] == 0.0, m
+        assert tail == sum(beyond for _, _, beyond in supports) / len(rates)
+
+    @pytest.mark.parametrize("rates", [
+        [0.0, 0.5, 3.0, 40.0, 311.69408], [2880.16, 311.69408, 1e5],
+        np.random.default_rng(5).gamma(300.0, size=400)],
+        ids=["lgamma_rates", "wide_rates", "gamma_rates"])
+    def test_masses_and_tail_sum_to_one(self, rates):
+        outcomes, pmf, tail = MixedPoisson(rates).support
+        assert abs(pmf.sum() + tail - 1.0) <= 4 * np.finfo(float).eps
+        with pytest.raises(ValueError):
+            pmf[0] = 1.0
+        with pytest.raises(ValueError):
+            outcomes[0] = 1
 
 
 class TestTvDistance:
@@ -230,7 +263,8 @@ class TestTvDistance:
     @pytest.mark.parametrize("lam", ORACLE_RATES)
     def test_equals_dict_reference(self, lam):
         model = PoissonModel(lam)
-        laws = [model, PoissonModel(lam + 0.7)] + oracle_laws(lam)
+        laws = [model, PoissonModel(lam + 0.7), *oracle_mixtures(lam),
+                *oracle_laws(lam)]
         for p in laws:
             for q in laws:
                 assert tv_distance(p, q) == reference_tv(p, q)
@@ -248,9 +282,9 @@ class TestTvDistance:
            st.lists(st.integers(0, 8), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_triangle_inequality(self, a, b, c):
-        pa = EmpiricalPmf.from_samples(a)
-        pb = EmpiricalPmf.from_samples(b)
-        pc = EmpiricalPmf.from_samples(c)
+        pa = EmpiricalPmf(Counter(a))
+        pb = EmpiricalPmf(Counter(b))
+        pc = EmpiricalPmf(Counter(c))
         assert tv_distance(pa, pc) <= \
             tv_distance(pa, pb) + tv_distance(pb, pc) + 1e-12
 
@@ -259,7 +293,7 @@ class TestEmpiricalPmf:
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_moments_are_the_exact_sums_rounded_once(self, samples):
-        emp = EmpiricalPmf.from_samples(samples)
+        emp = EmpiricalPmf(Counter(samples))
         size = len(samples)
         mean = Fraction(sum(samples), size)
         second = Fraction(sum(m * m for m in samples), size)
@@ -299,6 +333,25 @@ class TestEmpiricalPmf:
         with pytest.raises(ValueError):
             EmpiricalPmf({-1: 2})
 
+    @pytest.mark.parametrize("counts,named", [
+        ({2.5: 1}, "outcome 2.5 has count 1"),
+        ({2: 1.5}, "outcome 2 has count 1.5"),
+        ({1: 4, np.float64(2.0): 1}, "outcome np.float64(2.0) has count 1"),
+        ({3: 1, 4: -2}, "outcome 4 has count -2"),
+        ({-1: 2}, "outcome -1 has count 2"),
+    ], ids=["float_outcome", "float_count", "numpy_float_outcome",
+            "negative_count", "negative_outcome"])
+    def test_refuses_an_entry_that_is_not_a_nonnegative_integer(self, counts,
+                                                                named):
+        with pytest.raises(ValueError, match=(
+                "^outcomes and counts must be nonnegative integers: "
+                + re.escape(named) + "$")):
+            EmpiricalPmf(counts)
+
+    def test_numpy_integers_are_integers(self):
+        emp = EmpiricalPmf({np.int64(3): np.int32(2), 5: np.uint8(2)})
+        assert emp.to_csv_rows() == [(3, 2), (5, 2)]
+
 
 class TestQqTable:
     def test_degenerate_empirical(self):
@@ -316,7 +369,7 @@ class TestQqTable:
         assert table.empirical_column() == table.poisson_column()
 
     def test_columns_nondecreasing(self):
-        emp = EmpiricalPmf.from_samples([1, 1, 2, 2, 2, 3, 5, 8, 8, 13])
+        emp = EmpiricalPmf({1: 2, 2: 3, 3: 1, 5: 1, 8: 2, 13: 1})
         levels = [i / 20 for i in range(1, 20)]
         table = qq_table(emp, PoissonModel(4.0), levels)
         assert table.empirical_column() == sorted(table.empirical_column())
@@ -343,10 +396,20 @@ class TestQqTable:
             assert [emp.quantile(level) for level in DEFAULT_QQ_LEVELS] == \
                 table.empirical_column()
 
+    @pytest.mark.parametrize("lam", ORACLE_RATES)
+    def test_any_two_laws(self, lam):
+        laws = [PoissonModel(lam), *oracle_mixtures(lam), *oracle_laws(lam)]
+        columns = [[reference_quantile(law, level)
+                    for level in DEFAULT_QQ_LEVELS] for law in laws]
+        for p, p_column in zip(laws, columns):
+            for q, q_column in zip(laws, columns):
+                assert qq_table(p, q, DEFAULT_QQ_LEVELS).rows == tuple(
+                    zip(DEFAULT_QQ_LEVELS, p_column, q_column))
+
     def test_levels_on_count_boundaries(self):
         # cumulative counts 1, 2, 3, 4 of 4: levels 0.25, 0.5 and 0.75 land
         # exactly on a boundary and pick the outcome that reaches it
-        emp = EmpiricalPmf.from_samples([2, 5, 9, 40])
+        emp = EmpiricalPmf({2: 1, 5: 1, 9: 1, 40: 1})
         model = PoissonModel(311.69408)
         levels = (0.25, 0.5, 0.75)
         table = qq_table(emp, model, levels)
@@ -375,7 +438,7 @@ class TestTruncatedPmfOnce:
         _, pmf, _ = model.support
         built = len(calls)
         assert built > 0
-        emp = EmpiricalPmf.from_samples([300, 310, 320])
+        emp = EmpiricalPmf({300: 1, 310: 1, 320: 1})
         qq_table(emp, model, DEFAULT_QQ_LEVELS)
         tv_distance(emp, model)
         for level in (0.1, 0.5, 0.9):
@@ -390,17 +453,15 @@ class TestTruncatedPmfOnce:
 
 @pytest.mark.parametrize("call,match", [
     (lambda: PoissonModel(-1), "Poisson rate must be nonnegative"),
-    (lambda: mixed_poisson_pmf([1.0, -0.5], 0),
-     "rate samples must be nonnegative"),
-    (lambda: mixed_poisson_pmf([1.0], -1), "outcome must be nonnegative"),
+    (lambda: MixedPoisson([1.0, -0.5]), "rate samples must be nonnegative"),
     # every comparison with nan is false: it is refused by name, not taken
-    # for a rate too large for its support
+    # for a rate too large for its support, nor left to a component's
+    # ``PoissonModel`` to refuse
     (lambda: PoissonModel(math.nan),
      "^Poisson rate must be nonnegative: nan$"),
-    (lambda: mixed_poisson_pmf([1.0, math.nan], 0),
+    (lambda: MixedPoisson([1.0, math.nan]),
      "^rate samples must be nonnegative$"),
-], ids=["negative_rate", "mixed_rates", "mixed_outcome", "nan_rate",
-        "mixed_nan_rate"])
+], ids=["negative_rate", "mixed_rates", "nan_rate", "mixed_nan_rate"])
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
