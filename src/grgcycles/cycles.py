@@ -99,7 +99,7 @@ def _ranked_csr(graph: GrgGraph) -> tuple:
         kind="stable")
     rank = np.empty(n, dtype=_key_dtype(n))
     rank[by_degree] = np.arange(n, dtype=rank.dtype)
-    indptr, keys = _csr_keys(n, np.repeat(rank, degree), rank[graph.indices])
+    indptr, keys = _csr_keys(n, (np.repeat(rank, degree), rank[graph.indices]))
     cols = keys - keys // n * n     # faster than %, see _csr_from_pairs
     # row v's higher ranks start at its first key above v * n + v
     upper = keys.searchsorted(np.arange(n, dtype=keys.dtype) * (n + 1))

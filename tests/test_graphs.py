@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,37 @@ def edge_texts(draw):
     return "".join(f + s for f, s in zip(fields, seps))
 
 
+def each_text_block(monkeypatch):
+    """Patch the text block of the reader, the writer and the CSR builder to
+    its default, then to a few characters and entries, so that a text spans
+    many blocks."""
+    for size in (graphs._TEXT_BLOCK, 5):
+        monkeypatch.setattr(graphs, "_TEXT_BLOCK", size)
+        yield size
+
+
+def traced_peak(call, *args):
+    """The result of ``call(*args)``, or the ValueError it raised, and the
+    peak of the memory that ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        try:
+            result = call(*args)
+        except ValueError as error:
+            result = error
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sampled_graph():
+    """A Pareto(9.5, 10, 1) graph at n = 12000: 72,946 edges, 739,905
+    bytes of edge text."""
+    return sample_grg(sample_weights(
+        WeightSpec.pareto_shifted(9.5, 10, 1), 12000, 0), 1)
+
+
 class TestEdgeText:
     """The byte-level writer and reader against ``str.format`` and the token
     reader of ``oracles``."""
@@ -266,10 +298,11 @@ class TestEdgeText:
         graph = GrgGraph.from_edges(n, edges)
         assert graph.to_edge_text() == reference_edge_text(graph)
 
-    def test_writer_matches_format_on_sampled_graph(self):
+    def test_writer_matches_format_on_sampled_graph(self, monkeypatch):
         wv = sample_weights(WeightSpec.pareto_shifted(2.5, 10, 1), 1200, 3)
         graph = sample_grg(wv, seed=4)
-        assert graph.to_edge_text() == reference_edge_text(graph)
+        for _ in each_text_block(monkeypatch):
+            assert graph.to_edge_text() == reference_edge_text(graph)
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless_graph_writes_header_only(self, n):
@@ -281,15 +314,16 @@ class TestEdgeText:
                                        "leading_zeros", "no_final_newline",
                                        "mixed"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_parser_matches_token_path(self, style, seed):
+    def test_parser_matches_token_path(self, monkeypatch, style, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.choice([2, 9, 10, 11, 120, 1500]))
         graph = random_graph(n, int(rng.integers(0, 3 * n)), rng)
         text = styled_edge_text(graph, style, rng)
-        assert graphs._digit_fields(text) is not None
-        parsed = GrgGraph.from_edge_text(text)
-        assert_token_graph(parsed, text)
-        assert_same_graph(parsed, graph)
+        for _ in each_text_block(monkeypatch):
+            assert graphs._digit_fields(text) is not None
+            parsed = GrgGraph.from_edge_text(text)
+            assert_token_graph(parsed, text)
+            assert_same_graph(parsed, graph)
 
     @pytest.mark.parametrize("text", ["7 0", "7 0\r\n", "\n\t7\t0 \n\n",
                                       "007 000\n"])
@@ -321,9 +355,10 @@ class TestEdgeText:
          "v = '99999999999999999999' has more than 18 digits"),
     ])
     def test_other_fields_are_refused_by_name(self, text, message):
-        assert graphs._digit_fields(text) is None
-        with pytest.raises(ValueError, match=re.escape(message)):
-            GrgGraph.from_edge_text(text)
+        # the field parse itself refuses them
+        for read in (graphs._digit_fields, GrgGraph.from_edge_text):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read(text)
 
     @pytest.mark.parametrize("text", [
         "3\n", "3 1 1\n", "3 1\n1\n2\n", "3 1\n1 2 3\n", "3 1\n1 2\n3\n",
@@ -331,12 +366,13 @@ class TestEdgeText:
         "3 1\n1 4\n", "3 2\n1 2\n02 001\n", " \n\t\n", "3 1 1 2\n",
         "3 2\n1 2 2 3\n", "3 2\n1 2\r\n2\r\n3\r\n",
     ])
-    def test_digit_texts_fail_as_on_token_path(self, text):
+    def test_digit_texts_fail_as_on_token_path(self, monkeypatch, text):
         with pytest.raises(ValueError) as token_error:
             token_edge_list(text)
-        with pytest.raises(ValueError) as byte_error:
-            GrgGraph.from_edge_text(text)
-        assert str(byte_error.value) == str(token_error.value)
+        for _ in each_text_block(monkeypatch):
+            with pytest.raises(ValueError) as byte_error:
+                GrgGraph.from_edge_text(text)
+            assert str(byte_error.value) == str(token_error.value)
 
     @given(text=edge_texts())
     @settings(max_examples=400, deadline=None)
@@ -349,14 +385,107 @@ class TestEdgeText:
             expected = token_edge_list(text)
         except ValueError:
             expected = None
-        try:
-            graph = GrgGraph.from_edge_text(text)
-        except ValueError:
-            assert expected is None or re.search(f"[^0-9{graphs._SPACES}]",
-                                                 text)
-            return
-        assert expected is not None
-        assert_token_graph(graph, text)
+        with pytest.MonkeyPatch.context() as patch:
+            for _ in each_text_block(patch):
+                try:
+                    graph = GrgGraph.from_edge_text(text)
+                except ValueError:
+                    assert expected is None or re.search(
+                        f"[^0-9{graphs._SPACES}]", text)
+                    continue
+                assert expected is not None
+                assert_token_graph(graph, text)
+
+    @pytest.mark.parametrize("text,ends", [
+        ("4 3\r\n1 2\r\n2 3\r\n3 4\r\n", "\r\n"),
+        ("4 3\n1 2\n\n2 3\n3 4", "\n"),          # no final newline
+        ("4 3\r1 2\r2 3\r3 4\r", None),          # no "\n": one block
+        ("4 3 \x0b 1 2\x0c2 3\x1c3 4\r", None),
+    ])
+    def test_blocks_end_just_after_a_newline(self, monkeypatch, text, ends):
+        blocks = []
+        block_fields = graphs._block_fields
+
+        def recording(block):
+            blocks.append(block)
+            return block_fields(block)
+
+        monkeypatch.setattr(graphs, "_block_fields", recording)
+        monkeypatch.setattr(graphs, "_TEXT_BLOCK", 5)
+        assert GrgGraph.from_edge_text(text).m == 3
+        assert "".join(blocks) == text
+        if ends is None:
+            assert blocks == [text]
+        else:
+            # cut after the last "\n" of 5 characters, or if there is
+            # none, after the next
+            assert len(blocks) > 3
+            assert all(b.endswith(ends) for b in blocks[:-1])
+            assert all(len(b) <= 5 or b.index("\n") == len(b) - 1
+                       for b in blocks[:-1])
+
+    @pytest.mark.parametrize("text,message", [
+        ("\n" * 20 + "3 1\n1 2\n", None),
+        ("\n \t" * 20 + "3\n", "edge list must start with an 'n m' header"),
+        ("\n" * 20 + "+3 1\n1 2\n",
+         "edge list header '+3 1': n = '+3' is not a nonnegative integer"),
+        ("\n" * 20 + "3 1 7\n1 2\n",
+         "edge list must start with an 'n m' header"),
+        ("\n" * 20 + "3 1\n" + "\n" * 20 + "+1 2\n",
+         "edge list line '+1 2': u = '+1' is not a nonnegative integer"),
+        ("\n" * 20 + "3 1\n" + "\n" * 20 + "1 2 7\n",
+         "malformed edge line: 1 2 7"),
+        ("\n" * 20, "edge list must start with an 'n m' header"),
+    ])
+    def test_header_past_the_first_blocks(self, monkeypatch, text, message):
+        # at 5 characters a block, the first row with fields lies past
+        # several blocks of blank lines and still reads as the header
+        monkeypatch.setattr(graphs, "_TEXT_BLOCK", 5)
+        if message is None:
+            assert_token_graph(GrgGraph.from_edge_text(text), text)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                GrgGraph.from_edge_text(text)
+
+    def test_a_bad_last_line_is_read_in_its_own_block(self, monkeypatch,
+                                                      sampled_graph):
+        # the message comes from the last block alone, so the peak stays
+        # near the int64 fields of the blocks before it
+        head, last = sampled_graph.to_edge_text()[:-1].rsplit("\n", 1)
+        text = f"{head}\n{last} 7\n"
+        message = f"malformed edge line: {last} 7"
+        error, peak = traced_peak(GrgGraph.from_edge_text, text)
+        assert isinstance(error, ValueError) and str(error) == message
+        assert peak < 4 * len(text)
+        checked = []
+        check_lines = graphs._check_lines
+
+        def recording(block, header):
+            checked.append(block)
+            check_lines(block, header)
+
+        monkeypatch.setattr(graphs, "_check_lines", recording)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrgGraph.from_edge_text(text)
+        assert len(checked) == 1 and text.endswith(checked[0])
+        assert len(checked[0]) <= graphs._TEXT_BLOCK
+        # at 5 characters a block, on about 200 lines and the bad one, the
+        # block is the line
+        monkeypatch.setattr(graphs, "_TEXT_BLOCK", 5)
+        short = text[:text.index("\n", 2000) + 1] + f"{last} 7\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GrgGraph.from_edge_text(short)
+        assert checked[1:] == [f"{last} 7\n"]
+
+    def test_peak_memory_per_text_byte(self, sampled_graph):
+        # on this 740 kB text the writer peaks near 4.6 bytes of traced
+        # memory per byte of text and the reader near 4.8; on a text this
+        # short, one block's temporaries are a large part of that
+        text, write_peak = traced_peak(sampled_graph.to_edge_text)
+        graph, read_peak = traced_peak(GrgGraph.from_edge_text, text)
+        assert_same_graph(graph, sampled_graph)
+        assert write_peak < 7 * len(text)
+        assert read_peak < 8 * len(text)
 
 
 class TestSampling:
