@@ -43,7 +43,7 @@ counts each id's digits in ``uint8``, places the separators by one
 ``int32`` running sum and fills in the digits from right to left, into one
 byte buffer whose size the row pointers give beforehand.  The reader cuts
 the text into blocks of about ``_TEXT_BLOCK`` characters, each just after a
-``"\\n"``, so that no line spans two blocks.  In each block it finds the
+line end, so that no line spans two blocks.  In each block it finds the
 fields where digits meet whitespace, at ``int32`` positions, checks two
 fields per line, and adds up each field's digits from right to left.  It
 reads nothing else: a field that is not a run of at most 18 ASCII digits
@@ -73,7 +73,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .replication import _on_stream
+from .replication import _DRAW_BLOCK, _on_stream
 from .weights import WeightVector
 
 __all__ = [
@@ -225,16 +225,15 @@ def _digit_fields(text: str) -> np.ndarray:
     naming the header, the line or the field.
 
     The text is read in blocks of about ``_TEXT_BLOCK`` characters, each cut
-    just after a ``"\\n"``, so no line is split and every check stays within
-    a block; a refused block is the one that ``_check_lines`` reads."""
+    just after a line end (see ``_block_end``), so no line is split and
+    every check stays within a block; a refused block is the one that
+    ``_check_lines`` reads."""
     parts = []
     start = 0
     while start < len(text):
         stop = start + _TEXT_BLOCK
         if stop < len(text):
-            # just after the window's last "\n", else after the next one
-            stop = (text.rfind("\n", start, stop) + 1
-                    or text.find("\n", stop) + 1 or len(text))
+            stop = _block_end(text, start, stop)
         block = text[start:stop]
         start = stop
         values = _block_fields(block)
@@ -247,6 +246,21 @@ def _digit_fields(text: str) -> np.ndarray:
     if not parts:
         raise ValueError("edge list must start with an 'n m' header")
     return np.concatenate(parts)
+
+
+def _block_end(text: str, start: int, stop: int) -> int:
+    """The index just after the last of ``_LINE_ENDS`` in
+    ``text[start:stop]``; if there is none, just after the first one past
+    it, or the end of the text.  A ``"\\r\\n"`` cut between its two
+    characters leaves an empty line, which reads as no line."""
+    last = start - 1
+    # "\n" first: in a text of "\n" lines each other search spans a line
+    for char in _LINE_ENDS:
+        last = max(last, text.rfind(char, last + 1, stop))
+    if last >= start:
+        return last + 1
+    after = re.compile(f"[{_LINE_ENDS}]").search(text, stop)
+    return after.end() if after else len(text)
 
 
 def _block_fields(block: str) -> Optional[np.ndarray]:
@@ -375,9 +389,9 @@ def _csr_keys(n: int, *parts: tuple) -> tuple:
     return np.cumsum(indptr, out=indptr), keys
 
 
-# Most uniforms drawn per ``rng.random`` call (512 kB of doubles), unless a
-# single row is longer.
-_PAIR_CHUNK = 1 << 16
+# Most uniforms drawn per ``rng.random`` call, unless a single row is longer:
+# the split streams' draw block (see ``replication``).
+_PAIR_CHUNK = _DRAW_BLOCK
 # Columns that share one pre-filter bound within a row; the 2n/_BLOCK
 # heaviest columns get a bound of their own.
 _BLOCK = 128

@@ -30,6 +30,10 @@ the same draws as one sequentially consumed generator would.  Each chunk's
 sum and squared deviations about its own mean are merged in chunk order by
 the pairwise update of Chan, Golub & LeVeque (1979): an estimate is
 bit-identical for any CPU count, and its standard error keeps its digits.
+Only that merge needs whole chunks.  A chunk is drawn in blocks of whole
+rows, at most ``replication._DRAW_BLOCK`` draws (512 kB) unless one row is
+longer, and each block's row statistics go to the chunk's value array, so
+a part holds one block of draws, not a chunk, and no bit moves.
 
 A two-point chunk draws the same uniforms but is reduced to atom counts:
 per replication, the number of draws with ``u < p1`` (the ``x1`` hits,
@@ -51,7 +55,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .poisson import _masses
-from .replication import _on_stream
+from .replication import _DRAW_BLOCK, _on_stream
 from .weights import WeightSpec, WeightVector, analytic_moments, draw
 
 __all__ = [
@@ -69,12 +73,15 @@ __all__ = [
     "regimes",
 ]
 
-# Variates per Monte Carlo chunk: 2 MB of uniforms, which stays in cache.
-# Each part of an estimate draws its chunks into one buffer of this size, and
-# a two-point part compares them into one bool buffer of as many entries,
-# both allocated before the parts start; a fresh array per chunk leaves each
-# helper thread's malloc arena holding the pages of its own chunk, which
-# shows in the peak RSS.
+# Variates per Monte Carlo chunk, the merge unit: the chunks of an estimate
+# are cut from its replications, split among the parts and merged in order,
+# so this number, not the CPU count, fixes the bytes of an estimate.
+# A chunk is drawn in blocks of whole rows of at most ``_DRAW_BLOCK`` draws
+# (one row if n is larger).  Each part draws its blocks into one buffer of
+# that size, and a two-point part compares them into one bool buffer of as
+# many entries, both allocated before the parts start; a fresh array per
+# block leaves each helper thread's malloc arena holding the pages of its
+# own block, which shows in the peak RSS.
 _CHUNK_BUDGET = 262_144
 
 
@@ -241,21 +248,28 @@ def _chunk_sums(spec: WeightSpec, n: int, p: int, rng: np.random.Generator,
                 statistic: str, size: int, buf: np.ndarray,
                 mask: np.ndarray) -> Tuple[float, float]:
     """Sums of the statistic and of its squared deviations about their mean
-    over ``size`` replications of ``n`` draws from ``rng``, drawn into the
-    front of ``buf`` (at least ``size * n`` doubles).  A two-point chunk
-    compares its uniforms into the front of ``mask`` (as many bools) and
-    counts each row's hits."""
-    out = buf[:size * n].reshape(size, n)
-    if spec.family == "two_point":
-        u = rng.random(out=out)
-        below = np.less(u, spec.p1, out=mask[:size * n].reshape(size, n))
-        # summing the mask's bytes in the narrowest type that holds n is
-        # several times faster than count_nonzero along rows
-        hits = np.add.reduce(below.view(np.uint8), axis=1,
-                             dtype=np.min_scalar_type(n))
-        v = _two_point_values(spec, n, hits, p, statistic)
-    else:
-        v = _row_statistics(draw(spec, rng, (size, n), out), p, statistic)
+    over ``size`` replications of ``n`` draws from ``rng``.  The draws go to
+    ``buf`` in blocks of as many whole rows as it holds (at least one row),
+    and each row's statistic to the chunk's value array; a row's statistic
+    depends on its own draws only, so the block size moves no bit.  A
+    two-point block compares its uniforms into the front of ``mask`` (as
+    many bools as ``buf``) and counts each row's hits."""
+    rows = buf.size // n
+    v = np.empty(size)
+    for r0 in range(0, size, rows):
+        m = min(rows, size - r0)
+        out = buf[:m * n].reshape(m, n)
+        if spec.family == "two_point":
+            u = rng.random(out=out)
+            below = np.less(u, spec.p1, out=mask[:m * n].reshape(m, n))
+            # summing the mask's bytes in the narrowest type that holds n is
+            # several times faster than count_nonzero along rows
+            hits = np.add.reduce(below.view(np.uint8), axis=1,
+                                 dtype=np.min_scalar_type(n))
+            v[r0:r0 + m] = _two_point_values(spec, n, hits, p, statistic)
+        else:
+            v[r0:r0 + m] = _row_statistics(draw(spec, rng, (m, n), out), p,
+                                           statistic)
     total = float(v.sum())
     v -= total / size
     return total, float(np.square(v, out=v).sum())
@@ -272,7 +286,8 @@ def _mc_estimate(spec: WeightSpec, n: int, p: int, replications: int, seed,
     # chunk j takes replications starts[j]..starts[j + 1] - 1
     starts = np.append(np.arange(0, replications, chunk), replications)
     sizes = np.diff(starts).tolist()
-    length = sizes[0] * n
+    # a part's draw buffer: one block of whole rows, no longer than a chunk
+    length = min(sizes[0], max(1, _DRAW_BLOCK // n)) * n
 
     def scratch():
         return (np.empty(length), np.empty(length, dtype=bool)

@@ -19,10 +19,13 @@ rebuilds the PCG64 generator from the seed, advances it past the draws of
 the units before its own and consumes its units in order, so every unit
 sees the draws of one sequential generator and the results are
 byte-identical for any part count.  A part's scratch buffers are its
-own.  The Monte Carlo draw buffers are made on the calling thread before
-the parts start, and the sampler's pair buffer in the part's own thread:
-the other way round, the peak RSS rose by 0.33 MB in a two-point ratio
-study (n = 64 and 4096) and by 0.7 MB in a census of n = 2000 graphs.
+own, one draw block of ``_DRAW_BLOCK`` uniforms (or one row, if longer).
+The Monte Carlo draw buffers are made on the calling thread before the
+parts start, and the sampler's pair buffer in the part's own thread: the
+other way round, the peak RSS of the ``bounds_ratio`` benchmark rose by
+0.5 MB (4 of 4 pairs; a two-point ratio study alone, n = 64 and 4096,
+moved by less than 0.15 MB) and that of a census of n = 2000 graphs by
+0.7 MB.
 ``_on_threads`` runs part 0 on the calling thread and the rest on helper
 threads, all joined before the results come back in unit order.
 
@@ -45,6 +48,11 @@ from typing import Callable, Iterable, List
 import numpy as np
 
 __all__ = ["replication_seed", "map_replications"]
+
+# Most uniforms that a part of a split stream draws per ``rng.random`` call
+# (512 kB of doubles), unless one row is longer: the sampler's chunk of
+# pairs and the estimator's block of replications.
+_DRAW_BLOCK = 1 << 16
 
 
 def replication_seed(master_seed: int, replication: int,

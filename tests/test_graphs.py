@@ -261,6 +261,25 @@ def each_text_block(monkeypatch):
         yield size
 
 
+def recorded_blocks(monkeypatch):
+    """The list that records each block the reader passes to
+    ``graphs._block_fields``."""
+    blocks = []
+    block_fields = graphs._block_fields
+
+    def recording(block):
+        blocks.append(block)
+        return block_fields(block)
+
+    monkeypatch.setattr(graphs, "_block_fields", recording)
+    return blocks
+
+
+def first_line_end(block):
+    """The index of the first of the reader's line ends in ``block``."""
+    return re.search(f"[{graphs._LINE_ENDS}]", block).start()
+
+
 def traced_peak(call, *args):
     """The result of ``call(*args)``, or the ValueError it raised, and the
     peak of the memory that ``tracemalloc`` traced while it ran."""
@@ -399,30 +418,67 @@ class TestEdgeText:
     @pytest.mark.parametrize("text,ends", [
         ("4 3\r\n1 2\r\n2 3\r\n3 4\r\n", "\r\n"),
         ("4 3\n1 2\n\n2 3\n3 4", "\n"),          # no final newline
-        ("4 3\r1 2\r2 3\r3 4\r", None),          # no "\n": one block
+        ("4 3\r1 2\r2 3\r3 4\r", None),          # None: any line end
         ("4 3 \x0b 1 2\x0c2 3\x1c3 4\r", None),
     ])
     def test_blocks_end_just_after_a_newline(self, monkeypatch, text, ends):
-        blocks = []
-        block_fields = graphs._block_fields
-
-        def recording(block):
-            blocks.append(block)
-            return block_fields(block)
-
-        monkeypatch.setattr(graphs, "_block_fields", recording)
+        blocks = recorded_blocks(monkeypatch)
         monkeypatch.setattr(graphs, "_TEXT_BLOCK", 5)
         assert GrgGraph.from_edge_text(text).m == 3
         assert "".join(blocks) == text
-        if ends is None:
-            assert blocks == [text]
+        # cut after the last line end of 5 characters, or if there is
+        # none, after the next
+        assert len(blocks) > 3
+        assert all(b.endswith(ends or tuple(graphs._LINE_ENDS))
+                   for b in blocks[:-1])
+        assert all(len(b) <= 5 or first_line_end(b) == len(b) - 1
+                   for b in blocks[:-1])
+
+    @pytest.mark.parametrize("end", list(graphs._LINE_ENDS[1:]) + ["\r\n"])
+    @pytest.mark.parametrize("size", [64, 3])
+    def test_every_line_end_bounds_the_blocks(self, monkeypatch, end, size):
+        # a text with other line ends than "\n" reads in as many blocks as
+        # the "\n" text, or more for the longer "\r\n", and to the same
+        # graph; at 3 characters no window holds a whole line, and each
+        # block ends at the first line end past its window
+        graph = random_graph(40, 80, np.random.default_rng(3))
+        text = graph.to_edge_text()
+        blocks = recorded_blocks(monkeypatch)
+        monkeypatch.setattr(graphs, "_TEXT_BLOCK", size)
+        assert_same_graph(GrgGraph.from_edge_text(text), graph)
+        newline_blocks = len(blocks)
+        blocks.clear()
+        assert_same_graph(GrgGraph.from_edge_text(text.replace("\n", end)),
+                          graph)
+        assert newline_blocks > 1
+        if end == "\r\n":
+            assert len(blocks) > newline_blocks
         else:
-            # cut after the last "\n" of 5 characters, or if there is
-            # none, after the next
-            assert len(blocks) > 3
-            assert all(b.endswith(ends) for b in blocks[:-1])
-            assert all(len(b) <= 5 or b.index("\n") == len(b) - 1
-                       for b in blocks[:-1])
+            assert len(blocks) == newline_blocks
+        if size == 64:
+            assert max(map(len, blocks)) <= size
+        else:
+            assert all(first_line_end(b) >= len(b) - len(end)
+                       for b in blocks)
+
+    @pytest.mark.parametrize("size", range(1, 30))
+    def test_a_split_crlf_reads_as_one_line_end(self, monkeypatch, size):
+        # at some sizes a block ends between "\r" and "\n"; the next block
+        # starts with an empty line, and the graph and every message stay
+        monkeypatch.setattr(graphs, "_TEXT_BLOCK", size)
+        text = "19 3\r\n1 2\r\n\r\n12 3\r\n3 4\r\n"
+        assert_token_graph(GrgGraph.from_edge_text(text), text)
+        for bad, message in (
+                ("19 3\r\n1 2\r\n12 +3\r\n3 4\r\n",
+                 "edge list line '12 +3': v = '+3' is not a nonnegative "
+                 "integer"),
+                ("19 3\r\n1 2\r\n12 3 4\r\n3 4\r\n",
+                 "malformed edge line: 12 3 4"),
+                ("\r\n\r\n+9 3\r\n1 2\r\n",
+                 "edge list header '+9 3': n = '+9' is not a nonnegative "
+                 "integer")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                GrgGraph.from_edge_text(bad)
 
     @pytest.mark.parametrize("text,message", [
         ("\n" * 20 + "3 1\n1 2\n", None),

@@ -3,6 +3,8 @@
 import math
 import re
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -373,6 +375,65 @@ class TestChunkedStreams:
                           None)
         assert used == [3] and len(entropies) >= 3
         assert len(set(entropies)) == 1
+
+
+def estimate_bytes(spec, n, seed):
+    """``float.hex`` of the value and standard error of a t and an r
+    estimate of 1000 replications."""
+    return [(est.value.hex(), est.std_error.hex())
+            for est in (estimate_t_moment(spec, n, 2, 1000, seed),
+                        estimate_r_moment(spec, n, 3, 1000, seed))]
+
+
+class TestDrawBlocks:
+    """A chunk is drawn in blocks of whole rows of at most
+    ``_DRAW_BLOCK`` draws, which move no bit of an estimate."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_block_size_moves_no_bit(self, monkeypatch, n, cpus):
+        # chunks of 100 rows: ten units, split into 3 parts on 3 CPUs;
+        # blocks of one row (1, n - 1 and n draws), of three rows with a
+        # short last block (3n + 1) and the default, a whole chunk here
+        monkeypatch.setattr(ratios, "_CHUNK_BUDGET", 100 * n)
+        used = force_parts(monkeypatch, cpus)
+        seed = np.random.SeedSequence(21, spawn_key=(n,))
+        want = [estimate_bytes(spec, n, seed) for spec in FAMILIES]
+        for block in (1, n - 1, n, 3 * n + 1):
+            monkeypatch.setattr(ratios, "_DRAW_BLOCK", block)
+            assert [estimate_bytes(spec, n, seed)
+                    for spec in FAMILIES] == want, block
+        # five block sizes, a t and an r estimate of each family
+        assert used == [cpus] * 5 * 2 * len(FAMILIES)
+
+    @pytest.mark.parametrize("spec,want", [
+        (TWO_POINT, [("0x1.63931a6617e58p+1", "0x1.138725271040bp-11"),
+                     ("0x1.da1154a95757bp-10", "0x1.139db348df62ap-23")]),
+        (WeightSpec.pareto_shifted(9.5, 10, 1),
+         [("0x1.2f95816c1b925p+7", "0x1.efe00b66f8d5bp-7"),
+          ("0x1.1a9dd982ce213p+1", "0x1.f82704b6cec84p-7")]),
+    ], ids=["two_point", "pareto"])
+    def test_pinned_estimates_at_n_4096(self, spec, want):
+        # recorded when each chunk was drawn whole, 64 rows at a time
+        got = [(est.value.hex(), est.std_error.hex())
+               for est in (estimate_t_moment(spec, 4096, 2, 2000, 11),
+                           estimate_r_moment(spec, 4096, 2, 2000, 11))]
+        assert got == want
+
+    def test_one_part_peak_stays_near_one_block(self, monkeypatch):
+        # one part draws 16 rows of 4096 at a time: a 512 kB buffer and a
+        # 64 kB mask, where a whole chunk of 64 rows took 2.27 MB
+        force_parts(monkeypatch, 1)
+        estimate_t_moment(TWO_POINT, 4096, 2, 2000, 5)   # warm the imports
+        began = time.perf_counter()
+        tracemalloc.start()
+        try:
+            estimate_t_moment(TWO_POINT, 4096, 2, 2000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+        assert time.perf_counter() - began < 1
 
 
 def value_path(spec, n, p, seed, statistic, unit):
