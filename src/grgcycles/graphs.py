@@ -95,17 +95,6 @@ class GrgGraph:
         """Number of undirected edges."""
         return int(self.indices.size // 2)
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        pos = int(np.searchsorted(row, j))
-        return pos < row.size and int(row[pos]) == j
-
     def edge_array(self) -> np.ndarray:
         """Edges as an (m, 2) array with u < v, lexicographically sorted."""
         us = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -119,11 +108,6 @@ class GrgGraph:
         pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
         indptr, indices = _csr_from_pairs(n, pairs[:, 0], pairs[:, 1])
         return cls(n=n, indptr=indptr, indices=indices)
-
-    @classmethod
-    def complete(cls, n: int) -> "GrgGraph":
-        from itertools import combinations
-        return cls.from_edges(n, combinations(range(n), 2))
 
     def to_edge_text(self) -> str:
         """Whitespace edge list with an ``n m`` header, 1-based vertex ids."""
@@ -367,6 +351,12 @@ def _key_dtype(n: int) -> type:
     keys run up to n**2 - 1, so ``uint32`` holds them while n**2 <= 2**32,
     and it sorts and compares faster than ``int64``."""
     return np.uint32 if n * n <= 2 ** 32 else np.int64
+
+
+def _index_dtype(size: int) -> type:
+    """Type of the positions in an array of ``size`` entries: ``int32``
+    holds them while size <= 2**31 - 1, and it halves their memory."""
+    return np.int32 if size < 2 ** 31 else np.int64
 
 
 def _csr_keys(n: int, *parts: tuple) -> tuple:

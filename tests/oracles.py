@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, lgamma, log, perm
 from typing import Iterator, List, Sequence, Set, Tuple
 
@@ -46,6 +46,11 @@ def canonicalize(vertices: Sequence[int]) -> tuple:
 
 def is_canonical(vertices: Sequence[int]) -> bool:
     return tuple(int(v) for v in vertices) == canonicalize(vertices)
+
+
+def complete_graph(n: int) -> GrgGraph:
+    """The complete graph on n vertices, every pair an edge."""
+    return GrgGraph.from_edges(n, combinations(range(n), 2))
 
 
 @lru_cache(maxsize=32)

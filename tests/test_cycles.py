@@ -1,5 +1,8 @@
 """Cycle censuses: canonical counting, the brute force oracle, enumeration."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from itertools import combinations, permutations
@@ -8,14 +11,14 @@ from math import factorial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grgcycles import cycles
 from grgcycles.cycles import (CandidateCapError, _candidate_rows,
                               _pair_keys, _ranked_csr, candidate_count,
                               count_k_cycles, count_triangles)
-from grgcycles.graphs import GrgGraph
+from grgcycles.graphs import GrgGraph, _index_dtype, sample_grg
 from grgcycles.weights import WeightSpec, sample_weights
-from grgcycles.graphs import sample_grg
-from oracles import (brute_force_count, canonicalize, enumerate_cycles,
-                     is_canonical)
+from oracles import (brute_force_count, canonicalize, complete_graph,
+                     enumerate_cycles, is_canonical)
 
 
 def cycle_graph(n):
@@ -71,7 +74,7 @@ class TestCanonicalForm:
 
 class TestKnownCensuses:
     def test_complete_graph_triangles(self):
-        k4 = GrgGraph.complete(4)
+        k4 = complete_graph(4)
         assert count_k_cycles(k4, 3).count == 4
         assert count_k_cycles(k4, 4).count == 3
         assert count_triangles(k4).count == 4
@@ -89,12 +92,12 @@ class TestKnownCensuses:
         assert count_triangles(empty).count == 0
 
     def test_complete_graph_matches_candidate_count(self):
-        k7 = GrgGraph.complete(7)
+        k7 = complete_graph(7)
         for k in range(3, 8):
             assert count_k_cycles(k7, k).count == candidate_count(7, k)
 
     def test_k_guards(self):
-        k4 = GrgGraph.complete(4)
+        k4 = complete_graph(4)
         with pytest.raises(ValueError):
             count_k_cycles(k4, 2)
         with pytest.raises(ValueError):
@@ -103,13 +106,13 @@ class TestKnownCensuses:
 
 class TestOracleAgreement:
     def test_brute_force_known(self):
-        k4 = GrgGraph.complete(4)
+        k4 = complete_graph(4)
         assert brute_force_count(k4, 3).count == 4
         assert brute_force_count(k4, 4).count == 3
 
     def test_brute_force_guard(self):
         with pytest.raises(ValueError):
-            brute_force_count(GrgGraph.complete(11), 3)
+            brute_force_count(complete_graph(11), 3)
 
     def test_random_graphs_all_k(self):
         rng = np.random.default_rng(50)
@@ -213,6 +216,12 @@ class TestPairKeys:
         assert sorted(keys.tolist()) == \
             [y * n + z for y, z in combinations(range(1, n), 2)]
 
+    def test_int64_positions_give_the_same_keys(self, monkeypatch):
+        # the positions of a CSR of 2**31 entries or more are int64; force
+        # that path on a small graph
+        monkeypatch.setattr(cycles, "_index_dtype", lambda size: np.int64)
+        self.assert_both_modes(random_graph(60, 4))
+
     def test_ranking_prunes_heavy_tail_pairs(self):
         # Pareto shape 1.5: the 4-cycle pairs, whose larger end outranks
         # the row, are at most half of all sum C(d, 2) pairs of a row
@@ -249,13 +258,40 @@ class TestKeyWidth:
         assert np.array_equal(back.indices, graph.indices)
 
 
+class TestIndexWidth:
+    """Positions in a CSR are int32 up to 2**31 - 1 entries, int64 above."""
+
+    def test_rule_at_the_boundary(self):
+        assert _index_dtype(2 ** 31 - 1) is np.int32
+        assert _index_dtype(2 ** 31) is np.int64
+
+    @pytest.mark.parametrize("k,bound", [(3, 750_000), (4, 1_000_000)])
+    def test_census_peak_at_n_2000(self, k, bound):
+        # about 0.62 and 0.83 MB; with int64 positions kept to the end,
+        # 0.96 and 1.72 MB, and at k = 4 1.17 MB with int64 positions freed
+        # early and 1.13 MB with the keys made before the last positions
+        # are freed
+        graph = random_graph(2000, 0)
+        count_k_cycles(graph, k)   # warm the imports
+        began = time.perf_counter()
+        tracemalloc.start()
+        try:
+            count_k_cycles(graph, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert time.perf_counter() - began < 1
+
+
 class TestMonotonicity:
     @given(seed=st.integers(0, 10_000), pick=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_adding_edge_never_decreases_counts(self, seed, pick):
         graph = random_graph(8, seed)
+        present = set(map(tuple, graph.edge_array().tolist()))
         missing = [(u, v) for u in range(8) for v in range(u + 1, 8)
-                   if not graph.has_edge(u, v)]
+                   if (u, v) not in present]
         if not missing:
             return
         extra = missing[pick % len(missing)]
@@ -268,7 +304,7 @@ class TestMonotonicity:
 
 class TestEnumeration:
     def test_candidate_triangles_on_four_vertices(self):
-        got = set(enumerate_cycles(GrgGraph.complete(4), 3, mode="candidates"))
+        got = set(enumerate_cycles(complete_graph(4), 3, mode="candidates"))
         assert got == {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
 
     def test_five_cycle_single_representative(self):
@@ -306,7 +342,7 @@ class TestEnumeration:
 
     def test_candidate_cap(self):
         with pytest.raises(CandidateCapError):
-            list(enumerate_cycles(GrgGraph.complete(30), 5,
+            list(enumerate_cycles(complete_graph(30), 5,
                                   mode="candidates", cap=100))
 
     def test_candidate_rows_stop_at_the_fixed_cap(self):
@@ -317,4 +353,4 @@ class TestEnumeration:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            list(enumerate_cycles(GrgGraph.complete(4), 3, mode="nope"))
+            list(enumerate_cycles(complete_graph(4), 3, mode="nope"))

@@ -22,9 +22,9 @@ from grgcycles.experiments import (ExperimentConfig, er_constant_spec,
                                    load_config, map_replications,
                                    replication_seed, run_bounds, run_census,
                                    run_ratio_study, run_threshold)
-from grgcycles.graphs import GrgGraph
 from grgcycles.weights import InfiniteMomentError, WeightSpec, sample_weights
 from cpu_parts import force_parts
+from oracles import complete_graph
 
 PARETO = WeightSpec.pareto_shifted(9.5, 10, 1)
 
@@ -227,7 +227,7 @@ class TestConfigKeys:
         weight keys, less those of the graph source it did not take."""
         if settings.get("edge_list"):
             path = tmp_path / "k4.txt"
-            path.write_text(GrgGraph.complete(4).to_edge_text())
+            path.write_text(complete_graph(4).to_edge_text())
             settings = {**settings, "edge_list": str(path)}
         read = set()
 
@@ -681,7 +681,7 @@ class TestRatioRunner:
 class TestThresholdRunner:
     def test_edge_list_file(self, tmp_path):
         graph_path = tmp_path / "k4.txt"
-        graph_path.write_text(GrgGraph.complete(4).to_edge_text())
+        graph_path.write_text(complete_graph(4).to_edge_text())
         cfg = ExperimentConfig(spec=WeightSpec.constant(1.0),
                                edge_list=str(graph_path),
                                output_dir=str(tmp_path), seed=3)

@@ -91,12 +91,13 @@ class TestGraphRepresentation:
     def test_symmetry_and_no_self_loops(self):
         wv = sample_weights(WeightSpec.pareto_shifted(9.5, 10, 1), 40, seed=5)
         graph = sample_grg(wv, seed=6)
+        def row(i):
+            return graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
         for i in range(graph.n):
-            for j in graph.neighbors(i):
+            for j in row(i):
                 assert j != i
-                assert graph.has_edge(int(j), i)
-            row = graph.neighbors(i)
-            assert np.all(np.diff(row) > 0)   # strictly sorted
+                assert i in row(j)
+            assert np.all(np.diff(row(i)) > 0)   # strictly sorted
 
     def test_edge_text_roundtrip(self):
         graph = GrgGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -355,7 +356,7 @@ class TestEdgeText:
     def test_eighteen_digit_field_is_parsed(self):
         text = "3 1\n000000000000000001 003\n"
         assert list(graphs._digit_fields(text)) == [3, 1, 1, 3]
-        assert GrgGraph.from_edge_text(text).has_edge(0, 2)
+        assert GrgGraph.from_edge_text(text).edge_array().tolist() == [[0, 2]]
 
     @pytest.mark.parametrize("text,message", [
         ("3 1\n+1 2\n", "line '+1 2': u = '+1' is not a nonnegative"),
@@ -570,7 +571,7 @@ class TestSampling:
         degs = np.zeros(31)
         for seed in range(200):
             graph = sample_grg(wv, seed)
-            degs += [graph.degree(i) for i in range(31)]
+            degs += np.diff(graph.indptr)
         assert degs[0] > degs[1:].max()
 
     def test_pair_frequencies_match_edge_probability(self):

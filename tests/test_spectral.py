@@ -10,6 +10,7 @@ from grgcycles.spectral import (ThresholdReport, epidemic_threshold,
                                 power_iteration_radius, spectral_lower_bound,
                                 threshold_report)
 from grgcycles.weights import WeightSpec, sample_weights
+from oracles import complete_graph
 
 
 def star_graph(leaves):
@@ -57,7 +58,7 @@ class TestThreshold:
 
 class TestPowerIteration:
     def test_complete_graph(self):
-        assert power_iteration_radius(GrgGraph.complete(4)) == pytest.approx(
+        assert power_iteration_radius(complete_graph(4)) == pytest.approx(
             3.0, abs=1e-9)
 
     def test_cycle_graph(self):
@@ -91,7 +92,7 @@ class TestPowerIteration:
 
 class TestThresholdReport:
     def test_complete_graph_report(self):
-        report = threshold_report(GrgGraph.complete(4))
+        report = threshold_report(complete_graph(4))
         assert report.edges == 6 and report.triangles == 4
         assert report.radius_lower_bound == pytest.approx(3.0, abs=1e-9)
         assert report.radius_estimate == pytest.approx(3.0, abs=1e-9)
